@@ -47,26 +47,36 @@ fn bench_cache_array(c: &mut Criterion) {
 }
 
 fn bench_persistent_table(c: &mut Criterion) {
-    c.bench_function("dist_table_activate_resolve", |b| {
-        b.iter(|| {
-            let mut t = DistTable::new(16);
-            for p in 0..16u16 {
-                t.activate(
-                    ProcId(p),
-                    Block(u64::from(p % 4)),
-                    NodeId(20 + u32::from(p)),
-                    ReqKind::Write,
-                    1,
-                );
-            }
-            for blk in 0..4u64 {
-                black_box(t.active_for(Block(blk)));
-            }
-            for p in 0..16u16 {
-                t.deactivate(ProcId(p), 1);
-            }
+    // Activate `live` requests spread `stride` processors apart over four
+    // blocks, resolve every block, then deactivate them all: the Table 3
+    // table (16 of 16 processors live) and the 1024-core mesh regime (64
+    // of 1024 live, one locking core per chip).
+    for (name, live, stride) in [
+        ("dist_table_activate_resolve", 16u16, 1u16),
+        ("dist_table_activate_resolve_1024p_64live", 64, 16),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut t = DistTable::new();
+                for i in 0..live {
+                    let p = i * stride;
+                    t.activate(
+                        ProcId(p),
+                        Block(u64::from(i % 4)),
+                        NodeId(20 + u32::from(p)),
+                        ReqKind::Write,
+                        1,
+                    );
+                }
+                for blk in 0..4u64 {
+                    black_box(t.active_for(Block(blk)));
+                }
+                for i in 0..live {
+                    t.deactivate(ProcId(i * stride), 1);
+                }
+            });
         });
-    });
+    }
 }
 
 fn bench_end_to_end(c: &mut Criterion) {

@@ -242,23 +242,15 @@ pub fn table_apply_event(msg: &TokenMsg, node: NodeId) -> Option<TraceEvent> {
 /// The persistent-request bookkeeping every coherence node carries: the
 /// distributed table and the arbiter-activated set (only one is populated
 /// in any given run, depending on the variant).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PersistentState {
-    /// Distributed-activation table (one entry per processor).
+    /// Distributed-activation table (at most one entry per processor).
     pub dist: DistTable,
     /// Arbiter-activated requests.
     pub arb: ArbNodeTable,
 }
 
 impl PersistentState {
-    /// Creates empty state for a system with `procs` processors.
-    pub fn new(procs: usize) -> PersistentState {
-        PersistentState {
-            dist: DistTable::new(procs),
-            arb: ArbNodeTable::new(),
-        }
-    }
-
     /// The request this node should currently forward tokens to, for
     /// `block`.
     pub fn active_for(&self, block: Block) -> Option<ActiveReq> {
@@ -475,7 +467,7 @@ mod tests {
     fn persistent_state_applies_messages() {
         use tokencmp_proto::ProcId;
         use tokencmp_sim::NodeId;
-        let mut p = PersistentState::new(16);
+        let mut p = PersistentState::default();
         let act = TokenMsg::PersistentActivate {
             block: Block(1),
             proc: ProcId(5),
@@ -507,7 +499,7 @@ mod tests {
     fn arb_activation_also_feeds_active_for() {
         use tokencmp_proto::ProcId;
         use tokencmp_sim::NodeId;
-        let mut p = PersistentState::new(16);
+        let mut p = PersistentState::default();
         let act = TokenMsg::ArbActivate {
             block: Block(9),
             proc: ProcId(2),

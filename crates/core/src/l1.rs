@@ -144,7 +144,7 @@ impl TokenL1 {
         };
         TokenL1 {
             lines: SetAssoc::new(cfg.l1_sets, cfg.l1_ways, 0),
-            persistent: PersistentState::new(layout.procs() as usize),
+            persistent: PersistentState::default(),
             predictor: variant.uses_predictor().then(ContentionPredictor::new),
             proc_node: layout.proc(proc),
             layout,

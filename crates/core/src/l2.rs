@@ -89,7 +89,7 @@ impl TokenL2 {
             .trailing_zeros();
         TokenL2 {
             lines: SetAssoc::new(cfg.l2_sets, cfg.l2_ways, shift),
-            persistent: PersistentState::new(layout.procs() as usize),
+            persistent: PersistentState::default(),
             variant,
             filter: variant.uses_filter().then(|| {
                 assert!(

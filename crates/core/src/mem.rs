@@ -90,7 +90,7 @@ impl TokenMem {
             migratory: cfg.migratory_sharing,
         };
         TokenMem {
-            persistent: PersistentState::new(layout.procs() as usize),
+            persistent: PersistentState::default(),
             blocks: HashMap::new(),
             arbiter: Arbiter::new(),
             serials: HashMap::new(),

@@ -35,6 +35,7 @@ pub struct ActiveReq {
 
 #[derive(Clone, Copy, Debug)]
 struct DistEntry {
+    proc: ProcId,
     block: Block,
     requester: NodeId,
     kind: ReqKind,
@@ -45,26 +46,41 @@ struct DistEntry {
 }
 
 /// The distributed-activation persistent request table kept at *every*
-/// coherence node: one entry per processor (the paper sizes it at one
-/// six-byte entry per processor).
+/// coherence node: at most one entry per processor (the paper sizes it at
+/// one six-byte entry per processor and searches it associatively).
+///
+/// Only live entries are stored, sorted by processor — which is also the
+/// priority order — so a lookup costs O(live entries), not O(processors),
+/// and an idle table holds no entry storage at all.
 ///
 /// The interconnect is unordered, so a deactivation can arrive before its
 /// own activation; each entry carries the issuing processor's *epoch*
 /// (issue number) and the table remembers the highest deactivated epoch
-/// per processor, suppressing late-arriving ghost activations.
-#[derive(Clone, Debug)]
+/// per processor, suppressing late-arriving ghost activations. That
+/// record is sparse too: only processors that have deactivated here have
+/// one (an absent processor reads as epoch 0).
+#[derive(Clone, Debug, Default)]
 pub struct DistTable {
-    entries: Vec<Option<DistEntry>>,
-    deactivated_up_to: Vec<u64>,
+    live: Vec<DistEntry>,
+    deactivated_up_to: Vec<(ProcId, u64)>,
 }
 
 impl DistTable {
-    /// Creates a table for `procs` processors.
-    pub fn new(procs: usize) -> DistTable {
-        DistTable {
-            entries: vec![None; procs],
-            deactivated_up_to: vec![0; procs],
-        }
+    /// Creates an empty table.
+    pub fn new() -> DistTable {
+        DistTable::default()
+    }
+
+    /// Position of `proc`'s live entry, or where it would be inserted.
+    fn slot(&self, proc: ProcId) -> Result<usize, usize> {
+        self.live.binary_search_by_key(&proc, |e| e.proc)
+    }
+
+    /// Position of `proc` in the deactivation-epoch record, or where it
+    /// would be inserted.
+    fn done_slot(&self, proc: ProcId) -> Result<usize, usize> {
+        self.deactivated_up_to
+            .binary_search_by_key(&proc, |&(p, _)| p)
     }
 
     /// Records an activation (ignored if epoch `epoch` was already
@@ -77,29 +93,40 @@ impl DistTable {
         kind: ReqKind,
         epoch: u64,
     ) {
-        if epoch <= self.deactivated_up_to[proc.0 as usize] {
+        let done = self
+            .done_slot(proc)
+            .map_or(0, |i| self.deactivated_up_to[i].1);
+        if epoch <= done {
             return;
         }
-        self.entries[proc.0 as usize] = Some(DistEntry {
+        let entry = DistEntry {
+            proc,
             block,
             requester,
             kind,
             epoch,
             marked: false,
-        });
+        };
+        match self.slot(proc) {
+            Ok(i) => self.live[i] = entry,
+            Err(i) => self.live.insert(i, entry),
+        }
     }
 
     /// Clears an entry on deactivation (epoch-matched) and suppresses any
     /// late-arriving activation with the same or an earlier epoch.
     /// Returns true if an entry was removed.
     pub fn deactivate(&mut self, proc: ProcId, epoch: u64) -> bool {
-        let p = proc.0 as usize;
-        if epoch > self.deactivated_up_to[p] {
-            self.deactivated_up_to[p] = epoch;
+        match self.done_slot(proc) {
+            Ok(i) => {
+                let done = &mut self.deactivated_up_to[i].1;
+                *done = (*done).max(epoch);
+            }
+            Err(i) => self.deactivated_up_to.insert(i, (proc, epoch)),
         }
-        match self.entries[p] {
-            Some(e) if e.epoch <= epoch => {
-                self.entries[p] = None;
+        match self.slot(proc) {
+            Ok(i) if self.live[i].epoch <= epoch => {
+                self.live.remove(i);
                 true
             }
             _ => false,
@@ -110,7 +137,7 @@ impl DistTable {
     /// request for `block` completes, all remaining valid entries for the
     /// same block are marked.
     pub fn mark_peers(&mut self, block: Block) {
-        for e in self.entries.iter_mut().flatten() {
+        for e in &mut self.live {
             if e.block == block {
                 e.marked = true;
             }
@@ -121,53 +148,49 @@ impl DistTable {
     /// not issue a new persistent request for it yet (FutureBus-style wave
     /// grouping, §3.2).
     pub fn has_marked(&self, block: Block) -> bool {
-        self.entries
-            .iter()
-            .flatten()
-            .any(|e| e.block == block && e.marked)
+        self.live.iter().any(|e| e.block == block && e.marked)
     }
 
     /// The active (highest-priority) request for `block`, if any.
     ///
     /// Priority is the fixed processor number: with `proc = chip *
     /// procs_per_chip + core`, the low bits vary within a chip, so
-    /// contended blocks tend to hand off within a chip first.
+    /// contended blocks tend to hand off within a chip first. The live
+    /// list is sorted by processor, so the first match wins.
     pub fn active_for(&self, block: Block) -> Option<ActiveReq> {
-        self.entries
+        self.live
             .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)))
-            .find(|(_, e)| e.block == block)
-            .map(|(i, e)| ActiveReq {
-                proc: ProcId(i as u16),
+            .find(|e| e.block == block)
+            .map(|e| ActiveReq {
+                proc: e.proc,
                 requester: e.requester,
                 kind: e.kind,
             })
     }
 
-    /// All blocks with at least one table entry (used when tokens arrive).
-    pub fn has_any_for(&self, block: Block) -> bool {
-        self.entries.iter().flatten().any(|e| e.block == block)
-    }
-
     /// Number of valid entries (for table-occupancy statistics).
     pub fn len(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.live.len()
     }
 
     /// Every valid entry as `(proc, block)`, in priority order — the
     /// telemetry sampler walks this to track how long each persistent
     /// request has been outstanding (starvation age).
     pub fn entries(&self) -> impl Iterator<Item = (ProcId, Block)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (ProcId(i as u16), e.block)))
+        self.live.iter().map(|e| (e.proc, e.block))
     }
 
     /// True if the table has no valid entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live.is_empty()
+    }
+
+    /// Heap bytes the table currently holds: live entries plus the
+    /// deactivation-epoch record, both sized by what the node has seen,
+    /// not by the processor count (DESIGN.md §18 budgets this).
+    pub fn resident_bytes(&self) -> usize {
+        self.live.capacity() * std::mem::size_of::<DistEntry>()
+            + self.deactivated_up_to.capacity() * std::mem::size_of::<(ProcId, u64)>()
     }
 }
 
@@ -314,7 +337,7 @@ mod tests {
 
     #[test]
     fn dist_priority_is_lowest_proc() {
-        let mut t = DistTable::new(16);
+        let mut t = DistTable::new();
         t.activate(ProcId(5), Block(1), NodeId(105), ReqKind::Write, 1);
         t.activate(ProcId(2), Block(1), NodeId(102), ReqKind::Read, 1);
         t.activate(ProcId(9), Block(2), NodeId(109), ReqKind::Write, 1);
@@ -328,7 +351,7 @@ mod tests {
 
     #[test]
     fn dist_deactivate_promotes_next() {
-        let mut t = DistTable::new(16);
+        let mut t = DistTable::new();
         t.activate(ProcId(1), Block(7), NodeId(101), ReqKind::Write, 1);
         t.activate(ProcId(3), Block(7), NodeId(103), ReqKind::Write, 1);
         assert!(t.deactivate(ProcId(1), 1));
@@ -340,7 +363,7 @@ mod tests {
     fn dist_suppresses_reordered_ghost_activation() {
         // The unordered network can deliver a deactivation before its own
         // activation; the late activation must not install a ghost entry.
-        let mut t = DistTable::new(4);
+        let mut t = DistTable::new();
         t.deactivate(ProcId(2), 5); // deactivate for epoch 5 arrives first
         t.activate(ProcId(2), Block(9), NodeId(12), ReqKind::Write, 5);
         assert_eq!(t.active_for(Block(9)), None, "ghost suppressed");
@@ -351,7 +374,7 @@ mod tests {
 
     #[test]
     fn dist_deactivate_does_not_clear_newer_epoch() {
-        let mut t = DistTable::new(4);
+        let mut t = DistTable::new();
         t.activate(ProcId(1), Block(3), NodeId(11), ReqKind::Read, 7);
         // A stale deactivation (epoch 6) must not clear epoch 7's entry.
         assert!(!t.deactivate(ProcId(1), 6));
@@ -362,7 +385,7 @@ mod tests {
 
     #[test]
     fn wave_marking_blocks_reissue_until_clear() {
-        let mut t = DistTable::new(16);
+        let mut t = DistTable::new();
         t.activate(ProcId(4), Block(7), NodeId(104), ReqKind::Write, 1);
         t.activate(ProcId(8), Block(9), NodeId(108), ReqKind::Write, 1);
         t.mark_peers(Block(7));
@@ -374,12 +397,15 @@ mod tests {
 
     #[test]
     fn dist_tracks_presence() {
-        let mut t = DistTable::new(4);
+        let mut t = DistTable::new();
         assert!(t.is_empty());
-        assert!(!t.has_any_for(Block(1)));
+        assert_eq!(t.resident_bytes(), 0, "an idle table holds no storage");
         t.activate(ProcId(0), Block(1), NodeId(10), ReqKind::Read, 1);
-        assert!(t.has_any_for(Block(1)));
         assert!(!t.is_empty());
+        assert_eq!(t.len(), 1);
+        assert!(t.resident_bytes() > 0);
+        t.deactivate(ProcId(0), 1);
+        assert!(t.is_empty());
     }
 
     #[test]

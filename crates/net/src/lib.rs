@@ -154,12 +154,6 @@ enum Route {
     MemToMem { src_cmp: u16, dst_cmp: u16 },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum LinkKey {
-    Inter { from: u16, to: u16 },
-    Mem { cmp: u16, to_mem: bool },
-}
-
 // ---- Inter-CMP fabric routing ---------------------------------------------
 //
 // Pure functions of `(fabric, cmps, from, to)`: the network's occupancy
@@ -379,7 +373,13 @@ pub struct Network {
     intra_gbps: u64,
     inter_gbps: u64,
     mem_gbps: u64,
-    next_free: HashMap<LinkKey, Time>,
+    /// Next-free time of every serialized directed link, indexed by
+    /// [`Network::inter_link`] / [`Network::mem_link`]: `ports` output
+    /// ports per chip, then the two memory links of each chip.
+    next_free: Vec<Time>,
+    /// Inter-CMP output ports per chip: every other chip on the flat
+    /// fabric (indexed by destination), 2 on a ring, 4 on a mesh.
+    ports: usize,
     traffic: TrafficHandle,
     faults: Option<Box<FaultState>>,
     trace: Option<TraceHandle>,
@@ -388,6 +388,12 @@ pub struct Network {
 impl Network {
     /// Builds a network from the system configuration.
     pub fn new(cfg: &SystemConfig) -> Network {
+        let cmps = cfg.cmps as usize;
+        let ports = match cfg.fabric {
+            Fabric::Flat => cmps,
+            Fabric::Ring => 2,
+            Fabric::Mesh { .. } => 4,
+        };
         Network {
             layout: cfg.layout(),
             fabric: cfg.fabric,
@@ -398,7 +404,8 @@ impl Network {
             intra_gbps: cfg.intra_gbps,
             inter_gbps: cfg.inter_gbps,
             mem_gbps: cfg.mem_gbps,
-            next_free: HashMap::new(),
+            next_free: vec![Time::ZERO; cmps * (ports + 2)],
+            ports,
             traffic: Rc::new(RefCell::new(Traffic::new())),
             faults: None,
             trace: None,
@@ -466,10 +473,39 @@ impl Network {
         route_between(&self.layout, src, dst)
     }
 
+    /// Index of the directed inter-CMP link `from → to` (`to` a fabric
+    /// neighbor of `from`) in `next_free`: the chip's output port toward
+    /// `to`. Distinct neighbors get distinct ports, so every directed
+    /// link keeps its own occupancy.
+    fn inter_link(&self, from: u16, to: u16) -> usize {
+        let port = match self.fabric {
+            Fabric::Flat => to as usize,
+            Fabric::Ring => usize::from(to != (from + 1) % self.cmps),
+            Fabric::Mesh { cols } => {
+                if to == from + 1 {
+                    0
+                } else if to + 1 == from {
+                    1
+                } else if to == from + cols {
+                    2
+                } else {
+                    3
+                }
+            }
+        };
+        from as usize * self.ports + port
+    }
+
+    /// Index of chip `cmp`'s memory link (toward memory when `to_mem`)
+    /// in `next_free`, after every chip's inter-CMP ports.
+    fn mem_link(&self, cmp: u16, to_mem: bool) -> usize {
+        self.cmps as usize * self.ports + 2 * cmp as usize + usize::from(to_mem)
+    }
+
     /// Acquires a serialized link: waits for it to be free, then occupies
     /// it for the serialization time. Returns the departure-from-link time.
-    fn occupy(&mut self, key: LinkKey, at: Time, ser: Dur) -> Time {
-        let free = self.next_free.entry(key).or_insert(Time::ZERO);
+    fn occupy(&mut self, link: usize, at: Time, ser: Dur) -> Time {
+        let free = &mut self.next_free[link];
         let start = at.max(*free);
         *free = start + ser;
         start + ser
@@ -484,7 +520,7 @@ impl Network {
         let mut cur = from;
         while cur != to {
             let nxt = next_hop(self.fabric, self.cmps, cur, to);
-            t = self.occupy(LinkKey::Inter { from: cur, to: nxt }, t, ser) + self.inter_latency;
+            t = self.occupy(self.inter_link(cur, nxt), t, ser) + self.inter_latency;
             cur = nxt;
         }
         t
@@ -650,7 +686,7 @@ impl<M: NetMsg> Transport<M> for Network {
                 }
                 drop(traffic);
                 let ser = Dur::from_bytes_at_gbps(size, self.mem_gbps);
-                let out = self.occupy(LinkKey::Mem { cmp, to_mem }, now, ser);
+                let out = self.occupy(self.mem_link(cmp, to_mem), now, ser);
                 out + self.offchip_latency
             }
             Route::InterPlusMem {
@@ -670,14 +706,7 @@ impl<M: NetMsg> Transport<M> for Network {
                 let mem_cmp = if to_mem { dst_cmp } else { src_cmp };
                 let after_inter = self.traverse_inter(src_cmp, dst_cmp, now, ser_inter);
                 let ser_mem = Dur::from_bytes_at_gbps(size, self.mem_gbps);
-                let out = self.occupy(
-                    LinkKey::Mem {
-                        cmp: mem_cmp,
-                        to_mem,
-                    },
-                    after_inter,
-                    ser_mem,
-                );
+                let out = self.occupy(self.mem_link(mem_cmp, to_mem), after_inter, ser_mem);
                 out + self.offchip_latency
             }
             Route::MemToMem { src_cmp, dst_cmp } => {
@@ -691,23 +720,10 @@ impl<M: NetMsg> Transport<M> for Network {
                 drop(traffic);
                 let ser_mem = Dur::from_bytes_at_gbps(size, self.mem_gbps);
                 let ser_inter = Dur::from_bytes_at_gbps(size, self.inter_gbps);
-                let t1 = self.occupy(
-                    LinkKey::Mem {
-                        cmp: src_cmp,
-                        to_mem: false,
-                    },
-                    now,
-                    ser_mem,
-                ) + self.offchip_latency;
+                let t1 =
+                    self.occupy(self.mem_link(src_cmp, false), now, ser_mem) + self.offchip_latency;
                 let t2 = self.traverse_inter(src_cmp, dst_cmp, t1, ser_inter);
-                let t3 = self.occupy(
-                    LinkKey::Mem {
-                        cmp: dst_cmp,
-                        to_mem: true,
-                    },
-                    t2,
-                    ser_mem,
-                );
+                let t3 = self.occupy(self.mem_link(dst_cmp, true), t2, ser_mem);
                 t3 + self.offchip_latency
             }
         };

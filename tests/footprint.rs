@@ -5,11 +5,16 @@
 //! `sets × ways` slots — ~1.3 MB per L2 bank, ~1.4 GB across the system
 //! before the first access. The paged store allocates slot pages on
 //! first touch, so per-cache resident bytes must track the *touched*
-//! working set. These budgets are documented in DESIGN.md §18; the
-//! tests here hold the implementation to them.
+//! working set. The same holds for the persistent-request table every
+//! coherence node keeps: its bytes track live requests, not the 1024
+//! processors. These budgets are documented in DESIGN.md §18; the tests
+//! here hold the implementation to them.
 
 use tokencmp::cache::SetAssoc;
-use tokencmp::{Block, Fabric, SystemConfig};
+use tokencmp::core::DistTable;
+use tokencmp::proto::ProcId;
+use tokencmp::sim::NodeId;
+use tokencmp::{Block, Fabric, ReqKind, SystemConfig};
 
 /// A stand-in for the per-line coherence state the protocols store
 /// (token counts, owner flags, MOESI-ish tags): 24 bytes, at least as
@@ -95,6 +100,66 @@ fn touched_working_set_stays_within_the_page_budget() {
     assert!(
         caches * ONE_PAGE_BUDGET <= 512 * 1024 * 1024,
         "one-page-per-cache aggregate breaks the 512 MiB documented ceiling"
+    );
+}
+
+/// Persistent-request state per coherence node in the mesh-1024 regime:
+/// one locking core per chip, so up to 64 live distributed-activation
+/// entries and 64 processors in the deactivation-epoch record.
+const PERSISTENT_NODE_BUDGET: usize = 4 * 1024;
+/// All 3,136 coherence nodes of the 1024-core system together.
+const PERSISTENT_SYSTEM_CEILING: usize = 16 * 1024 * 1024;
+
+/// Activates one request per processor in `procs` (four blocks shared
+/// among them), then deactivates them all.
+fn churn(t: &mut DistTable, procs: impl Iterator<Item = u16> + Clone) {
+    for p in procs.clone() {
+        let block = Block(u64::from(p % 4));
+        t.activate(ProcId(p), block, NodeId(u32::from(p)), ReqKind::Write, 1);
+    }
+    for p in procs {
+        t.deactivate(ProcId(p), 1);
+    }
+}
+
+#[test]
+fn persistent_tables_grow_with_live_entries_not_processors() {
+    let cfg = config_1024();
+    let procs = cfg.layout().procs() as u16;
+    assert_eq!(procs, 1024);
+
+    // An idle table holds no entry storage at all.
+    let mut t = DistTable::new();
+    assert_eq!(t.resident_bytes(), 0, "empty persistent table allocates");
+
+    // 64 live entries spread over all 1024 processors (one per chip).
+    let one_per_chip = (0..procs).step_by(cfg.procs_per_cmp as usize);
+    churn(&mut t, one_per_chip.clone());
+    let spread = t.resident_bytes();
+    assert!(t.is_empty());
+    assert!(
+        spread <= PERSISTENT_NODE_BUDGET,
+        "64-requester persistent table resident {spread} B exceeds the {PERSISTENT_NODE_BUDGET} B budget"
+    );
+
+    // The same number of requesters packed into a 64-processor system
+    // costs exactly the same: bytes track entries, not the proc count.
+    let mut packed = DistTable::new();
+    churn(&mut packed, 0..64);
+    assert_eq!(packed.resident_bytes(), spread);
+
+    // More live requesters cost more.
+    let mut busier = DistTable::new();
+    churn(&mut busier, 0..128);
+    assert!(busier.resident_bytes() > spread);
+
+    // System-wide: every coherence node (each cache and memory
+    // controller keeps a table) having seen those 64 requesters.
+    let nodes = cfg.layout().caches() as usize + cfg.cmps as usize;
+    assert_eq!(nodes, 3136);
+    assert!(
+        nodes * spread <= PERSISTENT_SYSTEM_CEILING,
+        "{nodes} persistent tables at {spread} B each exceed the {PERSISTENT_SYSTEM_CEILING} B ceiling"
     );
 }
 

@@ -203,3 +203,45 @@ fn flat_fabric_reproduces_pre_fabric_table3_results() {
         );
     }
 }
+
+/// The multi-hop fabrics must keep their link-occupancy arithmetic and
+/// persistent-table behaviour bit for bit: TokenCMP-dst1 locking on an
+/// 8-chip 4 × 2 mesh and an 8-chip ring (2 cores and banks per chip),
+/// where contended locks drive distributed persistent requests across
+/// several serialized hops. Captured before the dense link vector and
+/// the sparse persistent tables replaced their hash-map and dense-slot
+/// predecessors.
+#[test]
+fn multi_hop_fabrics_reproduce_pinned_dst1_results() {
+    let golden: [(Fabric, u64); 2] = [
+        (Fabric::Mesh { cols: 4 }, 0x3332_fecc_9d3c_b4c9),
+        (Fabric::Ring, 0xf81d_e083_2e51_0cf4),
+    ];
+    for (fabric, want) in golden {
+        let mut cfg = SystemConfig {
+            cmps: 8,
+            procs_per_cmp: 2,
+            banks_per_cmp: 2,
+            fabric,
+            ..SystemConfig::default()
+        };
+        cfg.tokens_per_block = (cfg.layout().caches() + 1).next_power_of_two();
+        cfg.validate().expect("8-chip multi-hop config");
+        let wl = tokencmp::LockingWorkload::new(16, 4, 6, 0xA11CE);
+        let (res, _) = tokencmp::run_workload(
+            &cfg,
+            tokencmp::Protocol::Token(tokencmp::Variant::Dst1),
+            wl,
+            &tokencmp::system::RunOptions::default(),
+        );
+        assert!(
+            res.counters.counter("l1.persistent") > 0,
+            "{fabric:?}: the pinned run must exercise persistent requests"
+        );
+        let got = fingerprint(&res);
+        assert_eq!(
+            got, want,
+            "{fabric:?}: dst1 fingerprint 0x{got:016x} != golden 0x{want:016x}"
+        );
+    }
+}

@@ -7,8 +7,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use crate::profile::{HostProfiler, ProfilerHandle};
-use crate::queue::{EventKind, EventQueue, PendingEvent};
-use crate::sched::SchedulerKind;
+use crate::queue::{EventKind, EventQueue, QueuedEvent};
 use crate::stats::Stats;
 use crate::time::{Dur, Time};
 
@@ -260,19 +259,11 @@ pub struct Kernel<M> {
 }
 
 impl<M: 'static> Kernel<M> {
-    /// Creates a kernel using the given transport, on the process-default
-    /// scheduler backend ([`SchedulerKind::from_env`]).
+    /// Creates a kernel using the given transport.
     pub fn new(transport: Box<dyn Transport<M>>) -> Kernel<M> {
-        Kernel::with_scheduler(transport, SchedulerKind::from_env())
-    }
-
-    /// Creates a kernel on an explicitly chosen scheduler backend;
-    /// differential suites pin both backends this way instead of racing
-    /// on `TOKENCMP_SCHEDULER`.
-    pub fn with_scheduler(transport: Box<dyn Transport<M>>, sched: SchedulerKind) -> Kernel<M> {
         Kernel {
             time: Time::ZERO,
-            queue: EventQueue::with_backend(sched),
+            queue: EventQueue::new(),
             components: Vec::new(),
             transport,
             stats: Stats::new(),
@@ -312,8 +303,7 @@ impl<M: 'static> Kernel<M> {
         self.prof_skipped = 0;
     }
 
-    /// Number of pending events in the scheduler, whichever backend is
-    /// active — the sampler's queue-depth gauge.
+    /// Number of pending events — the sampler's queue-depth gauge.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
     }
@@ -333,11 +323,6 @@ impl<M: 'static> Kernel<M> {
                 self.monitor_due = slot.next_due;
             }
         }
-    }
-
-    /// Which scheduler backend this kernel runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.backend_kind()
     }
 
     /// Creates a kernel whose transport delivers instantly (for tests).
@@ -413,17 +398,17 @@ impl<M: 'static> Kernel<M> {
 
     /// A snapshot of the pending events, sorted by `(time, seq)` — the
     /// order they would be delivered in — used by harnesses to build an
-    /// in-flight message census for watchdog diagnostics. The sort makes
-    /// stall dumps stable across scheduler backends.
-    pub fn pending_events(&self) -> Vec<PendingEvent<'_, M>> {
+    /// in-flight message census for watchdog diagnostics. The sort keeps
+    /// stall dumps independent of heap layout.
+    pub fn pending_events(&self) -> Vec<&QueuedEvent<M>> {
         self.queue.census()
     }
 
-    /// [`pending_events`](Self::pending_events) in backend-internal
-    /// order, for callers that only aggregate over the census (the
-    /// telemetry sampler) and should not pay for the stable sort.
-    pub fn pending_events_unordered(&self) -> Vec<PendingEvent<'_, M>> {
-        self.queue.census_unordered()
+    /// [`pending_events`](Self::pending_events) in heap-internal order,
+    /// for callers that only aggregate over the census (the telemetry
+    /// sampler) and should not pay for the sort.
+    pub fn pending_events_unordered(&self) -> Vec<&QueuedEvent<M>> {
+        self.queue.iter().collect()
     }
 
     /// Simulated time of the last [`Ctx::progress`] call (simulation start
@@ -739,7 +724,6 @@ mod tests {
 
     #[test]
     fn pending_events_expose_the_census() {
-        use crate::queue::EventKindRef;
         let mut k: Kernel<u64> = Kernel::new_instant();
         let a = k.add_component(Echo::default());
         k.wake(a, Dur::from_ns(1), 7);
@@ -747,8 +731,8 @@ mod tests {
         let (mut wakes, mut msgs) = (0, 0);
         for ev in k.pending_events() {
             match ev.kind {
-                EventKindRef::Wake { .. } => wakes += 1,
-                EventKindRef::Msg { .. } => msgs += 1,
+                EventKind::Wake { .. } => wakes += 1,
+                EventKind::Msg { .. } => msgs += 1,
             }
         }
         assert_eq!((wakes, msgs), (1, 1));
@@ -757,24 +741,20 @@ mod tests {
     #[test]
     fn pending_events_census_is_delivery_ordered() {
         // Regression: the census used to report heap-internal order, so
-        // watchdog stall dumps differed between backends. It must be
-        // sorted by (time, seq) on every backend.
-        for sched in SchedulerKind::ALL {
-            let mut k: Kernel<u64> =
-                Kernel::with_scheduler(Box::new(InstantTransport { latency: Dur::ZERO }), sched);
-            assert_eq!(k.scheduler_kind(), sched);
-            let a = k.add_component(Echo::default());
-            // Scrambled times plus same-time ties.
-            for (delay, tag) in [(9, 0), (1, 1), (9, 2), (4, 3), (1, 4)] {
-                k.wake(a, Dur::from_ns(delay), tag);
-            }
-            let order: Vec<(Time, u64)> =
-                k.pending_events().iter().map(|e| (e.time, e.seq)).collect();
-            let mut sorted = order.clone();
-            sorted.sort();
-            assert_eq!(order, sorted, "census unsorted on {sched}");
-            assert_eq!(order.len(), 5);
+        // watchdog stall dumps depended on heap layout. It must be sorted
+        // by (time, seq).
+        let mut k: Kernel<u64> = Kernel::new_instant();
+        let a = k.add_component(Echo::default());
+        // Scrambled times plus same-time ties.
+        for (delay, tag) in [(9, 0), (1, 1), (9, 2), (4, 3), (1, 4)] {
+            k.wake(a, Dur::from_ns(delay), tag);
         }
+        let order: Vec<(Time, u64)> = k.pending_events().iter().map(|e| (e.time, e.seq)).collect();
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(order, sorted, "census unsorted");
+        assert_eq!(order.len(), 5);
+        assert_eq!(k.pending_events_unordered().len(), 5);
     }
 
     #[test]

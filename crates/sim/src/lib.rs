@@ -51,7 +51,6 @@ pub mod kernel;
 pub mod profile;
 pub mod queue;
 pub mod rng;
-pub mod sched;
 pub mod stats;
 pub mod time;
 
@@ -60,8 +59,7 @@ pub use kernel::{
     Transport,
 };
 pub use profile::{CatTotals, HostProfile, HostProfiler, ProfileEntry, ProfilerHandle};
-pub use queue::{EventKind, EventKindRef, EventQueue, PendingEvent, QueuedEvent};
+pub use queue::{EventKind, EventQueue, QueuedEvent};
 pub use rng::Rng;
-pub use sched::{HeapScheduler, Scheduler, SchedulerKind, WheelScheduler};
 pub use stats::{Ewma, Histogram, Stats};
 pub use time::{Dur, Time};

@@ -1,21 +1,14 @@
 //! The pending-event queue.
 //!
-//! A deterministic min-queue ordered by `(time, sequence)`; the sequence
-//! number — assigned here, centrally, so every backend sees the same
-//! numbering — makes tie-breaking FIFO among events scheduled for the
-//! same picosecond, which in turn makes whole simulations reproducible.
-//!
-//! The storage/ordering engine behind the queue is a pluggable
-//! [`Scheduler`](crate::sched::Scheduler) backend: the reference binary
-//! heap or the calendar timing wheel (see [`crate::sched`]). The two are
-//! bit-identical in pop order; the queue picks one at construction
-//! ([`EventQueue::new`] honours `TOKENCMP_SCHEDULER`,
-//! [`EventQueue::with_backend`] pins one explicitly).
+//! A deterministic min-queue ordered by `(time, sequence)`: a binary heap
+//! of owned events plus a central sequence counter. The sequence number
+//! makes tie-breaking FIFO among events scheduled for the same
+//! picosecond, which in turn makes whole simulations reproducible.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::kernel::NodeId;
-use crate::sched::{HeapScheduler, Scheduler, SchedulerKind, WheelScheduler};
 use crate::time::Time;
 
 /// What a queued event delivers to its destination component.
@@ -33,68 +26,6 @@ pub enum EventKind<M> {
         /// Component-defined discriminator (e.g. an MSHR index).
         tag: u64,
     },
-}
-
-/// A by-reference view of an [`EventKind`], as yielded by the census
-/// ([`EventQueue::census`]) — the wheel backend stores message payloads
-/// in a slab, so a borrowing census cannot hand out `&EventKind<M>`.
-#[derive(Debug)]
-pub enum EventKindRef<'a, M> {
-    /// A pending message.
-    Msg {
-        /// Sending component.
-        src: NodeId,
-        /// Protocol payload.
-        msg: &'a M,
-    },
-    /// A pending wakeup.
-    Wake {
-        /// Component-defined discriminator.
-        tag: u64,
-    },
-}
-
-impl<M> Clone for EventKindRef<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for EventKindRef<'_, M> {}
-
-/// One row of the pending-event census: delivery coordinates plus a
-/// borrowed payload view.
-#[derive(Debug)]
-pub struct PendingEvent<'a, M> {
-    /// Delivery time.
-    pub time: Time,
-    /// Queue sequence number (FIFO tie-break key).
-    pub seq: u64,
-    /// Destination component.
-    pub dst: NodeId,
-    /// Payload view.
-    pub kind: EventKindRef<'a, M>,
-}
-
-impl<M> Clone for PendingEvent<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for PendingEvent<'_, M> {}
-
-impl<'a, M> PendingEvent<'a, M> {
-    /// A census row borrowing an owned queued event.
-    pub(crate) fn of(e: &'a QueuedEvent<M>) -> PendingEvent<'a, M> {
-        PendingEvent {
-            time: e.time,
-            seq: e.seq,
-            dst: e.dst,
-            kind: match &e.kind {
-                EventKind::Msg { src, msg } => EventKindRef::Msg { src: *src, msg },
-                EventKind::Wake { tag } => EventKindRef::Wake { tag: *tag },
-            },
-        }
-    }
 }
 
 /// An event plus its delivery coordinates.
@@ -140,18 +71,6 @@ impl<M> Ord for QueuedEvent<M> {
     }
 }
 
-/// The scheduler backend actually in use. A two-armed enum (rather than
-/// `Box<dyn Scheduler>`) so the hot path stays a static match with both
-/// implementations inlinable.
-#[derive(Debug)]
-enum Backend<M> {
-    Heap(HeapScheduler<M>),
-    // Boxed: the wheel's inline occupancy bitmap makes it an order of
-    // magnitude larger than the heap arm, and `EventQueue` values move
-    // through `Kernel` constructors by value.
-    Wheel(Box<WheelScheduler<M>>),
-}
-
 /// A deterministic min-queue of simulation events.
 ///
 /// # Example
@@ -165,7 +84,7 @@ enum Backend<M> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<M> {
-    backend: Backend<M>,
+    heap: BinaryHeap<QueuedEvent<M>>,
     next_seq: u64,
 }
 
@@ -176,30 +95,11 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    /// Creates an empty queue on the process-default backend
-    /// ([`SchedulerKind::from_env`]).
+    /// Creates an empty queue.
     pub fn new() -> EventQueue<M> {
-        Self::with_backend(SchedulerKind::from_env())
-    }
-
-    /// Creates an empty queue on an explicitly chosen backend —
-    /// differential suites pin both backends this way instead of racing
-    /// on the environment.
-    pub fn with_backend(kind: SchedulerKind) -> EventQueue<M> {
         EventQueue {
-            backend: match kind {
-                SchedulerKind::Heap => Backend::Heap(HeapScheduler::default()),
-                SchedulerKind::Wheel => Backend::Wheel(Box::default()),
-            },
+            heap: BinaryHeap::new(),
             next_seq: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend_kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 
@@ -207,34 +107,27 @@ impl<M> EventQueue<M> {
     pub fn push(&mut self, time: Time, dst: NodeId, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(s) => s.insert(time, seq, dst, kind),
-            Backend::Wheel(s) => s.insert(time, seq, dst, kind),
-        }
+        self.heap.push(QueuedEvent {
+            time,
+            dst,
+            kind,
+            seq,
+        });
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        match &mut self.backend {
-            Backend::Heap(s) => s.remove_min(),
-            Backend::Wheel(s) => s.remove_min(),
-        }
+        self.heap.pop()
     }
 
     /// Delivery time of the earliest pending event.
     pub fn next_time(&self) -> Option<Time> {
-        match &self.backend {
-            Backend::Heap(s) => s.next_time(),
-            Backend::Wheel(s) => s.next_time(),
-        }
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(s) => Scheduler::len(s),
-            Backend::Wheel(s) => Scheduler::len(s.as_ref()),
-        }
+        self.heap.len()
     }
 
     /// The sequence number the next [`push`](Self::push) will assign —
@@ -245,28 +138,23 @@ impl<M> EventQueue<M> {
 
     /// A snapshot of every pending event, sorted by `(time, seq)` — the
     /// order events would leave the queue — so watchdog stall dumps and
-    /// flight-recorder diagnostics are stable across backends.
-    pub fn census(&self) -> Vec<PendingEvent<'_, M>> {
-        let mut out = self.census_unordered();
-        out.sort_by_key(|e| (e.time, e.seq));
+    /// flight-recorder diagnostics do not depend on heap layout.
+    pub fn census(&self) -> Vec<&QueuedEvent<M>> {
+        let mut out: Vec<&QueuedEvent<M>> = self.heap.iter().collect();
+        out.sort_unstable_by_key(|e| (e.time, e.seq));
         out
     }
 
-    /// [`census`](Self::census) in backend-internal order — for callers
-    /// that only *count* pending events (the telemetry sampler) and
-    /// should not pay for the stable sort.
-    pub fn census_unordered(&self) -> Vec<PendingEvent<'_, M>> {
-        let mut out = Vec::with_capacity(self.len());
-        match &self.backend {
-            Backend::Heap(s) => s.collect_pending(&mut out),
-            Backend::Wheel(s) => s.collect_pending(&mut out),
-        }
-        out
+    /// Every pending event in heap-internal order — for callers that only
+    /// *count* pending events (the telemetry sampler) and should not pay
+    /// for the sort.
+    pub fn iter(&self) -> impl Iterator<Item = &QueuedEvent<M>> {
+        self.heap.iter()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -278,87 +166,75 @@ mod tests {
         EventKind::Wake { tag }
     }
 
-    fn both() -> [EventQueue<u8>; 2] {
-        [
-            EventQueue::with_backend(SchedulerKind::Heap),
-            EventQueue::with_backend(SchedulerKind::Wheel),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(Time::from_ns(30), NodeId(0), wake(3));
-            q.push(Time::from_ns(10), NodeId(0), wake(1));
-            q.push(Time::from_ns(20), NodeId(0), wake(2));
-            let tags: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Wake { tag } => tag,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(tags, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.push(Time::from_ns(30), NodeId(0), wake(3));
+        q.push(Time::from_ns(10), NodeId(0), wake(1));
+        q.push(Time::from_ns(20), NodeId(0), wake(2));
+        let tags: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Wake { tag } => tag,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(tags, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for mut q in both() {
-            let t = Time::from_ns(5);
-            for tag in 0..10 {
-                q.push(t, NodeId(0), wake(tag));
-            }
-            for expect in 0..10 {
-                match q.pop().unwrap().kind {
-                    EventKind::Wake { tag } => assert_eq!(tag, expect),
-                    _ => unreachable!(),
-                }
+        let mut q = EventQueue::new();
+        let t = Time::from_ns(5);
+        for tag in 0..10 {
+            q.push(t, NodeId(0), wake(tag));
+        }
+        for expect in 0..10 {
+            match q.pop().unwrap().kind {
+                EventKind::Wake { tag } => assert_eq!(tag, expect),
+                _ => unreachable!(),
             }
         }
     }
 
     #[test]
     fn next_time_peeks_without_removing() {
-        for mut q in both() {
-            assert_eq!(q.next_time(), None);
-            q.push(Time::from_ns(7), NodeId(1), wake(0));
-            assert_eq!(q.next_time(), Some(Time::from_ns(7)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.next_time(), None);
+        q.push(Time::from_ns(7), NodeId(1), wake(0));
+        assert_eq!(q.next_time(), Some(Time::from_ns(7)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
-    fn census_is_sorted_by_time_then_seq_on_both_backends() {
-        for mut q in both() {
-            // Push in scrambled time order, with a same-time tie pair.
-            q.push(Time::from_ns(9), NodeId(0), wake(0));
-            q.push(Time::from_ns(1), NodeId(1), wake(1));
-            q.push(Time::from_ns(9), NodeId(2), wake(2));
-            q.push(Time::from_ns(4), NodeId(3), wake(3));
-            let census = q.census();
-            let order: Vec<(Time, u64)> = census.iter().map(|e| (e.time, e.seq)).collect();
-            let mut sorted = order.clone();
-            sorted.sort();
-            assert_eq!(order, sorted, "census must be (time, seq)-sorted");
-            // And it matches the pop order exactly.
-            let popped: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
-                .map(|e| (e.time, e.seq()))
-                .collect();
-            assert_eq!(order, popped);
-        }
+    fn census_is_sorted_by_time_then_seq() {
+        let mut q = EventQueue::new();
+        // Push in scrambled time order, with a same-time tie pair.
+        q.push(Time::from_ns(9), NodeId(0), wake(0));
+        q.push(Time::from_ns(1), NodeId(1), wake(1));
+        q.push(Time::from_ns(9), NodeId(2), wake(2));
+        q.push(Time::from_ns(4), NodeId(3), wake(3));
+        let order: Vec<(Time, u64)> = q.census().iter().map(|e| (e.time, e.seq)).collect();
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(order, sorted, "census must be (time, seq)-sorted");
+        assert_eq!(q.iter().count(), order.len());
+        // And it matches the pop order exactly.
+        let popped: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time, e.seq()))
+            .collect();
+        assert_eq!(order, popped);
     }
 
     #[test]
     fn next_seq_counts_every_push() {
-        for mut q in both() {
-            assert_eq!(q.next_seq(), 0);
-            for i in 0..100 {
-                q.push(Time::from_ns(i % 7), NodeId(0), wake(i));
-            }
-            assert_eq!(q.next_seq(), 100);
-            q.pop();
-            assert_eq!(q.next_seq(), 100, "pops do not consume sequence numbers");
+        let mut q = EventQueue::new();
+        assert_eq!(q.next_seq(), 0);
+        for i in 0..100 {
+            q.push(Time::from_ns(i % 7), NodeId(0), wake(i));
         }
+        assert_eq!(q.next_seq(), 100);
+        q.pop();
+        assert_eq!(q.next_seq(), 100, "pops do not consume sequence numbers");
     }
 }

@@ -216,9 +216,9 @@ impl PointRecord {
     }
 }
 
-/// Serializes a [`TimeSeries`] to the `tokencmp-timeseries-v1` JSON
-/// schema: `{schema, period_ps, backend, samples: [{at_ps, gauges,
-/// rates}, ...]}`. Integer gauges stay lossless; rates are floats.
+/// Serializes a [`TimeSeries`] to the `tokencmp-timeseries-v2` JSON
+/// schema: `{schema, period_ps, samples: [{at_ps, gauges, rates},
+/// ...]}`. Integer gauges stay lossless; rates are floats.
 pub fn series_to_value(series: &TimeSeries) -> Value {
     let samples = series
         .samples
@@ -253,12 +253,11 @@ pub fn series_to_value(series: &TimeSeries) -> Value {
         Value::Str(TIMESERIES_SCHEMA.to_owned()),
     );
     obj.insert("period_ps".to_owned(), Value::Int(series.period_ps));
-    obj.insert("backend".to_owned(), Value::Str(series.backend.clone()));
     obj.insert("samples".to_owned(), Value::Arr(samples));
     Value::Obj(obj)
 }
 
-/// Parses a `tokencmp-timeseries-v1` JSON value back into a
+/// Parses a `tokencmp-timeseries-v2` JSON value back into a
 /// [`TimeSeries`]; rejects unknown schema identifiers rather than
 /// misreading a future format.
 pub fn series_from_value(v: &Value) -> Result<TimeSeries, JsonError> {
@@ -276,11 +275,6 @@ pub fn series_from_value(v: &Value) -> Result<TimeSeries, JsonError> {
         .get("period_ps")
         .and_then(Value::as_u64)
         .ok_or_else(|| err("series missing 'period_ps'".into()))?;
-    let backend = v
-        .get("backend")
-        .and_then(Value::as_str)
-        .ok_or_else(|| err("series missing 'backend'".into()))?
-        .to_owned();
     let mut samples = Vec::new();
     for s in v
         .get("samples")
@@ -317,11 +311,7 @@ pub fn series_from_value(v: &Value) -> Result<TimeSeries, JsonError> {
             rates,
         });
     }
-    Ok(TimeSeries {
-        period_ps,
-        backend,
-        samples,
-    })
+    Ok(TimeSeries { period_ps, samples })
 }
 
 /// Renders the per-record miss-latency attribution as an aligned text

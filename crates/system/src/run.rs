@@ -15,8 +15,7 @@ use tokencmp_net::{FaultHandle, FaultPlan, Network, Traffic, TrafficHandle};
 use tokencmp_proto::{Block, CpuPort, Layout, MsgClass, NetMsg, SystemConfig, Unit};
 use tokencmp_sim::kernel::RunOutcome;
 use tokencmp_sim::{
-    Dur, EventKindRef, HostProfiler, InstantTransport, Kernel, NodeId, ProfilerHandle,
-    SchedulerKind, Stats, Time,
+    Dur, EventKind, HostProfiler, InstantTransport, Kernel, NodeId, ProfilerHandle, Stats, Time,
 };
 use tokencmp_trace::{HostProfile, LatencyBreakdown, ProfiledSink, TimeSeries, TraceHandle};
 
@@ -118,13 +117,6 @@ pub struct RunOptions {
     pub stall_window: Option<Dur>,
     /// Online refinement checking against the verified mcheck models.
     pub conform: ConformOptions,
-    /// Scheduler backend for the kernel's event queue. `None` (the
-    /// default) uses the process-wide choice
-    /// ([`SchedulerKind::from_env`], i.e. the `TOKENCMP_SCHEDULER` knob
-    /// or the wheel); pin one explicitly for differential runs. Both
-    /// backends produce bit-identical simulations — this knob selects an
-    /// engine, never a result.
-    pub scheduler: Option<SchedulerKind>,
     /// Time-series sampling and host-time profiling knobs. Both default
     /// to off (the `TOKENCMP_SAMPLE_NS` / `TOKENCMP_PROFILE` environment
     /// variables override, see [`crate::telemetry`]); a run with
@@ -142,7 +134,6 @@ impl Default for RunOptions {
             faults: FaultPlan::none(),
             stall_window: default_stall_window(),
             conform: ConformOptions::default(),
-            scheduler: None,
             telemetry: default_telemetry(),
         }
     }
@@ -209,12 +200,6 @@ impl RunOptions {
         self
     }
 
-    /// Returns these options pinned to the given scheduler backend.
-    pub fn with_scheduler(mut self, sched: SchedulerKind) -> RunOptions {
-        self.scheduler = Some(sched);
-        self
-    }
-
     /// Returns these options with time-series sampling enabled at the
     /// given sim-time period ([`RunResult::series`] carries the result).
     pub fn with_sampling(mut self, period: Dur) -> RunOptions {
@@ -227,11 +212,6 @@ impl RunOptions {
     pub fn with_profiling(mut self) -> RunOptions {
         self.telemetry.profile = true;
         self
-    }
-
-    /// The backend the kernels of this run will use.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.scheduler.unwrap_or_else(SchedulerKind::from_env)
     }
 }
 
@@ -442,11 +422,11 @@ fn diagnose<M: CpuPort + NetMsg + 'static>(
     let mut wakes = 0u64;
     let mut by_class = [0u64; 7];
     // The census is (time, seq)-sorted, so this count — and any future
-    // per-event dump — is stable across scheduler backends.
+    // per-event dump — does not depend on heap layout.
     for ev in kernel.pending_events() {
-        match ev.kind {
-            EventKindRef::Wake { .. } => wakes += 1,
-            EventKindRef::Msg { msg, .. } => by_class[msg.class().index()] += 1,
+        match &ev.kind {
+            EventKind::Wake { .. } => wakes += 1,
+            EventKind::Msg { msg, .. } => by_class[msg.class().index()] += 1,
         }
     }
     let _ = writeln!(s, "  in flight: {wakes} wakeups");
@@ -506,7 +486,7 @@ fn run_token(
     }
     let traffic = net.traffic_handle();
     let faults = net.fault_handle();
-    let mut k: Kernel<TokenMsg> = Kernel::with_scheduler(Box::new(net), opts.scheduler_kind());
+    let mut k: Kernel<TokenMsg> = Kernel::new(Box::new(net));
     if let Some(p) = &profiler {
         k.set_profiler(p.clone());
     }
@@ -514,7 +494,6 @@ fn run_token(
         let s = Rc::new(RefCell::new(TokenSampler::new(
             cfg.clone(),
             period,
-            opts.scheduler_kind().name(),
             faults.clone(),
         )));
         k.set_monitor(period, s.clone());
@@ -801,17 +780,12 @@ fn run_directory(
     }
     let traffic = net.traffic_handle();
     let faults = net.fault_handle();
-    let mut k: Kernel<DirMsg> = Kernel::with_scheduler(Box::new(net), opts.scheduler_kind());
+    let mut k: Kernel<DirMsg> = Kernel::new(Box::new(net));
     if let Some(p) = &profiler {
         k.set_profiler(p.clone());
     }
     let sampler = opts.telemetry.sample_period.map(|period| {
-        let s = Rc::new(RefCell::new(DirSampler::new(
-            &cfg,
-            period,
-            opts.scheduler_kind().name(),
-            faults.clone(),
-        )));
+        let s = Rc::new(RefCell::new(DirSampler::new(&cfg, period, faults.clone())));
         k.set_monitor(period, s.clone());
         s
     });
@@ -976,20 +950,13 @@ fn run_perfect(
 ) -> RunResult {
     let layout = cfg.layout();
     let (profiler, trace) = profiled_trace(opts, &trace);
-    let mut k: Kernel<TokenMsg> = Kernel::with_scheduler(
-        Box::new(InstantTransport { latency: Dur::ZERO }),
-        opts.scheduler_kind(),
-    );
+    let mut k: Kernel<TokenMsg> = Kernel::new(Box::new(InstantTransport { latency: Dur::ZERO }));
     let magic = NodeId(layout.procs());
     if let Some(p) = &profiler {
         k.set_profiler(p.clone());
     }
     let sampler = opts.telemetry.sample_period.map(|period| {
-        let s = Rc::new(RefCell::new(PerfectSampler::new(
-            period,
-            opts.scheduler_kind().name(),
-            magic,
-        )));
+        let s = Rc::new(RefCell::new(PerfectSampler::new(period, magic)));
         k.set_monitor(period, s.clone());
         s
     });

@@ -21,7 +21,7 @@ use tokencmp_core::{TokenL1, TokenL2, TokenMem, TokenMsg};
 use tokencmp_directory::{DirL1, DirL2, DirMsg};
 use tokencmp_net::{tier_between, FaultHandle, Tier};
 use tokencmp_proto::{Layout, NetMsg, SystemConfig};
-use tokencmp_sim::{Dur, EventKindRef, Kernel, KernelMonitor, Time};
+use tokencmp_sim::{Dur, EventKind, Kernel, KernelMonitor, Time};
 use tokencmp_trace::timeseries::keys;
 use tokencmp_trace::TimeSeries;
 
@@ -126,7 +126,7 @@ fn tier_key(t: Tier) -> &'static str {
     }
 }
 
-/// Gauges every protocol shares: scheduler queue depth and the census
+/// Gauges every protocol shares: event-queue depth and the census
 /// of in-flight events — wakeups, and messages classified per tier ×
 /// class with the same tier mapping fault injection and the traffic
 /// account use. `layout: None` (PerfectL2's magic interconnect) counts
@@ -143,10 +143,10 @@ fn base_gauges<M: NetMsg + 'static>(
     // dominate the sample cost on deep queues.
     let mut combos: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();
     for ev in kernel.pending_events_unordered() {
-        match ev.kind {
-            EventKindRef::Wake { .. } => wakes += 1,
-            EventKindRef::Msg { src, msg } => {
-                let tier = match layout.map(|l| tier_between(l, src, ev.dst)) {
+        match &ev.kind {
+            EventKind::Wake { .. } => wakes += 1,
+            EventKind::Msg { src, msg } => {
+                let tier = match layout.map(|l| tier_between(l, *src, ev.dst)) {
                     Some(Some(t)) => tier_key(t),
                     _ => "local",
                 };
@@ -241,17 +241,12 @@ pub struct TokenSampler {
 
 impl TokenSampler {
     /// Creates the sampler for a TokenCMP run.
-    pub fn new(
-        cfg: Rc<SystemConfig>,
-        period: Dur,
-        backend: &str,
-        faults: Option<FaultHandle>,
-    ) -> TokenSampler {
+    pub fn new(cfg: Rc<SystemConfig>, period: Dur, faults: Option<FaultHandle>) -> TokenSampler {
         TokenSampler {
             layout: cfg.layout(),
             cfg,
             faults,
-            series: TimeSeries::new(period, backend),
+            series: TimeSeries::new(period),
             window: RateWindow::new(),
             ages: StarvationAges::new(),
         }
@@ -413,16 +408,11 @@ pub struct DirSampler {
 
 impl DirSampler {
     /// Creates the sampler for a DirectoryCMP run.
-    pub fn new(
-        cfg: &SystemConfig,
-        period: Dur,
-        backend: &str,
-        faults: Option<FaultHandle>,
-    ) -> DirSampler {
+    pub fn new(cfg: &SystemConfig, period: Dur, faults: Option<FaultHandle>) -> DirSampler {
         DirSampler {
             layout: cfg.layout(),
             faults,
-            series: TimeSeries::new(period, backend),
+            series: TimeSeries::new(period),
             window: RateWindow::new(),
         }
     }
@@ -482,10 +472,10 @@ pub struct PerfectSampler {
 impl PerfectSampler {
     /// Creates the sampler for a PerfectL2 run; `magic` is the node id
     /// of the single [`PerfectL2`] component.
-    pub fn new(period: Dur, backend: &str, magic: NodeId) -> PerfectSampler {
+    pub fn new(period: Dur, magic: NodeId) -> PerfectSampler {
         PerfectSampler {
             magic,
-            series: TimeSeries::new(period, backend),
+            series: TimeSeries::new(period),
             window: RateWindow::new(),
         }
     }

@@ -76,7 +76,7 @@ pub use tokencmp_net::{FaultCounters, FaultPlan, FaultSpec, Tier, Traffic};
 pub use tokencmp_proto::{
     AccessKind, Block, CmpId, Fabric, Layout, MsgClass, ProcId, SystemConfig,
 };
-pub use tokencmp_sim::{Dur, HostProfiler, ProfilerHandle, RunOutcome, SchedulerKind, Time};
+pub use tokencmp_sim::{Dur, HostProfiler, ProfilerHandle, RunOutcome, Time};
 pub use tokencmp_sweep::{latency_table, par_map, PointRecord, PointResult, Sweep, SweepPoint};
 pub use tokencmp_system::{
     run_workload, run_workload_traced, ConformOptions, Protocol, RunOptions, RunResult, Step,

@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn counter_tracks_merge_into_the_span_export() {
         use std::collections::BTreeMap;
-        let mut ts = TimeSeries::new(Dur::from_ns(10), "wheel");
+        let mut ts = TimeSeries::new(Dur::from_ns(10));
         for i in 0..2u64 {
             let mut gauges = BTreeMap::new();
             gauges.insert("kernel.queue_depth".to_string(), 3 + i);

@@ -16,7 +16,7 @@
 //! property the telemetry test suite enforces.
 //!
 //! The series is exported two ways: the serde-free JSON schema
-//! `tokencmp-timeseries-v1` (`tokencmp_sweep::report`), and Perfetto
+//! `tokencmp-timeseries-v2` (`tokencmp_sweep::report`), and Perfetto
 //! counter tracks merged into the span export
 //! ([`crate::chrome::chrome_trace_with_counters`]).
 
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use tokencmp_sim::{Dur, Time};
 
 /// Schema identifier stamped into the JSON export of a [`TimeSeries`].
-pub const TIMESERIES_SCHEMA: &str = "tokencmp-timeseries-v1";
+pub const TIMESERIES_SCHEMA: &str = "tokencmp-timeseries-v2";
 
 /// Well-known gauge/rate key constants and patterns.
 ///
@@ -33,7 +33,7 @@ pub const TIMESERIES_SCHEMA: &str = "tokencmp-timeseries-v1";
 /// for a family (one key per tier, class, ...). The full registry with
 /// descriptions lives in the DESIGN.md counter appendix.
 pub mod keys {
-    /// Pending events in the active scheduler backend.
+    /// Pending events in the kernel's event queue.
     pub const QUEUE_DEPTH: &str = "kernel.queue_depth";
     /// Pending wakeups (self-scheduled, not in-flight messages).
     pub const INFLIGHT_WAKES: &str = "inflight.wakes";
@@ -93,8 +93,6 @@ pub struct Sample {
 pub struct TimeSeries {
     /// Effective sample period, picoseconds (doubles on decimation).
     pub period_ps: u64,
-    /// Scheduler backend label the run executed on (`"heap"`/`"wheel"`).
-    pub backend: String,
     /// Retained samples, oldest first.
     pub samples: Vec<Sample>,
 }
@@ -103,11 +101,10 @@ impl TimeSeries {
     /// Retention bound; pushing past it halves the series in place.
     pub const MAX_SAMPLES: usize = 8192;
 
-    /// An empty series with the given nominal period and backend label.
-    pub fn new(period: Dur, backend: impl Into<String>) -> TimeSeries {
+    /// An empty series with the given nominal period.
+    pub fn new(period: Dur) -> TimeSeries {
         TimeSeries {
             period_ps: period.as_ps(),
-            backend: backend.into(),
             samples: Vec::new(),
         }
     }
@@ -237,7 +234,7 @@ mod tests {
 
     #[test]
     fn push_accumulates_on_the_period_grid() {
-        let mut ts = TimeSeries::new(Dur::from_ns(10), "wheel");
+        let mut ts = TimeSeries::new(Dur::from_ns(10));
         for i in 0..5u64 {
             ts.push(
                 Time::from_ns(10 * i),
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn decimation_bounds_retention_and_doubles_period() {
-        let mut ts = TimeSeries::new(Dur::from_ns(1), "heap");
+        let mut ts = TimeSeries::new(Dur::from_ns(1));
         let n = TimeSeries::MAX_SAMPLES as u64 + 1;
         for i in 0..n {
             ts.push(Time::from_ns(i), g(&[("x", i)]), BTreeMap::new());
@@ -269,7 +266,7 @@ mod tests {
     #[test]
     fn decimation_is_deterministic() {
         let build = || {
-            let mut ts = TimeSeries::new(Dur::from_ns(1), "wheel");
+            let mut ts = TimeSeries::new(Dur::from_ns(1));
             for i in 0..(TimeSeries::MAX_SAMPLES as u64 * 2 + 7) {
                 ts.push(Time::from_ns(i), g(&[("x", i * 3)]), BTreeMap::new());
             }
@@ -280,7 +277,7 @@ mod tests {
 
     #[test]
     fn downsample_halves_to_the_requested_bound() {
-        let mut ts = TimeSeries::new(Dur::from_ns(1), "wheel");
+        let mut ts = TimeSeries::new(Dur::from_ns(1));
         for i in 0..1000u64 {
             ts.push(Time::from_ns(i), g(&[("x", i)]), BTreeMap::new());
         }
@@ -294,7 +291,7 @@ mod tests {
 
     #[test]
     fn tail_table_shows_trajectory_of_nonzero_keys() {
-        let mut ts = TimeSeries::new(Dur::from_ns(5), "heap");
+        let mut ts = TimeSeries::new(Dur::from_ns(5));
         for i in 0..4u64 {
             let mut rates = BTreeMap::new();
             rates.insert("rate.misses".to_string(), 2.5 * i as f64);
@@ -314,7 +311,7 @@ mod tests {
 
     #[test]
     fn key_union_spans_all_samples() {
-        let mut ts = TimeSeries::new(Dur::from_ns(1), "wheel");
+        let mut ts = TimeSeries::new(Dur::from_ns(1));
         ts.push(Time::ZERO, g(&[("a", 1)]), BTreeMap::new());
         let mut rates = BTreeMap::new();
         rates.insert("b".to_string(), 1.0);

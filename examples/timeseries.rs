@@ -54,7 +54,7 @@ fn main() {
     println!("wrote {}", path.display());
 
     // Self-validation: the exported text parses back to the exact
-    // series we measured — schema, period, backend, every sample.
+    // series we measured — schema, period, every sample.
     let text = std::fs::read_to_string(&path).expect("read back");
     let round = series_from_value(&parse(&text).expect("valid JSON")).expect("valid schema");
     assert_eq!(round, series, "JSON round-trip must be lossless");

@@ -1,157 +1,105 @@
-//! Differential property test for the scheduler backends.
+//! Property tests for the event queue against a sorted-`Vec` reference.
 //!
-//! The heap scheduler is the reference; the timing wheel must be
-//! observationally identical for *every* interleaving of pushes and pops
-//! — same pop sequence `(time, seq, dst, payload)`, same `next_time`,
-//! same `len` — not just for the schedules real protocols happen to
-//! produce. Random schedules here are built to stress the wheel's three
-//! interesting regimes: bursty same-tick ties (FIFO tie-break), events
-//! at and across the overflow horizon (bucket vs far-heap placement and
-//! refill), and pushes below the advancing cursor (past-insert clamp).
+//! Every simulation result rests on one contract: events leave in
+//! ascending `(time, seq)` order — earliest delivery first, FIFO by push
+//! order among same-picosecond ties — for every interleaving of pushes
+//! and pops. After every operation the queue's pop, `next_time` and `len`
+//! must match the reference, and the two must drain to the same tail.
 
 use proptest::prelude::*;
 
-use tokencmp::sim::{EventKind, EventQueue, NodeId, Time, WheelScheduler};
-use tokencmp::SchedulerKind;
+use tokencmp::sim::{EventKind, EventQueue, NodeId, Time};
 
-/// One lap of the wheel, in picoseconds — offsets straddling this value
-/// force wheel/overflow boundary decisions.
-const HORIZON: u64 = WheelScheduler::<u64>::HORIZON_PS;
-
-#[derive(Clone, Debug)]
-enum Op {
-    /// Push at `last popped time + offset` — offsets of zero land on the
-    /// current tick, small ones stay in-window, large ones overflow.
-    Push(u64),
-    /// Pop once and compare the full event between backends.
-    Pop,
-}
-
-fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
-        // Bursty ties: a handful of distinct ticks, drawn repeatedly.
-        (0u64..4).prop_map(|k| Op::Push(k * 1024)),
-        // In-window spread.
-        (0u64..HORIZON).prop_map(Op::Push),
-        // The horizon boundary, a few ps either side.
-        (HORIZON - 4..HORIZON + 4).prop_map(Op::Push),
-        // Far future: several laps out, forcing overflow refills.
-        (2 * HORIZON..6 * HORIZON).prop_map(Op::Push),
-        Just(Op::Pop),
-        Just(Op::Pop),
-    ];
-    proptest::collection::vec(op, 0..250)
+/// Runs `ops` and then enough pops to drain, on the queue and on the
+/// reference. `Some(offset)` pushes at `last pop + offset` (negative
+/// offsets land below the last pop); `None` pops. Pushes alternate wake
+/// tags and messages so both payload kinds are checked.
+fn agree_with_reference(ops: &[Option<i64>]) {
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut reference: Vec<(Time, u64, NodeId, u64)> = Vec::new(); // (time, seq, dst, payload), descending
+    let mut last = 1u64 << 21; // time of the last pop
+    let mut pushes = 0u64;
+    let drain = std::iter::repeat_n(None, ops.len());
+    for (i, op) in ops.iter().copied().chain(drain).enumerate() {
+        if let Some(offset) = op {
+            let t = Time::from_ps(last.saturating_add_signed(offset));
+            let (dst, p) = (NodeId(i as u32 % 7), i as u64);
+            let kind = match i % 2 {
+                0 => EventKind::Wake { tag: p },
+                _ => EventKind::Msg { src: dst, msg: p },
+            };
+            q.push(t, dst, kind);
+            let at = reference.partition_point(|e| (e.0, e.1) > (t, pushes));
+            reference.insert(at, (t, pushes, dst, p));
+            pushes += 1;
+        } else {
+            let got = q.pop().map(|e| match e.kind {
+                EventKind::Wake { tag: p } | EventKind::Msg { msg: p, .. } => {
+                    (e.time, e.seq(), e.dst, p)
+                }
+            });
+            prop_assert_eq!(got, reference.pop(), "pop diverged at op {}", i);
+            if let Some((t, ..)) = got {
+                last = t.as_ps();
+            }
+        }
+        let next = reference.last().map(|e| e.0);
+        prop_assert_eq!(q.next_time(), next, "next_time at op {}", i);
+        prop_assert_eq!(q.len(), reference.len(), "len at op {}", i);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Heap and wheel agree on every observation of every schedule.
+    /// The queue and the reference agree on every observation of mixed
+    /// schedules: same-tick bursts, far-future times, times below the
+    /// last pop.
     #[test]
-    fn backends_are_observationally_identical(ops in ops_strategy()) {
-        let mut heap: EventQueue<u64> = EventQueue::with_backend(SchedulerKind::Heap);
-        let mut wheel: EventQueue<u64> = EventQueue::with_backend(SchedulerKind::Wheel);
-        let mut base = 0u64; // time of the last popped event
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Push(offset) => {
-                    let t = Time::from_ps(base.saturating_add(offset));
-                    let dst = NodeId((i % 7) as u32);
-                    // Alternate payload kinds so both code paths (wake
-                    // tags and slab-pooled messages) are exercised.
-                    if i % 2 == 0 {
-                        heap.push(t, dst, EventKind::Wake { tag: i as u64 });
-                        wheel.push(t, dst, EventKind::Wake { tag: i as u64 });
-                    } else {
-                        let m = EventKind::Msg { src: dst, msg: i as u64 };
-                        heap.push(t, dst, m.clone());
-                        wheel.push(t, dst, m);
-                    }
-                }
-                Op::Pop => {
-                    let (h, w) = (heap.pop(), wheel.pop());
-                    match (&h, &w) {
-                        (Some(a), Some(b)) => {
-                            prop_assert_eq!(a.time, b.time, "pop time diverged at op {}", i);
-                            prop_assert_eq!(a.seq(), b.seq(), "pop seq diverged at op {}", i);
-                            prop_assert_eq!(a.dst, b.dst, "pop dst diverged at op {}", i);
-                            prop_assert_eq!(&a.kind, &b.kind, "pop payload diverged at op {}", i);
-                            base = a.time.as_ps();
-                        }
-                        (None, None) => {}
-                        _ => prop_assert!(false, "one backend empty at op {}: heap={:?} wheel={:?}", i, h, w),
-                    }
-                }
-            }
-            prop_assert_eq!(heap.next_time(), wheel.next_time(), "next_time diverged at op {}", i);
-            prop_assert_eq!(heap.len(), wheel.len(), "len diverged at op {}", i);
-        }
-        // Drain both to the end: the tails must match event for event.
-        loop {
-            match (heap.pop(), wheel.pop()) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!((a.time, a.seq(), a.dst), (b.time, b.seq(), b.dst));
-                    prop_assert_eq!(&a.kind, &b.kind);
-                }
-                (None, None) => break,
-                (h, w) => prop_assert!(false, "drain length mismatch: heap={:?} wheel={:?}", h, w),
-            }
-        }
+    fn backends_are_observationally_identical(ops in proptest::collection::vec(prop_oneof![
+        (0u64..4).prop_map(|k| Some(k as i64 * 1024)),   // same-tick bursts
+        (0u64..1 << 20).prop_map(|d| Some(d as i64)),     // near future
+        (1u64 << 30..1 << 32).prop_map(|d| Some(d as i64)), // far future
+        (1u64..1 << 20).prop_map(|d| Some(-(d as i64))),  // below the last pop
+        Just(None),
+        Just(None),
+    ], 0..250)) {
+        agree_with_reference(&ops);
     }
 
-    /// Past-heavy schedules: pops first advance the wheel cursor deep
-    /// into the schedule, then every push lands *below* it (the clamp
-    /// path), which the heap handles natively — orders must still match.
+    /// Past-heavy schedules: one far event is pushed and popped, then
+    /// every push lands below it; the drain must still be in order.
     #[test]
-    fn past_inserts_match_the_reference(ticks in proptest::collection::vec(0u64..2 * HORIZON, 1..40)) {
-        let mut heap: EventQueue<u32> = EventQueue::with_backend(SchedulerKind::Heap);
-        let mut wheel: EventQueue<u32> = EventQueue::with_backend(SchedulerKind::Wheel);
-        for q in [&mut heap, &mut wheel] {
-            // Advance the cursor far ahead of every subsequent push.
-            q.push(Time::from_ps(10 * HORIZON), NodeId(0), EventKind::Wake { tag: 0 });
-            q.pop();
-            for (i, &t) in ticks.iter().enumerate() {
-                q.push(Time::from_ps(t), NodeId(0), EventKind::Wake { tag: i as u64 });
-            }
-        }
-        loop {
-            match (heap.pop(), wheel.pop()) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!((a.time, a.seq()), (b.time, b.seq()));
-                    prop_assert_eq!(&a.kind, &b.kind);
-                }
-                (None, None) => break,
-                (h, w) => prop_assert!(false, "length mismatch: heap={:?} wheel={:?}", h, w),
-            }
-        }
+    fn past_inserts_match_the_reference(ticks in proptest::collection::vec(1u64..1 << 21, 1..40)) {
+        let past = ticks.iter().map(|&t| Some(-(t as i64)));
+        let ops: Vec<_> = [Some(1 << 30), None].into_iter().chain(past).collect();
+        agree_with_reference(&ops);
     }
 }
 
-/// `next_seq` stays strictly monotonic across millions of pushes on both
-/// backends (ISSUE 6 satellite: seq assignment is central, so neither
-/// backend can skip or reuse a number even under slab/bucket churn).
+/// `next_seq` stays strictly monotonic across millions of pushes: the
+/// sequence number is assigned centrally, so the queue can neither skip
+/// nor reuse one.
 #[test]
 fn next_seq_is_monotonic_under_millions_of_pushes() {
-    for kind in SchedulerKind::ALL {
-        let mut q: EventQueue<u32> = EventQueue::with_backend(kind);
-        let mut pushed = 0u64;
-        for round in 0..2_000u64 {
-            for i in 0..1_000u64 {
-                assert_eq!(q.next_seq(), pushed, "seq skipped on {kind}");
-                q.push(
-                    Time::from_ps(round * 512 + (i % 13)),
-                    NodeId(0),
-                    EventKind::Wake { tag: i },
-                );
-                pushed += 1;
-            }
-            // Drain half each round so the queue stays bounded but the
-            // push counter keeps climbing past 2 million.
-            for _ in 0..500 {
-                q.pop();
-            }
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let mut pushed = 0u64;
+    for round in 0..2_000u64 {
+        for i in 0..1_000u64 {
+            assert_eq!(q.next_seq(), pushed, "seq skipped");
+            q.push(
+                Time::from_ps(round * 512 + (i % 13)),
+                NodeId(0),
+                EventKind::Wake { tag: i },
+            );
+            pushed += 1;
         }
-        assert_eq!(pushed, 2_000_000);
-        assert_eq!(q.next_seq(), pushed, "pops must not consume seqs on {kind}");
+        // Drain half each round so the queue stays bounded but the push
+        // counter keeps climbing past 2 million.
+        for _ in 0..500 {
+            q.pop();
+        }
     }
+    assert_eq!(pushed, 2_000_000);
+    assert_eq!(q.next_seq(), pushed, "pops must not consume seqs");
 }

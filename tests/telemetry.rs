@@ -6,9 +6,7 @@
 //! runs must agree on runtime, event count, per-tier traffic, and every
 //! Stats counter — including under message faults and token loss, where
 //! an accidental extra event would change recovery timing. The sampled
-//! series itself must also replay bit-identically, and must agree
-//! across scheduler backends (the samples describe the simulation, not
-//! the queue implementation).
+//! series itself must also replay bit-identically.
 
 #[path = "common/mod.rs"]
 mod common;
@@ -17,7 +15,7 @@ use common::{all_protocols, table3_system, token_variants};
 use tokencmp::trace::TIMESERIES_SCHEMA;
 use tokencmp::{
     run_workload, BarrierWorkload, Dur, FaultPlan, LockingWorkload, MsgClass, Protocol, RunOptions,
-    RunOutcome, RunResult, SchedulerKind, Tier, Variant,
+    RunOutcome, RunResult, Tier, Variant,
 };
 
 /// Everything the simulation itself produced, in comparable form.
@@ -165,30 +163,6 @@ fn time_series_replays_bit_identically() {
 }
 
 #[test]
-fn time_series_samples_agree_across_scheduler_backends() {
-    // The samples describe the *simulation* — queue depth, messages in
-    // flight, token dispersion — so equivalent backends must produce
-    // identical sample vectors; only the backend label may differ.
-    let cfg = table3_system();
-    let run = |kind: SchedulerKind| {
-        let w = LockingWorkload::new(16, 8, 5, 21);
-        let opts = base_opts(64)
-            .with_scheduler(kind)
-            .with_sampling(Dur::from_ns(100));
-        run_workload(&cfg, Protocol::Token(Variant::Dst1), w, &opts)
-            .0
-            .series
-            .expect("sampling was on")
-    };
-    let heap = run(SchedulerKind::Heap);
-    let wheel = run(SchedulerKind::Wheel);
-    assert_eq!(heap.backend, "heap");
-    assert_eq!(wheel.backend, "wheel");
-    assert_eq!(heap.period_ps, wheel.period_ps);
-    assert_eq!(heap.samples, wheel.samples);
-}
-
-#[test]
 fn stalled_runs_append_the_sampler_tail() {
     // Same stall recipe as the watchdog suite: think time far beyond the
     // stall window forces a Stalled outcome. With sampling on, the
@@ -218,5 +192,5 @@ fn stalled_runs_append_the_sampler_tail() {
 fn series_schema_constant_matches_export() {
     // The schema string is part of the on-disk contract (sweep embeds
     // it); a silent rename would orphan committed artifacts.
-    assert_eq!(TIMESERIES_SCHEMA, "tokencmp-timeseries-v1");
+    assert_eq!(TIMESERIES_SCHEMA, "tokencmp-timeseries-v2");
 }

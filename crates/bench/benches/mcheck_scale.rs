@@ -39,6 +39,9 @@ use tokencmp_bench::mcheck::{
 /// One measured row plus the data the scaling table needs.
 struct Row {
     entry: McheckBenchEntry,
+    /// A parallel run's wall-time split: expansion, merge and progress
+    /// seconds (printed, not recorded in the trajectory).
+    phases: Option<[f64; 3]>,
 }
 
 fn seq_entry<M>(run: &str, config: &str, model: &M) -> Row
@@ -59,6 +62,7 @@ where
             Duration::from_secs_f64(r.seconds.max(1e-9)),
             1,
         ),
+        phases: None,
     }
 }
 
@@ -100,6 +104,7 @@ where
             Duration::from_secs_f64(r.seconds.max(1e-9)),
             r.workers as u64,
         ),
+        phases: Some([r.expand_s, r.merge_s, r.progress_s]),
     }
 }
 
@@ -123,8 +128,16 @@ where
 
 fn print_table(rows: &[Row]) {
     println!(
-        "{:<28} {:<16} {:>10} {:>12} {:>12} {:>9}",
-        "config", "bench", "states", "transitions", "states/sec", "vs seq"
+        "{:<28} {:<16} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9}",
+        "config",
+        "bench",
+        "states",
+        "transitions",
+        "states/sec",
+        "vs seq",
+        "expand s",
+        "merge s",
+        "progr. s"
     );
     let mut seq_rate = 0.0;
     for r in rows {
@@ -132,8 +145,14 @@ fn print_table(rows: &[Row]) {
         if e.bench == "seq" {
             seq_rate = e.states_per_sec;
         }
+        let phases = match r.phases {
+            Some([expand, merge, progress]) => {
+                format!("{expand:>9.3} {merge:>9.3} {progress:>9.3}")
+            }
+            None => format!("{:>9} {:>9} {:>9}", "-", "-", "-"),
+        };
         println!(
-            "{:<28} {:<16} {:>10} {:>12} {:>12.3e} {:>8.2}x",
+            "{:<28} {:<16} {:>10} {:>12} {:>12.3e} {:>8.2}x {phases}",
             e.config,
             e.bench,
             e.states,

@@ -10,14 +10,24 @@
 //! reports the line counts of these Rust specs alongside the state
 //! counts.
 
+use std::iter::repeat_n;
+
 use crate::checker::{ActionMeta, Model};
 use crate::explore::permutations;
-use crate::token_model::PKind;
+use crate::inline_vec::InlineVec;
+use crate::token_model::{PKind, MAX_CACHES};
+
+/// Room for in-flight messages; `DirModelParams::net_bound` must fit.
+const NET_CAP: usize = 10;
+/// Room for deferred requests; `DirModelParams::deferred_bound` must
+/// fit.
+const DEFERRED_CAP: usize = 20;
 
 /// Cache line states (MOESI; absent `I` data is meaningless).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum CSt {
     /// Invalid.
+    #[default]
     I,
     /// Shared, memory or an owner is responsible.
     S,
@@ -140,6 +150,13 @@ pub enum DMsg {
     },
 }
 
+/// Filler for the unused slots of an [`InlineVec`]; never observed.
+impl Default for DMsg {
+    fn default() -> DMsg {
+        DMsg::WbReq { proc: 0 }
+    }
+}
+
 /// An outstanding miss at a cache.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Pending {
@@ -161,7 +178,7 @@ pub struct Pending {
 }
 
 /// Per-cache model state.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct DCache {
     /// Line state.
     pub st: CSt,
@@ -173,21 +190,23 @@ pub struct DCache {
     pub wb: Option<(CSt, u8)>,
 }
 
-/// Global model state.
+/// Global model state, inline like [`crate::token_model::TState`]:
+/// it never allocates and hashes, compares and prints exactly as `Vec`s
+/// holding the same elements would.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct DState {
     /// Caches.
-    pub caches: Vec<DCache>,
+    pub caches: InlineVec<DCache, MAX_CACHES>,
     /// Directory state.
     pub dir: DSt,
     /// Directory busy serving `proc` (`true` = writeback handshake).
     pub busy: Option<(u8, bool)>,
     /// Requests deferred at the directory.
-    pub deferred: Vec<DMsg>,
+    pub deferred: InlineVec<DMsg, DEFERRED_CAP>,
     /// Memory's data version.
     pub memval: u8,
     /// In-flight messages (sorted multiset).
-    pub net: Vec<DMsg>,
+    pub net: InlineVec<DMsg, NET_CAP>,
     /// Last written version (spec variable).
     pub current: u8,
     /// Writes so far.
@@ -214,6 +233,27 @@ impl DirModelParams {
             max_inflight: 4,
         }
     }
+
+    /// The most messages in flight in any reachable state. A request is
+    /// issued only while fewer than `max_inflight` messages fly, and
+    /// the directory serves one transaction at a time, whose messages
+    /// (invalidations or their acks, a data grant or a forward plus an
+    /// ack count, then the unblock) number at most `caches + 1`.
+    fn net_bound(&self) -> usize {
+        self.max_inflight + self.caches + 1
+    }
+
+    /// The most requests deferred at the directory in any reachable
+    /// state: one live request per cache, plus the stale writeback
+    /// requests left queued when a write transaction invalidates (or
+    /// takes over) a line parked in a writeback buffer — at most
+    /// `caches - 1` per write transaction, of which there are at most
+    /// `max_writes + caches - 1` (each is issued below the write bound,
+    /// and at most one per cache is outstanding).
+    fn deferred_bound(&self) -> usize {
+        let others = self.caches.saturating_sub(1);
+        self.caches + (self.max_writes as usize + others) * others
+    }
 }
 
 /// The flat MOESI directory model.
@@ -225,7 +265,29 @@ pub struct DirModel {
 
 impl DirModel {
     /// Creates the model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` needs more room than the inline state has: more
+    /// than 4 caches, a bound on in-flight messages above 10
+    /// (`max_inflight + caches + 1`), or a bound on deferred requests
+    /// above 20 (`caches + (max_writes + caches - 1) * (caches - 1)`).
     pub fn new(p: DirModelParams) -> DirModel {
+        assert!(
+            p.caches <= MAX_CACHES,
+            "DirModel holds at most {MAX_CACHES} caches, got {}",
+            p.caches
+        );
+        assert!(
+            p.net_bound() <= NET_CAP,
+            "DirModel net bound {} exceeds the {NET_CAP}-message capacity",
+            p.net_bound()
+        );
+        assert!(
+            p.deferred_bound() <= DEFERRED_CAP,
+            "DirModel deferred bound {} exceeds the {DEFERRED_CAP}-request capacity",
+            p.deferred_bound()
+        );
         DirModel { p }
     }
 
@@ -471,20 +533,12 @@ impl Model for DirModel {
 
     fn initial(&self) -> Vec<DState> {
         vec![DState {
-            caches: vec![
-                DCache {
-                    st: CSt::I,
-                    val: 0,
-                    pending: None,
-                    wb: None,
-                };
-                self.p.caches
-            ],
+            caches: repeat_n(DCache::default(), self.p.caches).collect(),
             dir: DSt::Uncached,
             busy: None,
-            deferred: Vec::new(),
+            deferred: InlineVec::new(),
             memval: 0,
-            net: Vec::new(),
+            net: InlineVec::new(),
             current: 0,
             writes: 0,
         }]
@@ -896,6 +950,48 @@ mod tests {
         let r = check(&m, &CheckOptions::default()).expect("flat directory must verify");
         assert!(r.states > 100);
         assert!(r.progress_checked);
+    }
+
+    #[test]
+    fn small_and_four_cache_configurations_fit() {
+        for p in [
+            DirModelParams::small(),
+            DirModelParams {
+                caches: MAX_CACHES,
+                ..DirModelParams::small()
+            },
+        ] {
+            let s = DirModel::new(p).initial().remove(0);
+            assert_eq!(s.caches.len(), p.caches);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 caches")]
+    fn rejects_more_than_four_caches() {
+        let _ = DirModel::new(DirModelParams {
+            caches: 5,
+            ..DirModelParams::small()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 10-message capacity")]
+    fn rejects_a_net_bound_above_capacity() {
+        let _ = DirModel::new(DirModelParams {
+            max_inflight: 8,
+            ..DirModelParams::small()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 20-request capacity")]
+    fn rejects_a_deferred_bound_above_capacity() {
+        let _ = DirModel::new(DirModelParams {
+            caches: MAX_CACHES,
+            max_writes: 4,
+            ..DirModelParams::small()
+        });
     }
 
     #[test]

@@ -17,12 +17,19 @@
 //!   suite in `tests/mcheck_parallel.rs` pins.
 //!
 //! * **Hashed state store.** States are deduplicated by 128-bit
-//!   fingerprint (two independently seeded hash passes) in a sharded
-//!   table, retaining 16 bytes per state instead of a full clone. At
-//!   n = 10⁷ states the collision probability is about n²/2¹²⁹ ≈ 10⁻²⁵
-//!   (see DESIGN.md §17). `CheckOptions::collision_audit` additionally
-//!   retains full states on a 1/16 fingerprint stripe and asserts that
-//!   every dedup hit on the stripe compares equal.
+//!   fingerprint ([`fingerprint`]: the state's hash bytes recorded once,
+//!   then two independently seeded hash passes) in one map, retaining 16
+//!   bytes per state instead of a full clone. At n = 10⁷ states the
+//!   collision probability is about n²/2¹²⁹ ≈ 10⁻²⁵ (see DESIGN.md §17).
+//!   Workers settle successors the frozen store already holds and hand
+//!   the merge only their ids, dropping the state while it is still in
+//!   cache. `CheckOptions::collision_audit` additionally retains full
+//!   states on a 1/16 fingerprint stripe and asserts that every dedup
+//!   hit on the stripe compares equal.
+//!
+//! * **Compact graph.** Edges are stored in CSR form (one flat target
+//!   list plus per-state offsets — states are expanded in id order);
+//!   the progress check builds the reverse lists by a counting sort.
 //!
 //! * **Symmetry reduction** quotients states by the model's
 //!   [`Model::canonicalize`] (identity by default — always sound).
@@ -37,27 +44,60 @@
 //! Soundness arguments for both reductions, per model, live in
 //! DESIGN.md §17.
 
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
 use tokencmp_pool::{default_threads, par_map_threads};
 
 use crate::checker::{ActionMeta, CheckOptions, Model, Violation};
 
-/// 128-bit state fingerprint: two independent 64-bit hash passes over
-/// the same value, distinguished by a seed prefix. `DefaultHasher::new`
-/// is specified to produce identical streams across instances, so
-/// fingerprints are stable within a build — which is all the store
-/// needs (they are never persisted).
+thread_local! {
+    /// The byte stream of the value being fingerprinted, reused across
+    /// calls on one thread.
+    static FP_BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Records the bytes a `Hash` impl writes.
+struct ByteSink<'a>(&'a mut Vec<u8>);
+
+impl Hasher for ByteSink<'_> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.0.push(i);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("ByteSink records bytes; it is never finished")
+    }
+}
+
+/// 128-bit state fingerprint: two independent 64-bit `DefaultHasher`
+/// passes over the same value, distinguished by a seed prefix. The value
+/// is walked once into a reusable per-thread byte buffer and both passes
+/// hash that buffer; SipHash is a streaming hash, so the result equals
+/// streaming `s.hash()` into each seeded hasher (the oracle in
+/// `tests/mcheck_parallel.rs` checks this on every reachable model
+/// state). `DefaultHasher::new` is specified to produce identical
+/// streams across instances, so fingerprints are stable within a build —
+/// which is all the store needs (they are never persisted).
 pub fn fingerprint<S: Hash>(s: &S) -> u128 {
-    let mut lo = DefaultHasher::new();
-    0u64.hash(&mut lo);
-    s.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    0x9E37_79B9_7F4A_7C15u64.hash(&mut hi);
-    s.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
+    FP_BYTES.with_borrow_mut(|bytes| {
+        bytes.clear();
+        s.hash(&mut ByteSink(bytes));
+        let pass = |seed: u64| {
+            let mut h = DefaultHasher::new();
+            seed.hash(&mut h);
+            h.write(bytes);
+            h.finish()
+        };
+        ((pass(0x9E37_79B9_7F4A_7C15) as u128) << 64) | pass(0) as u128
+    })
 }
 
 /// All permutations of `0..n` in lexicographic order (identity first) —
@@ -83,45 +123,40 @@ pub fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
-const SHARDS: usize = 16;
+/// Hashes a fingerprint key by passing its high half through:
+/// fingerprints are uniform hash output already. (The high half, because
+/// the audit stripe selects keys by their low nibble.)
+#[derive(Default)]
+struct FpHasher(u64);
 
-/// Sharded fingerprint → state-id table. Sharding by the top fingerprint
-/// bits keeps per-map load factors low at millions of states; workers
-/// share it read-only during expansion, the merge phase writes.
-struct FpStore {
-    shards: Vec<HashMap<u128, u32>>,
-    len: usize,
+impl Hasher for FpHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint maps hash only u128 keys")
+    }
+
+    fn write_u128(&mut self, fp: u128) {
+        self.0 = (fp >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-impl FpStore {
-    fn new() -> FpStore {
-        FpStore {
-            shards: (0..SHARDS).map(|_| HashMap::new()).collect(),
-            len: 0,
-        }
-    }
+/// A map keyed by fingerprint.
+type FpMap<V> = HashMap<u128, V, BuildHasherDefault<FpHasher>>;
 
-    fn shard(fp: u128) -> usize {
-        (fp >> 124) as usize & (SHARDS - 1)
-    }
-
-    fn get(&self, fp: u128) -> Option<u32> {
-        self.shards[FpStore::shard(fp)].get(&fp).copied()
-    }
-
-    fn insert(&mut self, fp: u128, id: u32) {
-        if self.shards[FpStore::shard(fp)].insert(fp, id).is_none() {
-            self.len += 1;
-        }
-    }
+/// Whether the collision audit retains the state behind `fp`.
+fn on_audit_stripe(fp: u128) -> bool {
+    fp & 0xF == 0
 }
 
 /// Statistics from a [`check_parallel`] run. Superset of
 /// [`crate::CheckReport`]: the extra fields record reduction and audit
-/// activity plus the transition-kind universe (first word of every
+/// activity, the transition-kind universe (first word of every
 /// generated label, *including* labels pruned by the partial-order
 /// reduction — reduction saves stored and expanded states, never
-/// coverage accounting).
+/// coverage accounting), and where the wall time went.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Distinct stored states (canonical representatives).
@@ -144,6 +179,30 @@ pub struct ExploreReport {
     pub audited: u64,
     /// Every transition kind generated anywhere in the explored space.
     pub kinds: BTreeSet<String>,
+    /// Wall-clock seconds in frontier expansion (the parallel phase),
+    /// timed once per level.
+    pub expand_s: f64,
+    /// Wall-clock seconds in the sequential merges, timed once per
+    /// level.
+    pub merge_s: f64,
+    /// Wall-clock seconds in the progress check (0 when it is off).
+    pub progress_s: f64,
+}
+
+/// A taken successor as a worker settled it against the frozen store.
+enum Succ<S> {
+    /// A state the frozen store holds: its id.
+    Known(u32),
+    /// A state the frozen store lacks (or, under the collision audit,
+    /// one on the audit stripe): the merge settles it.
+    Open {
+        label: String,
+        state: S,
+        fp: u128,
+        /// The invariant error, evaluated only for states absent from
+        /// the frozen store.
+        inv_err: Option<String>,
+    },
 }
 
 /// One frontier state's expansion, produced by a worker against the
@@ -153,23 +212,23 @@ struct Expansion<S> {
     quiescent: bool,
     /// `Some(pretty-printed state)` iff non-quiescent with no successors.
     deadlock: Option<String>,
-    /// An ample subset was taken (POR applied at this state).
-    reduced: bool,
-    /// Successors pruned by the reduction.
+    /// Successors pruned by the reduction (an ample subset was taken
+    /// iff nonzero).
     pruned: u32,
-    /// Kind (label head) of every generated successor, pruned included.
-    kind_heads: Vec<String>,
-    /// Taken successors in generation order: label, canonical state,
-    /// fingerprint, and the invariant error if the worker found one
-    /// (only evaluated for states absent from the frozen store).
-    taken: Vec<(String, S, u128, Option<String>)>,
+    /// Kinds (label heads) of generated successors, pruned included,
+    /// that the frozen kind set lacks.
+    new_kinds: Vec<String>,
+    /// Taken successors in generation order.
+    taken: Vec<Succ<S>>,
 }
 
-/// Expands one frontier state against the frozen store.
+/// Expands one frontier state against the frozen store and kind set
+/// (only the merge writes them).
 fn expand<M: Model>(
     model: &M,
-    store: &FpStore,
     opts: &CheckOptions,
+    store: &FpMap<u32>,
+    kinds: &BTreeSet<String>,
     id: u32,
     s: &M::State,
 ) -> Expansion<M::State> {
@@ -181,29 +240,35 @@ fn expand<M: Model>(
             id,
             quiescent,
             deadlock: Some(format!("{s:?}")),
-            reduced: false,
             pruned: 0,
-            kind_heads: Vec::new(),
+            new_kinds: Vec::new(),
             taken: Vec::new(),
         };
     }
 
-    let mut kind_heads: BTreeSet<String> = BTreeSet::new();
+    let mut new_kinds: Vec<String> = Vec::new();
     for (label, _) in &succs {
-        kind_heads.insert(label.split_whitespace().next().unwrap_or("").to_string());
+        let head = label.split_whitespace().next().unwrap_or("");
+        if !kinds.contains(head) && !new_kinds.iter().any(|k| k == head) {
+            new_kinds.push(head.to_string());
+        }
     }
 
-    // Canonicalize + fingerprint lazily (ample selection may avoid the
-    // work for pruned successors).
-    let canon_fp = |t: &M::State| -> (M::State, u128) {
-        let c = if opts.symmetry {
-            model.canonicalize(t)
-        } else {
-            t.clone()
-        };
+    let with_fp = |c: M::State| {
         let fp = fingerprint(&c);
         (c, fp)
     };
+    let canon_fp = |t: &M::State| {
+        with_fp(if opts.symmetry {
+            model.canonicalize(t)
+        } else {
+            t.clone()
+        })
+    };
+    // Canonical forms by successor index, computed lazily (ample
+    // selection may avoid the work for pruned successors) and shared by
+    // the selection and the expansion.
+    let mut canon: Vec<Option<(M::State, u128)>> = vec![None; succs.len()];
 
     // Ample-set selection: for each declared class (ascending id), take
     // its members alone iff (C1/C2, via the model's class promise plus a
@@ -212,10 +277,10 @@ fn expand<M: Model>(
     // out of the frozen store — i.e. to a state expanded at a strictly
     // later level, so deferred actions cannot be postponed forever
     // around a cycle.
-    type Canon<S> = Vec<(S, u128)>;
-    let mut ample: Option<(Vec<usize>, Canon<M::State>)> = None;
+    let mut metas: Vec<ActionMeta> = Vec::new();
+    let mut ample: Option<u32> = None;
     if opts.por && succs.len() > 1 {
-        let metas: Vec<ActionMeta> = succs
+        metas = succs
             .iter()
             .map(|(label, _)| model.action_meta(s, label))
             .collect();
@@ -230,51 +295,55 @@ fn expand<M: Model>(
             let combined = members.iter().fold(ActionMeta::rw(0, 0), |acc, &i| {
                 ActionMeta::rw(acc.reads | metas[i].reads, acc.writes | metas[i].writes)
             });
-            for (i, meta) in metas.iter().enumerate() {
-                if metas[i].class != Some(c) && combined.dependent(meta) {
+            for meta in &metas {
+                if meta.class != Some(c) && combined.dependent(meta) {
                     continue 'class;
                 }
             }
-            let canon: Vec<(M::State, u128)> =
-                members.iter().map(|&i| canon_fp(&succs[i].1)).collect();
-            if canon.iter().any(|(_, fp)| store.get(*fp).is_none()) {
-                ample = Some((members, canon));
+            let leaves = members.iter().any(|&i| {
+                let (_, fp) = canon[i].get_or_insert_with(|| canon_fp(&succs[i].1));
+                !store.contains_key(fp)
+            });
+            if leaves {
+                ample = Some(c);
                 break;
             }
         }
     }
 
-    let (taken_idx, canon): (Vec<usize>, Vec<(M::State, u128)>) = match ample {
-        Some(v) => v,
-        None => {
-            let idx: Vec<usize> = (0..succs.len()).collect();
-            let canon = succs.iter().map(|(_, t)| canon_fp(t)).collect();
-            (idx, canon)
+    let generated = succs.len();
+    let mut taken = Vec::with_capacity(generated);
+    for (i, (label, t)) in succs.into_iter().enumerate() {
+        if ample.is_some_and(|c| metas[i].class != Some(c)) {
+            continue;
         }
-    };
-    let reduced = taken_idx.len() < succs.len();
-    let pruned = (succs.len() - taken_idx.len()) as u32;
-
-    let taken = taken_idx
-        .into_iter()
-        .zip(canon)
-        .map(|(i, (c, fp))| {
-            let inv_err = if store.get(fp).is_none() {
-                model.invariant(&c).err()
-            } else {
-                None
-            };
-            (succs[i].0.clone(), c, fp, inv_err)
-        })
-        .collect();
+        let (state, fp) = match canon[i].take() {
+            Some(c) => c,
+            None if opts.symmetry => canon_fp(&t),
+            None => with_fp(t),
+        };
+        let known = store.get(&fp).copied();
+        taken.push(match known {
+            Some(t_id) if !(opts.collision_audit && on_audit_stripe(fp)) => Succ::Known(t_id),
+            _ => Succ::Open {
+                inv_err: if known.is_none() {
+                    model.invariant(&state).err()
+                } else {
+                    None
+                },
+                label,
+                state,
+                fp,
+            },
+        });
+    }
 
     Expansion {
         id,
         quiescent,
         deadlock: None,
-        reduced,
-        pruned,
-        kind_heads: kind_heads.into_iter().collect(),
+        pruned: (generated - taken.len()) as u32,
+        new_kinds,
         taken,
     }
 }
@@ -309,25 +378,33 @@ where
         opts.workers
     };
 
-    let mut store = FpStore::new();
-    // Full canonical states retained on the audit stripe (fp low nibble
-    // zero, 1/16 of states) when collision auditing is on.
-    let mut stripe: HashMap<u128, M::State> = HashMap::new();
+    // Fingerprint → state id. Workers share it read-only during
+    // expansion; the merge phase writes.
+    let mut store: FpMap<u32> = FpMap::default();
+    // Full canonical states retained on the audit stripe when collision
+    // auditing is on.
+    let mut stripe: FpMap<M::State> = FpMap::default();
     let mut audited: u64 = 0;
     // Per-id data. Labels are interned: the parent chain stores (parent
     // id, label index); roots are self-parented.
     let mut fps: Vec<u128> = Vec::new();
     let mut parent: Vec<(u32, u32)> = Vec::new();
-    let mut edges: Vec<Vec<u32>> = Vec::new();
     let mut quiescent: Vec<bool> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     let mut label_ids: HashMap<String, u32> = HashMap::new();
+    // Edges in CSR form: state `u`'s successors are
+    // `edge_to[edge_start[u]..edge_start[u + 1]]`. States are expanded
+    // in id order, so each expansion appends its own run.
+    let mut edge_start: Vec<usize> = Vec::new();
+    let mut edge_to: Vec<u32> = Vec::new();
 
     let mut kinds: BTreeSet<String> = BTreeSet::new();
     let mut transitions: u64 = 0;
     let mut depth = 0usize;
     let mut por_states_reduced = 0usize;
     let mut por_pruned: u64 = 0;
+    let mut expand_s = 0.0;
+    let mut merge_s = 0.0;
 
     let mut frontier: Vec<(u32, M::State)> = Vec::new();
     for s in model.initial() {
@@ -344,14 +421,13 @@ where
             s
         };
         let fp = fingerprint(&c);
-        if store.get(fp).is_none() {
-            let id = fps.len() as u32;
-            store.insert(fp, id);
+        let id = fps.len() as u32;
+        if let Entry::Vacant(slot) = store.entry(fp) {
+            slot.insert(id);
             fps.push(fp);
             parent.push((id, u32::MAX));
-            edges.push(Vec::new());
             quiescent.push(false);
-            if opts.collision_audit && fp & 0xF == 0 {
+            if opts.collision_audit && on_audit_stripe(fp) {
                 stripe.insert(fp, c.clone());
             }
             frontier.push((id, c));
@@ -374,27 +450,26 @@ where
         // Fan the level out in deterministic batches: the pool claims
         // batches dynamically but returns results in submission order,
         // so the merge below is schedule-independent.
+        let t = Instant::now();
         let batch = (frontier.len() / (workers.max(1) * 8)).clamp(1, 1024);
-        let level: Vec<Vec<(u32, M::State)>> = {
-            let mut batches = Vec::new();
-            let mut it = frontier.into_iter().peekable();
-            while it.peek().is_some() {
-                batches.push(it.by_ref().take(batch).collect());
-            }
-            batches
-        };
-        let results: Vec<Vec<Expansion<M::State>>> = par_map_threads(level, workers, |chunk| {
-            chunk
-                .iter()
-                .map(|(id, s)| expand(model, &store, opts, *id, s))
-                .collect()
-        });
+        let results: Vec<Vec<Expansion<M::State>>> =
+            par_map_threads(frontier.chunks(batch).collect(), workers, |chunk| {
+                chunk
+                    .iter()
+                    .map(|(id, s)| expand(model, opts, &store, &kinds, *id, s))
+                    .collect()
+            });
+        drop(frontier);
+        expand_s += t.elapsed().as_secs_f64();
 
         // Sequential merge in frontier order, successors in generation
         // order — exactly the order the sequential BFS discovers them.
+        let t = Instant::now();
         let mut next: Vec<(u32, M::State)> = Vec::new();
         for exp in results.into_iter().flatten() {
             let id = exp.id;
+            debug_assert_eq!(edge_start.len(), id as usize, "expanded out of id order");
+            edge_start.push(edge_to.len());
             quiescent[id as usize] = exp.quiescent;
             if let Some(state) = exp.deadlock {
                 return Err(Box::new(Violation {
@@ -403,15 +478,27 @@ where
                     state,
                 }));
             }
-            if exp.reduced {
+            if exp.pruned > 0 {
                 por_states_reduced += 1;
                 por_pruned += u64::from(exp.pruned);
             }
-            kinds.extend(exp.kind_heads);
-            for (label, c, fp, inv_err) in exp.taken {
+            kinds.extend(exp.new_kinds);
+            for succ in exp.taken {
                 transitions += 1;
-                let t_id = match store.get(fp) {
-                    Some(i) => {
+                let (label, c, fp, inv_err) = match succ {
+                    Succ::Known(t_id) => {
+                        edge_to.push(t_id);
+                        continue;
+                    }
+                    Succ::Open {
+                        label,
+                        state,
+                        fp,
+                        inv_err,
+                    } => (label, state, fp, inv_err),
+                };
+                let t_id = match store.get(&fp) {
+                    Some(&i) => {
                         if let Some(full) = stripe.get(&fp) {
                             assert!(
                                 *full == c,
@@ -444,33 +531,49 @@ where
                         store.insert(fp, i);
                         fps.push(fp);
                         parent.push((id, l));
-                        edges.push(Vec::new());
                         quiescent.push(false);
-                        if opts.collision_audit && fp & 0xF == 0 {
+                        if opts.collision_audit && on_audit_stripe(fp) {
                             stripe.insert(fp, c.clone());
                         }
                         next.push((i, c));
                         i
                     }
                 };
-                edges[id as usize].push(t_id);
+                edge_to.push(t_id);
             }
         }
         if !next.is_empty() {
             depth += 1;
         }
         frontier = next;
+        merge_s += t.elapsed().as_secs_f64();
     }
+    edge_start.push(edge_to.len());
 
     // Progress: every state can reach a quiescent state (EF quiescence),
     // via backward reachability — same algorithm as the sequential
     // checker, over the (possibly reduced) explored graph.
+    let mut progress_s = 0.0;
     if opts.check_progress {
+        let t = Instant::now();
         let n = fps.len();
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, outs) in edges.iter().enumerate() {
-            for &v in outs {
-                rev[v as usize].push(u as u32);
+        // Reverse edges in CSR form by counting sort: count in-degrees,
+        // turn them into bucket ends, then fill each bucket backwards so
+        // `rev_start[v]` ends at the start of `v`'s bucket.
+        let mut rev_start = vec![0usize; n + 1];
+        for &v in &edge_to {
+            rev_start[v as usize] += 1;
+        }
+        let mut end = 0;
+        for slot in &mut rev_start {
+            end += *slot;
+            *slot = end;
+        }
+        let mut rev_from = vec![0u32; edge_to.len()];
+        for u in 0..n {
+            for &v in &edge_to[edge_start[u]..edge_start[u + 1]] {
+                rev_start[v as usize] -= 1;
+                rev_from[rev_start[v as usize]] = u as u32;
             }
         }
         let mut ok = vec![false; n];
@@ -479,7 +582,8 @@ where
             ok[i as usize] = true;
         }
         while let Some(u) = stack.pop() {
-            for &v in &rev[u as usize] {
+            let u = u as usize;
+            for &v in &rev_from[rev_start[u]..rev_start[u + 1]] {
                 if !ok[v as usize] {
                     ok[v as usize] = true;
                     stack.push(v);
@@ -496,6 +600,7 @@ where
                 state,
             }));
         }
+        progress_s = t.elapsed().as_secs_f64();
     }
 
     Ok(ExploreReport {
@@ -509,6 +614,9 @@ where
         por_pruned,
         audited,
         kinds,
+        expand_s,
+        merge_s,
+        progress_s,
     })
 }
 

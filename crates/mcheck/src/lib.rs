@@ -19,6 +19,7 @@
 pub mod checker;
 pub mod dir_model;
 pub mod explore;
+pub mod inline_vec;
 pub mod token_model;
 
 pub use checker::{
@@ -26,6 +27,7 @@ pub use checker::{
 };
 pub use dir_model::{DirModel, DirModelParams};
 pub use explore::{check_parallel, ExploreReport};
+pub use inline_vec::InlineVec;
 pub use token_model::{SubstrateMode, TokenModel, TokenModelParams};
 
 /// Non-comment, non-blank line counts of the protocol specifications —

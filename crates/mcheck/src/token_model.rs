@@ -25,8 +25,26 @@
 //! tokens, bounded in-flight messages, bounded writes to keep the value
 //! domain exact).
 
+use std::iter::repeat_n;
+
 use crate::checker::{ActionMeta, Model};
 use crate::explore::permutations;
+use crate::inline_vec::InlineVec;
+
+/// Most caches a [`TokenModel`] (or [`crate::DirModel`]) may have: the
+/// inline state is sized for it (DESIGN.md §17).
+pub(crate) const MAX_CACHES: usize = 4;
+/// Most recreations ([`TokenModelParams::max_serials`]) the lost-token
+/// ledger has room for.
+const MAX_SERIALS: u8 = 3;
+const MAX_NODES: usize = MAX_CACHES + 1;
+/// Room for in-flight messages; [`TokenModelParams::net_bound`] must fit.
+const NET_CAP: usize = 12;
+/// The lost-token ledger has one entry per serial.
+const LOST_CAP: usize = MAX_SERIALS as usize + 1;
+/// Room for queued arbiter requests: each cache queues at most once and
+/// the active one is not queued, so `caches - 1`.
+const ARB_CAP: usize = MAX_CACHES - 1;
 
 /// Which starvation-avoidance mechanism the model includes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,11 +119,30 @@ impl TokenModelParams {
             ..TokenModelParams::small(mode)
         }
     }
+
+    /// The most messages in flight in any reachable state: at most
+    /// `max_inflight` token bundles, at most `caches` recreation
+    /// handshakes (one per invalidated cache), and under a persistent
+    /// mechanism the control messages an issue or completion may add
+    /// within the control budget — each broadcasts to at most `caches`
+    /// nodes (distributed), or adds one request or notice while the
+    /// arbiter's activations for its one active request number at most
+    /// `caches`.
+    fn net_bound(&self) -> usize {
+        let handshakes = if self.recovery { self.caches } else { 0 };
+        let control = match self.mode {
+            SubstrateMode::SafetyOnly => 0,
+            SubstrateMode::Distributed | SubstrateMode::Arbiter => {
+                self.max_ctl_inflight + self.caches
+            }
+        };
+        self.max_inflight + handshakes + control
+    }
 }
 
 /// Per-node token state (caches and memory obey identical rules — the
 /// substrate is flat).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NodeSt {
     /// Tokens held.
     pub tokens: u8,
@@ -118,16 +155,17 @@ pub struct NodeSt {
 }
 
 /// Read or write persistent request.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum PKind {
     /// Needs one token (and leaves read permission elsewhere).
+    #[default]
     Read,
     /// Needs all tokens.
     Write,
 }
 
 /// A network message.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum TMsg {
     /// A token bundle to `dst`.
     Tokens {
@@ -205,6 +243,13 @@ pub enum TMsg {
     },
 }
 
+/// Filler for the unused slots of an [`InlineVec`]; never observed.
+impl Default for TMsg {
+    fn default() -> TMsg {
+        TMsg::RecreateAck { serial: 0 }
+    }
+}
+
 /// A persistent-table entry at some node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct TableEntry {
@@ -214,35 +259,38 @@ pub struct TableEntry {
     pub marked: bool,
 }
 
-/// The global model state.
+/// The global model state. Every sequence is an [`InlineVec`] sized by
+/// the bounds [`TokenModel::new`] enforces, so a state never allocates
+/// and hashes, compares and prints exactly as `Vec`s holding the same
+/// elements would.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct TState {
     /// Caches `0..caches`, then memory at index `caches`.
-    pub nodes: Vec<NodeSt>,
+    pub nodes: InlineVec<NodeSt, MAX_NODES>,
     /// In-flight messages (kept sorted: a multiset).
-    pub net: Vec<TMsg>,
+    pub net: InlineVec<TMsg, NET_CAP>,
     /// Specification variable: the last written version.
     pub current: u8,
     /// Writes performed so far.
     pub writes: u8,
     /// Per-cache outstanding persistent request.
-    pub my_req: Vec<Option<PKind>>,
+    pub my_req: InlineVec<Option<PKind>, MAX_CACHES>,
     /// `tables[node][proc]`: remembered persistent requests.
-    pub tables: Vec<Vec<Option<TableEntry>>>,
+    pub tables: InlineVec<InlineVec<Option<TableEntry>, MAX_CACHES>, MAX_NODES>,
     /// Arbiter queue at memory (FIFO).
-    pub arb_queue: Vec<(u8, PKind)>,
+    pub arb_queue: InlineVec<(u8, PKind), ARB_CAP>,
     /// Arbiter's currently active request.
     pub arb_current: Option<(u8, PKind)>,
     /// Per-node recreation serial (all 0 without recovery). The
     /// authority's entry (`serials[mem]`) is the block's current serial.
-    pub serials: Vec<u8>,
+    pub serials: InlineVec<u8, MAX_NODES>,
     /// An in-progress recreation at the authority: `(serial, acks
     /// still awaited)`.
     pub recreating: Option<(u8, u8)>,
     /// Tokens the interconnect destroyed, indexed by serial:
     /// `(count, owner lost)`. Conservation holds per epoch *modulo*
     /// this ledger.
-    pub lost: Vec<(u8, bool)>,
+    pub lost: InlineVec<(u8, bool), LOST_CAP>,
 }
 
 /// The token substrate model.
@@ -254,7 +302,38 @@ pub struct TokenModel {
 
 impl TokenModel {
     /// Creates the model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` needs more room than the inline state has: more
+    /// than 4 caches, more than 3 recreations (`max_serials`), a bound
+    /// on in-flight messages above 12 (`max_inflight`, plus `caches`
+    /// recreation handshakes under recovery, plus `max_ctl_inflight +
+    /// caches` control messages under a persistent mechanism), or,
+    /// under arbiter activation, more than one control message in
+    /// flight (the bound that keeps each cache queued at most once).
+    /// Also panics unless `tokens > caches + 1`.
     pub fn new(p: TokenModelParams) -> TokenModel {
+        assert!(
+            p.caches <= MAX_CACHES,
+            "TokenModel holds at most {MAX_CACHES} caches, got {}",
+            p.caches
+        );
+        assert!(
+            p.max_serials <= MAX_SERIALS,
+            "TokenModel max_serials is at most {MAX_SERIALS}, got {}",
+            p.max_serials
+        );
+        assert!(
+            p.net_bound() <= NET_CAP,
+            "TokenModel net bound {} exceeds the {NET_CAP}-message capacity",
+            p.net_bound()
+        );
+        assert!(
+            p.mode != SubstrateMode::Arbiter || p.max_ctl_inflight <= 1,
+            "TokenModel arbiter queue bound needs max_ctl_inflight <= 1, got {}",
+            p.max_ctl_inflight
+        );
         assert!(p.tokens as usize > p.caches + 1, "need T > holders");
         TokenModel { p }
     }
@@ -337,15 +416,7 @@ impl Model for TokenModel {
 
     fn initial(&self) -> Vec<TState> {
         let n = self.n_nodes();
-        let mut nodes = vec![
-            NodeSt {
-                tokens: 0,
-                owner: false,
-                data: false,
-                val: 0,
-            };
-            n
-        ];
+        let mut nodes: InlineVec<NodeSt, MAX_NODES> = repeat_n(NodeSt::default(), n).collect();
         nodes[self.mem()] = NodeSt {
             tokens: self.p.tokens,
             owner: true,
@@ -354,16 +425,16 @@ impl Model for TokenModel {
         };
         vec![TState {
             nodes,
-            net: Vec::new(),
+            net: InlineVec::new(),
             current: 0,
             writes: 0,
-            my_req: vec![None; self.p.caches],
-            tables: vec![vec![None; self.p.caches]; n],
-            arb_queue: Vec::new(),
+            my_req: repeat_n(None, self.p.caches).collect(),
+            tables: repeat_n(repeat_n(None, self.p.caches).collect(), n).collect(),
+            arb_queue: InlineVec::new(),
             arb_current: None,
-            serials: vec![0; n],
+            serials: repeat_n(0, n).collect(),
             recreating: None,
-            lost: vec![(0, false); self.p.max_serials as usize + 1],
+            lost: repeat_n((0, false), self.p.max_serials as usize + 1).collect(),
         }]
     }
 
@@ -433,7 +504,7 @@ impl Model for TokenModel {
             if s.nodes[mem].tokens > 0 {
                 for dst in 0..self.p.caches {
                     let mut t = s.clone();
-                    let st = s.nodes[mem].clone();
+                    let st = s.nodes[mem];
                     let bundle = (st.tokens, st.owner, st.data);
                     Self::apply_grant(&mut t.nodes[mem], bundle);
                     t.net.push(TMsg::Tokens {
@@ -512,7 +583,7 @@ impl Model for TokenModel {
                 TMsg::RecreateInval { dst, serial } => {
                     let d = dst as usize;
                     t.serials[d] = serial;
-                    let nd = t.nodes[d].clone();
+                    let nd = t.nodes[d];
                     if nd.owner && nd.data {
                         // StaleDataReturn: a destroyed owner hands its
                         // data back to the authority before the ack
@@ -1095,7 +1166,7 @@ impl TokenModel {
         let node_map = |i: usize| if i < nc { perm[i] } else { i };
         let mut t = s.clone();
         for (i, &to) in perm.iter().enumerate() {
-            t.nodes[to] = s.nodes[i].clone();
+            t.nodes[to] = s.nodes[i];
             t.serials[to] = s.serials[i];
             t.my_req[to] = s.my_req[i];
         }
@@ -1213,6 +1284,69 @@ mod tests {
         });
         let err = m.invariant(&s).unwrap_err();
         assert!(err.contains("future serial"), "{err}");
+    }
+
+    /// Every shipped configuration fits the inline state, and so does
+    /// each mode at the four-cache limit.
+    #[test]
+    fn shipped_and_four_cache_configurations_fit() {
+        for mode in [
+            SubstrateMode::SafetyOnly,
+            SubstrateMode::Distributed,
+            SubstrateMode::Arbiter,
+        ] {
+            for p in [
+                TokenModelParams::small(mode),
+                TokenModelParams::small_recovery(mode),
+                TokenModelParams {
+                    caches: MAX_CACHES,
+                    tokens: 6,
+                    ..TokenModelParams::small_recovery(mode)
+                },
+            ] {
+                assert!(p.net_bound() <= NET_CAP, "{p:?}");
+                let s = TokenModel::new(p).initial().remove(0);
+                assert_eq!(s.nodes.len(), p.caches + 1);
+                assert_eq!(s.tables.len(), p.caches + 1);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 caches")]
+    fn rejects_more_than_four_caches() {
+        let _ = TokenModel::new(TokenModelParams {
+            caches: 5,
+            tokens: 8,
+            ..TokenModelParams::small(SubstrateMode::SafetyOnly)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_serials is at most 3")]
+    fn rejects_more_serials_than_the_ledger_holds() {
+        let _ = TokenModel::new(TokenModelParams {
+            max_serials: 4,
+            ..TokenModelParams::small_recovery(SubstrateMode::SafetyOnly)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 12-message capacity")]
+    fn rejects_a_net_bound_above_capacity() {
+        let _ = TokenModel::new(TokenModelParams {
+            max_inflight: 9,
+            ..TokenModelParams::small_recovery(SubstrateMode::Distributed)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "arbiter queue bound needs max_ctl_inflight <= 1")]
+    fn rejects_an_arbiter_queue_without_a_bound() {
+        let _ = TokenModel::new(TokenModelParams {
+            max_ctl_inflight: 2,
+            ..TokenModelParams::small(SubstrateMode::Arbiter)
+        });
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!    planted violation the sequential BFS finds, demonstrating the
 //!    differential suite actually has teeth.
 
+use std::collections::HashSet;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
 use tokencmp::mcheck::checker::ActionMeta;
+use tokencmp::mcheck::explore::fingerprint;
 use tokencmp::mcheck::{
     check, check_parallel, reachable_kinds, CheckOptions, DirModel, DirModelParams, Model,
     SubstrateMode, TokenModel, TokenModelParams,
@@ -414,6 +418,90 @@ fn lying_independence_misses_the_order_dependent_violation() {
     );
     check_parallel(&LyingPor { lie: true }, &opts)
         .expect("the lying footprint must (unsoundly) hide the violation");
+}
+
+// ---------------------------------------------------------------------------
+// Search identity: the explorer's one-walk fingerprint equals the
+// two-walk streaming form it replaced, on every reachable state, and the
+// benchmark's reduced search keeps its exact shape.
+// ---------------------------------------------------------------------------
+
+/// The streaming fingerprint, kept here as the oracle: each seeded
+/// `DefaultHasher` pass walks the state itself.
+fn streaming_fingerprint<S: Hash>(s: &S) -> u128 {
+    let mut lo = DefaultHasher::new();
+    0u64.hash(&mut lo);
+    s.hash(&mut lo);
+    let mut hi = DefaultHasher::new();
+    0x9E37_79B9_7F4A_7C15u64.hash(&mut hi);
+    s.hash(&mut hi);
+    ((hi.finish() as u128) << 64) | lo.finish() as u128
+}
+
+/// Walks every reachable state of `model`, asserting that the state and
+/// its canonical form fingerprint identically under both forms.
+/// Returns the number of states walked.
+fn assert_fingerprint_identity<M: Model>(model: &M, name: &str) -> usize {
+    let mut seen: HashSet<M::State> = model.initial().into_iter().collect();
+    let mut stack: Vec<M::State> = seen.iter().cloned().collect();
+    let mut succs = Vec::new();
+    while let Some(s) = stack.pop() {
+        for t in [&s, &model.canonicalize(&s)] {
+            assert_eq!(
+                fingerprint(t),
+                streaming_fingerprint(t),
+                "{name}: fingerprint of {t:?}"
+            );
+        }
+        model.successors(&s, &mut succs);
+        for (_, t) in succs.drain(..) {
+            if !seen.contains(&t) {
+                seen.insert(t.clone());
+                stack.push(t);
+            }
+        }
+    }
+    seen.len()
+}
+
+#[test]
+fn fingerprint_equals_the_streaming_oracle_on_every_reachable_state() {
+    for mode in [
+        SubstrateMode::SafetyOnly,
+        SubstrateMode::Distributed,
+        SubstrateMode::Arbiter,
+    ] {
+        let m = TokenModel::new(TokenModelParams::small(mode));
+        let seq = check(&m, &CheckOptions::default()).unwrap();
+        let walked = assert_fingerprint_identity(&m, &format!("token/{mode:?}"));
+        assert_eq!(walked, seq.states, "token/{mode:?}: walk covers the space");
+    }
+    let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
+    assert_eq!(assert_fingerprint_identity(&m, "token/recovery"), 94_270);
+    let d = DirModel::new(DirModelParams::small());
+    assert_eq!(assert_fingerprint_identity(&d, "dir"), 104_600);
+}
+
+/// The `mcheck-recovery` benchmark workload's search: one worker,
+/// symmetry and partial-order reduction on.
+#[test]
+fn benchmark_search_shape_is_pinned() {
+    let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::Arbiter));
+    let r = check_parallel(
+        &m,
+        &CheckOptions {
+            workers: 1,
+            symmetry: true,
+            por: true,
+            ..CheckOptions::default()
+        },
+    )
+    .expect("small_recovery/Arbiter verifies");
+    assert!(r.progress_checked);
+    assert_eq!(
+        (r.states, r.transitions, r.depth, r.kinds.len()),
+        (310_082, 1_112_165, 56, 16)
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -600,11 +600,8 @@ impl TokenL1 {
                     proc: self.proc,
                     epoch,
                 };
-                for node in self.layout.all_coherence_nodes() {
-                    if node != self.me {
-                        ctx.send(node, msg);
-                    }
-                }
+                let others = self.layout.all_coherence_nodes().into_iter();
+                ctx.send_all(others.filter(|&n| n != self.me), msg);
             }
             Activation::Arbiter => {
                 let home = self.layout.mem(self.cfg.home_of(block));
@@ -651,22 +648,16 @@ impl TokenL1 {
             // Original TokenB: broadcast directly to every cache in the
             // system plus the block's home memory controller, ignoring
             // the hierarchy (§4 explains why this scales poorly).
-            for node in self.layout.all_caches() {
-                if node != self.me {
-                    ctx.send_after(issue_delay, node, req);
-                }
-            }
+            let caches = self.layout.all_caches().into_iter();
             let home = self.layout.mem(self.cfg.home_of(block));
-            ctx.send_after(issue_delay, home, req);
+            let dsts = caches.filter(|&n| n != self.me).chain([home]);
+            ctx.send_all_after(issue_delay, dsts, req);
         } else {
             let cmp = self.layout.cmp_of_proc(self.proc);
-            for l1 in self.layout.l1s_on(cmp) {
-                if l1 != self.me {
-                    ctx.send_after(issue_delay, l1, req);
-                }
-            }
-            let bank = self.cfg.l2_bank_of(block);
-            ctx.send_after(issue_delay, self.layout.l2(cmp, bank), req);
+            let l1s = self.layout.l1s_on(cmp).into_iter();
+            let bank = self.layout.l2(cmp, self.cfg.l2_bank_of(block));
+            let dsts = l1s.filter(|&n| n != self.me).chain([bank]);
+            ctx.send_all_after(issue_delay, dsts, req);
         }
         // Timeout with pseudo-random backoff to avoid lock-step retries.
         let theta = self.timeout_threshold();
@@ -725,11 +716,8 @@ impl TokenL1 {
                     kind,
                     epoch,
                 };
-                for node in self.layout.all_coherence_nodes() {
-                    if node != self.me {
-                        ctx.send(node, msg);
-                    }
-                }
+                let others = self.layout.all_coherence_nodes().into_iter();
+                ctx.send_all(others.filter(|&n| n != self.me), msg);
                 self.arm_recovery_timer(ctx);
                 // We may already hold enough tokens (e.g. a racing
                 // response arrived just before escalation).

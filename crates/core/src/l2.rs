@@ -399,12 +399,9 @@ impl TokenL2 {
             }
             None => self.layout.cmp_ids().filter(|&c| c != self.cmp).collect(),
         };
-        for c in targets {
-            ctx.send_after(self.cfg.l2_latency, self.layout.l2(c, self.bank), req);
-        }
-        if home == self.cmp {
-            ctx.send_after(self.cfg.l2_latency, self.layout.mem(self.cmp), req);
-        }
+        let banks = targets.into_iter().map(|c| self.layout.l2(c, self.bank));
+        let mem = (home == self.cmp).then(|| self.layout.mem(self.cmp));
+        ctx.send_all_after(self.cfg.l2_latency, banks.chain(mem), req);
     }
 
     /// A transient request arriving from another chip: answer per the
@@ -424,18 +421,6 @@ impl TokenL2 {
                 self.drop_if_empty(block);
             }
         }
-        // The home chip relays external requests to its memory controller
-        // over the dedicated memory link.
-        if self.cfg.home_of(block) == self.cmp {
-            let req = TokenMsg::Transient {
-                block,
-                requester,
-                kind,
-                external: true,
-                hint: None,
-            };
-            ctx.send_after(self.cfg.l2_latency, self.layout.mem(self.cmp), req);
-        }
         let req = TokenMsg::Transient {
             block,
             requester,
@@ -443,19 +428,25 @@ impl TokenL2 {
             external: true,
             hint: None,
         };
+        // The home chip relays external requests to its memory controller
+        // over the dedicated memory link, ahead of the local L1s.
+        let mem = (self.cfg.home_of(block) == self.cmp).then(|| self.layout.mem(self.cmp));
         let mask = self
             .filter
             .as_ref()
             .map(|f| f.get(&block).copied().unwrap_or(0));
-        for (idx, l1) in self.layout.l1s_on(self.cmp).into_iter().enumerate() {
-            let wanted = mask.is_none_or(|m| m & (1u64 << idx) != 0);
-            if wanted {
-                self.stats.forwarded_to_l1 += 1;
-                ctx.send_after(self.cfg.l2_latency, l1, req);
+        let stats = &mut self.stats;
+        let l1s = self.layout.l1s_on(self.cmp).into_iter().enumerate();
+        let wanted = l1s.filter_map(|(idx, l1)| {
+            if mask.is_none_or(|m| m & (1u64 << idx) != 0) {
+                stats.forwarded_to_l1 += 1;
+                Some(l1)
             } else {
-                self.stats.filtered += 1;
+                stats.filtered += 1;
+                None
             }
-        }
+        });
+        ctx.send_all_after(self.cfg.l2_latency, mem.into_iter().chain(wanted), req);
     }
 }
 

@@ -350,11 +350,12 @@ impl TokenMem {
     }
 
     fn broadcast_arb(&mut self, msg: TokenMsg, ctx: &mut Ctx<'_, TokenMsg>) {
-        for node in self.layout.all_coherence_nodes() {
-            if node != self.me {
-                ctx.send_after(self.cfg.memctl_latency, node, msg);
-            }
-        }
+        let others = self.layout.all_coherence_nodes().into_iter();
+        ctx.send_all_after(
+            self.cfg.memctl_latency,
+            others.filter(|&n| n != self.me),
+            msg,
+        );
         // Apply to our own table as well.
         if let Some(block) = self.persistent.apply(&msg) {
             if let Some(t) = &self.trace {
@@ -492,13 +493,10 @@ impl TokenMem {
             block,
             serial: new_serial,
         };
-        let mut awaiting = 0;
-        for node in self.layout.all_coherence_nodes() {
-            if node != self.me {
-                ctx.send_after(self.cfg.memctl_latency, node, msg);
-                awaiting += 1;
-            }
-        }
+        let mut others = self.layout.all_coherence_nodes();
+        others.retain(|&n| n != self.me);
+        let awaiting = others.len() as u32;
+        ctx.send_all_after(self.cfg.memctl_latency, others, msg);
         self.recreating.insert(
             block,
             Recreation {

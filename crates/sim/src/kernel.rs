@@ -138,6 +138,8 @@ pub struct Ctx<'a, M> {
     transport: &'a mut dyn Transport<M>,
     stopped: &'a mut bool,
     last_progress: &'a mut Time,
+    /// Scratch for the surviving copies of a [`send_all_after`](Ctx::send_all_after).
+    fan_buf: &'a mut Vec<(Time, NodeId)>,
     /// Set only while the host-time profiler is sampling *this* event;
     /// the send/wake paths then time their dispatch and push scopes.
     profiler: Option<&'a RefCell<HostProfiler>>,
@@ -180,6 +182,42 @@ impl<M> Ctx<'_, M> {
         };
         prof.borrow_mut()
             .add_send(t1.duration_since(t0).as_nanos() as u64, push_ns);
+    }
+
+    /// Sends one copy of `msg` to every node of `dsts` now.
+    pub fn send_all(&mut self, dsts: impl IntoIterator<Item = NodeId>, msg: M) {
+        self.send_all_after(Dur::ZERO, dsts, msg);
+    }
+
+    /// Sends one copy of `msg` to every node of `dsts` after a local
+    /// processing delay of `delay` — a broadcast.
+    ///
+    /// Each copy goes through the transport in `dsts` order, and takes
+    /// the sequence number, exactly as a [`send_after`](Self::send_after)
+    /// loop over `dsts` would, so delivery order is the same; a dropped
+    /// copy takes none. The queue stores the surviving copies as one
+    /// fan-out ([`EventQueue::push_fan`]). Under profiling the call is
+    /// one send: one dispatch scope over all its transport calls and one
+    /// push scope for the fan-out.
+    pub fn send_all_after(&mut self, delay: Dur, dsts: impl IntoIterator<Item = NodeId>, msg: M) {
+        let depart = self.now + delay;
+        let src = self.self_id;
+        let t0 = self.profiler.map(|_| Instant::now());
+        self.fan_buf.clear();
+        for dst in dsts {
+            if let Delivery::At(arrive) = self.transport.dispatch(depart, src, dst, &msg) {
+                debug_assert!(arrive >= depart);
+                self.fan_buf.push((arrive, dst));
+            }
+        }
+        let t1 = self.profiler.map(|_| Instant::now());
+        self.queue.push_fan(src, msg, self.fan_buf);
+        if let (Some(prof), Some(t0), Some(t1)) = (self.profiler, t0, t1) {
+            prof.borrow_mut().add_send(
+                t1.duration_since(t0).as_nanos() as u64,
+                t1.elapsed().as_nanos() as u64,
+            );
+        }
     }
 
     /// Schedules a wakeup for this component `delay` from now.
@@ -256,9 +294,11 @@ pub struct Kernel<M> {
     prof_countdown: u32,
     /// Skipped events not yet folded into the profiler's event count.
     prof_skipped: u64,
+    /// Backing store of [`Ctx`]'s broadcast scratch, kept across events.
+    fan_buf: Vec<(Time, NodeId)>,
 }
 
-impl<M: 'static> Kernel<M> {
+impl<M: Clone + 'static> Kernel<M> {
     /// Creates a kernel using the given transport.
     pub fn new(transport: Box<dyn Transport<M>>) -> Kernel<M> {
         Kernel {
@@ -275,6 +315,7 @@ impl<M: 'static> Kernel<M> {
             profiler: None,
             prof_countdown: 0,
             prof_skipped: 0,
+            fan_buf: Vec::new(),
         }
     }
 
@@ -396,18 +437,19 @@ impl<M: 'static> Kernel<M> {
         }
     }
 
-    /// A snapshot of the pending events, sorted by `(time, seq)` — the
-    /// order they would be delivered in — used by harnesses to build an
-    /// in-flight message census for watchdog diagnostics. The sort keeps
-    /// stall dumps independent of heap layout.
-    pub fn pending_events(&self) -> Vec<&QueuedEvent<M>> {
+    /// A snapshot of the pending events, one per pending copy of a
+    /// broadcast, sorted by `(time, seq)` — the order they would be
+    /// delivered in — used by harnesses to build an in-flight message
+    /// census for watchdog diagnostics. The sort keeps stall dumps
+    /// independent of the queue's layout.
+    pub fn pending_events(&self) -> Vec<QueuedEvent<M>> {
         self.queue.census()
     }
 
-    /// [`pending_events`](Self::pending_events) in heap-internal order,
-    /// for callers that only aggregate over the census (the telemetry
-    /// sampler) and should not pay for the sort.
-    pub fn pending_events_unordered(&self) -> Vec<&QueuedEvent<M>> {
+    /// [`pending_events`](Self::pending_events) in the queue's layout
+    /// order, for callers that only aggregate over the census (the
+    /// telemetry sampler) and should not pay for the sort.
+    pub fn pending_events_unordered(&self) -> Vec<QueuedEvent<M>> {
         self.queue.iter().collect()
     }
 
@@ -469,6 +511,7 @@ impl<M: 'static> Kernel<M> {
             transport: self.transport.as_mut(),
             stopped: &mut self.stopped,
             last_progress: &mut self.last_progress,
+            fan_buf: &mut self.fan_buf,
             profiler: prof.as_deref(),
         };
         match ev.kind {
@@ -882,6 +925,159 @@ mod tests {
         for needle in ["sched.pop", "sched.push", "net.dispatch", "handler.named"] {
             assert!(cats.contains(&needle), "missing {needle} in {cats:?}");
         }
+    }
+
+    /// Broadcasts on every wake and re-broadcasts every message with one
+    /// hop fewer, to a subset of its peers picked from the payload, either
+    /// as a `send_after` loop or as one `send_all_after`. Some messages
+    /// also schedule a wakeup, so fans tie with pending single events.
+    #[derive(Debug)]
+    struct Caster {
+        fan: bool,
+        peers: Vec<NodeId>,
+        casts: u64,
+        wakes: u64,
+    }
+
+    impl Caster {
+        fn cast(&mut self, msg: u64, ctx: &mut Ctx<'_, u64>) {
+            let delay = Dur::from_ps(msg % 4 * 500);
+            let dsts = self
+                .peers
+                .iter()
+                .copied()
+                .filter(|p| !(msg + u64::from(p.0)).is_multiple_of(3));
+            self.casts += 1;
+            if self.fan {
+                ctx.send_all_after(delay, dsts, msg);
+            } else {
+                for dst in dsts {
+                    ctx.send_after(delay, dst, msg);
+                }
+            }
+        }
+    }
+
+    impl Component<u64> for Caster {
+        fn on_msg(&mut self, _: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+            // Every message or wake a cast causes is a thousand lower, so
+            // the script ends.
+            if msg >= 1000 {
+                if msg % 5 == 1 {
+                    self.wakes += 1;
+                    ctx.wake_in(Dur::from_ns(msg % 3), msg - 1000);
+                }
+                self.cast(msg - 1000 + u64::from(ctx.self_id.0), ctx);
+            }
+        }
+        fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
+            self.cast(tag, ctx);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Verdicts from a call counter, so they depend on dispatch order:
+    /// one in five copies is dropped, two in five arrive on a shared
+    /// 3 ns tick, the rest after 1 to 7 ns.
+    struct Scripted {
+        calls: u64,
+        dropped: Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Transport<u64> for Scripted {
+        fn deliver_at(&mut self, now: Time, _: NodeId, _: NodeId, _: &u64) -> Time {
+            now
+        }
+        fn dispatch(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &u64) -> Delivery {
+            self.calls += 1;
+            match (self.calls * 7 + msg + u64::from(src.0 + dst.0)) % 5 {
+                0 => {
+                    self.dropped.set(self.dropped.get() + 1);
+                    Delivery::Dropped
+                }
+                1 | 2 => Delivery::At(Time::from_ns(now.as_ps() / 1000 + 3)),
+                _ => Delivery::At(now + Dur::from_ns(1 + (self.calls + msg) % 7)),
+            }
+        }
+    }
+
+    type Log = Vec<(Time, u64, NodeId, EventKind<u64>)>;
+
+    /// Runs the caster script to completion, logging every event as it
+    /// leaves the queue (the census head before each step).
+    fn run_casters(fan: bool, prof: Option<ProfilerHandle>) -> (Log, Kernel<u64>, u64) {
+        let dropped = Rc::default();
+        let mut k: Kernel<u64> = Kernel::new(Box::new(Scripted {
+            calls: 0,
+            dropped: Rc::clone(&dropped),
+        }));
+        let peers: Vec<NodeId> = (0..5).map(NodeId).collect();
+        for &id in &peers {
+            k.add_component(Caster {
+                fan,
+                peers: peers.clone(),
+                casts: 0,
+                wakes: 0,
+            });
+            k.wake(
+                id,
+                Dur::from_ns(u64::from(id.0 % 2)),
+                3000 + u64::from(id.0),
+            );
+        }
+        if let Some(p) = prof {
+            k.set_profiler(p);
+        }
+        let mut log = Log::new();
+        while let Some(ev) = k.pending_events().into_iter().next() {
+            log.push((ev.time, ev.seq(), ev.dst, ev.kind));
+            assert!(k.step());
+        }
+        (log, k, dropped.get())
+    }
+
+    #[test]
+    fn send_all_after_matches_a_send_after_loop() {
+        let (looped, lk, dropped) = run_casters(false, None);
+        let (fanned, fk, _) = run_casters(true, None);
+        assert_eq!(looped, fanned, "delivery logs diverged");
+        assert_eq!(lk.events_processed(), fk.events_processed());
+        assert_eq!(lk.queue.next_seq(), fk.queue.next_seq());
+        assert_eq!(lk.events_processed(), looped.len() as u64);
+        // The script exercised drops, same-time ties and re-broadcasts.
+        assert!(dropped > 0, "no copy was dropped");
+        assert!(looped.windows(2).any(|w| w[0].0 == w[1].0), "no tie");
+        assert!(looped.len() > 200, "script too short: {}", looped.len());
+    }
+
+    #[test]
+    fn a_profiled_send_all_after_is_one_send() {
+        let prof = HostProfiler::handle(1);
+        let (plain, ..) = run_casters(true, None);
+        let (log, k, _) = run_casters(true, Some(prof.clone()));
+        assert_eq!(plain, log, "profiling perturbed the run");
+        let (mut casts, mut wakes) = (0, 0);
+        for id in 0..5 {
+            let c = k.component_as::<Caster>(NodeId(id)).unwrap();
+            casts += c.casts;
+            wakes += c.wakes;
+        }
+        let report = prof.borrow().report();
+        let calls = |cat: &str| {
+            report
+                .entries
+                .iter()
+                .find(|e| e.category == cat)
+                .unwrap()
+                .calls
+        };
+        assert_eq!(calls("net.dispatch"), casts);
+        assert_eq!(calls("sched.push"), casts + wakes);
     }
 
     #[test]

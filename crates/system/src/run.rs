@@ -329,7 +329,7 @@ pub fn run_workload_traced<W: Workload + 'static>(
     (result, w)
 }
 
-fn finish<M: 'static>(
+fn finish<M: Clone + 'static>(
     kernel: &Kernel<M>,
     outcome: RunOutcome,
     runtime: Dur,
@@ -396,7 +396,7 @@ fn append_flight_dump(diagnostic: &mut Option<String>, trace: &Option<TraceHandl
 /// Builds the watchdog diagnostic snapshot for a run that did not end
 /// cleanly: kernel progress state, each processor's pending operation,
 /// and a census of in-flight messages by class.
-fn diagnose<M: CpuPort + NetMsg + 'static>(
+fn diagnose<M: CpuPort + NetMsg + Clone + 'static>(
     kernel: &Kernel<M>,
     layout: &Layout,
     outcome: RunOutcome,
@@ -422,7 +422,7 @@ fn diagnose<M: CpuPort + NetMsg + 'static>(
     let mut wakes = 0u64;
     let mut by_class = [0u64; 7];
     // The census is (time, seq)-sorted, so this count — and any future
-    // per-event dump — does not depend on heap layout.
+    // per-event dump — does not depend on the queue's layout.
     for ev in kernel.pending_events() {
         match &ev.kind {
             EventKind::Wake { .. } => wakes += 1,
@@ -440,7 +440,7 @@ fn diagnose<M: CpuPort + NetMsg + 'static>(
 
 /// Drives the kernel and computes the last-processor-done time, plus a
 /// diagnostic snapshot if the run did not end cleanly.
-fn drive<M: CpuPort + NetMsg + 'static>(
+fn drive<M: CpuPort + NetMsg + Clone + 'static>(
     kernel: &mut Kernel<M>,
     layout: &Layout,
     opts: &RunOptions,

@@ -131,7 +131,7 @@ fn tier_key(t: Tier) -> &'static str {
 /// class with the same tier mapping fault injection and the traffic
 /// account use. `layout: None` (PerfectL2's magic interconnect) counts
 /// messages under the `local` tier.
-fn base_gauges<M: NetMsg + 'static>(
+fn base_gauges<M: NetMsg + Clone + 'static>(
     kernel: &Kernel<M>,
     layout: Option<&Layout>,
     gauges: &mut BTreeMap<String, u64>,

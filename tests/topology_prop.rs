@@ -16,7 +16,11 @@
 //! * the flat fabric is the degenerate one-hop case, and reproduces the
 //!   pre-fabric simulator bit for bit on the paper's Table 3 system
 //!   (golden fingerprints over outcome, runtime, traffic, and every
-//!   counter, for all nine protocol configurations).
+//!   counter, for all nine protocol configurations);
+//! * on a multi-hop mesh, what the event-queue census exposes (the
+//!   sampled queue-depth and in-flight gauges, and the watchdog
+//!   diagnostic of an event-limited run) is pinned too, so the queue's
+//!   storage can change without changing what observers see.
 
 use proptest::prelude::*;
 use tokencmp::net::{inter_hops, inter_path, next_hop};
@@ -162,12 +166,7 @@ fn fingerprint(res: &tokencmp::system::RunResult) -> u64 {
         }
     }
     s.push_str(&format!("{}", res.counters));
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(&s)
 }
 
 /// The flat fabric must reproduce the pre-fabric simulator bit for bit:
@@ -204,6 +203,36 @@ fn flat_fabric_reproduces_pre_fabric_table3_results() {
     }
 }
 
+/// TokenCMP-dst1 locking on an 8-chip multi-hop `fabric` (2 cores and
+/// banks per chip), the pinned run of the tests below.
+fn run_multi_hop_dst1(
+    fabric: Fabric,
+    opts: &tokencmp::system::RunOptions,
+) -> tokencmp::system::RunResult {
+    let mut cfg = SystemConfig {
+        cmps: 8,
+        procs_per_cmp: 2,
+        banks_per_cmp: 2,
+        fabric,
+        ..SystemConfig::default()
+    };
+    cfg.tokens_per_block = (cfg.layout().caches() + 1).next_power_of_two();
+    cfg.validate().expect("8-chip multi-hop config");
+    let wl = tokencmp::LockingWorkload::new(16, 4, 6, 0xA11CE);
+    let proto = tokencmp::Protocol::Token(tokencmp::Variant::Dst1);
+    tokencmp::run_workload(&cfg, proto, wl, opts).0
+}
+
+/// FNV-1a over a string.
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// The multi-hop fabrics must keep their link-occupancy arithmetic and
 /// persistent-table behaviour bit for bit: TokenCMP-dst1 locking on an
 /// 8-chip 4 × 2 mesh and an 8-chip ring (2 cores and banks per chip),
@@ -218,22 +247,7 @@ fn multi_hop_fabrics_reproduce_pinned_dst1_results() {
         (Fabric::Ring, 0xf81d_e083_2e51_0cf4),
     ];
     for (fabric, want) in golden {
-        let mut cfg = SystemConfig {
-            cmps: 8,
-            procs_per_cmp: 2,
-            banks_per_cmp: 2,
-            fabric,
-            ..SystemConfig::default()
-        };
-        cfg.tokens_per_block = (cfg.layout().caches() + 1).next_power_of_two();
-        cfg.validate().expect("8-chip multi-hop config");
-        let wl = tokencmp::LockingWorkload::new(16, 4, 6, 0xA11CE);
-        let (res, _) = tokencmp::run_workload(
-            &cfg,
-            tokencmp::Protocol::Token(tokencmp::Variant::Dst1),
-            wl,
-            &tokencmp::system::RunOptions::default(),
-        );
+        let res = run_multi_hop_dst1(fabric, &tokencmp::system::RunOptions::default());
         assert!(
             res.counters.counter("l1.persistent") > 0,
             "{fabric:?}: the pinned run must exercise persistent requests"
@@ -244,4 +258,71 @@ fn multi_hop_fabrics_reproduce_pinned_dst1_results() {
             "{fabric:?}: dst1 fingerprint 0x{got:016x} != golden 0x{want:016x}"
         );
     }
+}
+
+/// What the event-queue census exposes must not depend on how the queue
+/// stores pending events. Pinned here: the sampled queue depth and every
+/// `inflight.*` gauge of the 4 × 2 mesh run above, whose distributed
+/// persistent requests broadcast to all 40 coherence nodes, digested
+/// over every sample.
+#[test]
+fn multi_hop_census_series_is_pinned() {
+    let opts = tokencmp::system::RunOptions::default().with_sampling(tokencmp::Dur::from_ns(20));
+    let res = run_multi_hop_dst1(Fabric::Mesh { cols: 4 }, &opts);
+    let series = res.series.expect("sampling was on");
+    let mut s = String::new();
+    let mut peak_persistent = 0;
+    for sample in &series.samples {
+        s.push_str(&format!("at={}", sample.at_ps));
+        for (k, v) in &sample.gauges {
+            if k == "kernel.queue_depth" || k.starts_with("inflight.") {
+                s.push_str(&format!(" {k}={v}"));
+            }
+            if k.ends_with(".persistent") {
+                peak_persistent = peak_persistent.max(*v);
+            }
+        }
+        s.push('\n');
+    }
+    assert!(
+        peak_persistent >= 39,
+        "the series must catch a persistent broadcast in flight"
+    );
+    let (got, want) = (fnv1a(&s), 0xeae1_ad69_11de_889d);
+    assert_eq!(
+        (series.samples.len(), got),
+        (261, want),
+        "census series digest 0x{got:016x} != golden 0x{want:016x}"
+    );
+}
+
+/// The watchdog diagnostic of a token run cut off by its event budget
+/// while distributed persistent broadcasts are in flight: the in-flight
+/// census counts every pending copy of every broadcast.
+#[test]
+fn event_limit_diagnostic_is_pinned() {
+    let opts = tokencmp::system::RunOptions {
+        max_events: 1_000,
+        ..tokencmp::system::RunOptions::default()
+    };
+    let res = run_multi_hop_dst1(Fabric::Mesh { cols: 4 }, &opts);
+    assert_eq!(res.outcome, tokencmp::RunOutcome::EventLimit);
+    let diag = res
+        .diagnostic
+        .expect("an event-limited run carries a snapshot");
+    let census: Vec<&str> = diag.lines().filter(|l| l.contains("in flight")).collect();
+    assert_eq!(
+        census,
+        [
+            "  in flight: 5 wakeups",
+            "  in flight: 4 \u{d7} Response Data",
+            "  in flight: 32 \u{d7} Request",
+            "  in flight: 527 \u{d7} Persistent",
+        ]
+    );
+    let (got, want) = (fnv1a(&diag), 0xe1c5_1183_f3fe_9ffe);
+    assert_eq!(
+        got, want,
+        "diagnostic digest 0x{got:016x} != golden 0x{want:016x}:\n{diag}"
+    );
 }

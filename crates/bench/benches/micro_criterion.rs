@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use tokencmp::cache::SetAssoc;
-use tokencmp::core::{DistTable, ReqKind};
-use tokencmp::proto::ProcId;
+use tokencmp::core::{PersistentBook, ReqKind};
+use tokencmp::proto::{CmpId, Layout, ProcId};
 use tokencmp::sim::{EventKind, EventQueue, NodeId, Rng, Time};
 use tokencmp::system::ScriptedWorkload;
 use tokencmp::{
@@ -48,31 +48,47 @@ fn bench_cache_array(c: &mut Criterion) {
 
 fn bench_persistent_table(c: &mut Criterion) {
     // Activate `live` requests spread `stride` processors apart over four
-    // blocks, resolve every block, then deactivate them all: the Table 3
-    // table (16 of 16 processors live) and the 1024-core mesh regime (64
-    // of 1024 live, one locking core per chip).
-    for (name, live, stride) in [
-        ("dist_table_activate_resolve", 16u16, 1u16),
-        ("dist_table_activate_resolve_1024p_64live", 64, 16),
+    // blocks, resolve every block, then deactivate them all, at one node
+    // of the system's book: the Table 3 table (16 of 16 processors live)
+    // and the 1024-core mesh regime (64 of 1024 live, one locking core
+    // per chip). The book persists across iterations, as in a run, so
+    // each iteration issues the processors' next epoch.
+    for (name, layout, live, stride) in [
+        (
+            "dist_table_activate_resolve",
+            Layout::new(4, 4, 4),
+            16u16,
+            1u16,
+        ),
+        (
+            "dist_table_activate_resolve_1024p_64live",
+            Layout::new(64, 16, 16),
+            64,
+            16,
+        ),
     ] {
+        let node = layout.mem(CmpId(0));
+        let mut t = PersistentBook::new(&layout);
+        let mut epoch = 0;
         c.bench_function(name, |b| {
             b.iter(|| {
-                let mut t = DistTable::new();
+                epoch += 1;
                 for i in 0..live {
                     let p = i * stride;
                     t.activate(
+                        node,
                         ProcId(p),
                         Block(u64::from(i % 4)),
                         NodeId(20 + u32::from(p)),
                         ReqKind::Write,
-                        1,
+                        epoch,
                     );
                 }
                 for blk in 0..4u64 {
-                    black_box(t.active_for(Block(blk)));
+                    black_box(t.active_for(node, Block(blk)));
                 }
                 for i in 0..live {
-                    t.deactivate(ProcId(i * stride), 1);
+                    t.deactivate(node, ProcId(i * stride), epoch);
                 }
             });
         });

@@ -5,12 +5,15 @@
 //! the same counting rules. The hierarchy only shows up in the performance
 //! policy's choice of who to ask first.
 
-use tokencmp_proto::Block;
+use std::cell::{Ref, RefCell};
+use std::rc::Rc;
+
+use tokencmp_proto::{Block, ProcId};
 use tokencmp_sim::NodeId;
 use tokencmp_trace::TraceEvent;
 
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
-use crate::persistent::{ActiveReq, ArbNodeTable, DistTable};
+use crate::persistent::{ActiveReq, ArbNodeTable, PersistentBook};
 
 /// Per-block token state at a holder. A line exists only while it holds at
 /// least one token; holding any token implies holding valid data (caches)
@@ -239,24 +242,78 @@ pub fn table_apply_event(msg: &TokenMsg, node: NodeId) -> Option<TraceEvent> {
     })
 }
 
-/// The persistent-request bookkeeping every coherence node carries: the
-/// distributed table and the arbiter-activated set (only one is populated
-/// in any given run, depending on the variant).
-#[derive(Clone, Debug, Default)]
+/// The persistent-request bookkeeping every coherence node carries: its
+/// view of the run's shared distributed-activation [`PersistentBook`] and
+/// its own arbiter-activated set (only one is populated in any given run,
+/// depending on the variant).
+#[derive(Clone, Debug)]
 pub struct PersistentState {
-    /// Distributed-activation table (at most one entry per processor).
-    pub dist: DistTable,
+    node: NodeId,
+    book: Rc<RefCell<PersistentBook>>,
     /// Arbiter-activated requests.
     pub arb: ArbNodeTable,
 }
 
 impl PersistentState {
+    /// The state of coherence node `node`, whose distributed table lives
+    /// in `book`.
+    pub fn new(node: NodeId, book: Rc<RefCell<PersistentBook>>) -> PersistentState {
+        PersistentState {
+            node,
+            book,
+            arb: ArbNodeTable::new(),
+        }
+    }
+
+    /// The node whose table this is.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The shared book holding this node's distributed table.
+    pub fn book(&self) -> Ref<'_, PersistentBook> {
+        self.book.borrow()
+    }
+
     /// The request this node should currently forward tokens to, for
     /// `block`.
     pub fn active_for(&self, block: Block) -> Option<ActiveReq> {
-        self.dist
-            .active_for(block)
+        self.book
+            .borrow()
+            .active_for(self.node, block)
             .or_else(|| self.arb.active_for(block))
+    }
+
+    /// Records an activation in this node's distributed table
+    /// ([`PersistentBook::activate`]).
+    pub fn activate(
+        &mut self,
+        proc: ProcId,
+        block: Block,
+        requester: NodeId,
+        kind: ReqKind,
+        epoch: u64,
+    ) {
+        let node = self.node;
+        self.book
+            .borrow_mut()
+            .activate(node, proc, block, requester, kind, epoch);
+    }
+
+    /// Clears `proc`'s distributed entry at this node, epoch-matched
+    /// ([`PersistentBook::deactivate`]).
+    pub fn deactivate(&mut self, proc: ProcId, epoch: u64) -> bool {
+        self.book.borrow_mut().deactivate(self.node, proc, epoch)
+    }
+
+    /// Wave-marks every remaining entry for `block` at this node.
+    pub fn mark_peers(&mut self, block: Block) {
+        self.book.borrow_mut().mark_peers(self.node, block);
+    }
+
+    /// True if marked entries for `block` remain at this node.
+    pub fn has_marked(&self, block: Block) -> bool {
+        self.book.borrow().has_marked(self.node, block)
     }
 
     /// Applies a persistent-protocol message to the tables. Returns the
@@ -271,11 +328,11 @@ impl PersistentState {
                 kind,
                 epoch,
             } => {
-                self.dist.activate(proc, block, requester, kind, epoch);
+                self.activate(proc, block, requester, kind, epoch);
                 Some(block)
             }
             TokenMsg::PersistentDeactivate { block, proc, epoch } => {
-                self.dist.deactivate(proc, epoch);
+                self.deactivate(proc, epoch);
                 Some(block)
             }
             TokenMsg::ArbActivate {
@@ -463,11 +520,16 @@ mod tests {
         assert!(l.is_empty());
     }
 
+    /// Coherence node 0's state in a fresh 4 × 4 system's book.
+    fn state() -> PersistentState {
+        let layout = tokencmp_proto::Layout::new(4, 4, 4);
+        let book = Rc::new(RefCell::new(PersistentBook::new(&layout)));
+        PersistentState::new(layout.l1d(ProcId(0)), book)
+    }
+
     #[test]
     fn persistent_state_applies_messages() {
-        use tokencmp_proto::ProcId;
-        use tokencmp_sim::NodeId;
-        let mut p = PersistentState::default();
+        let mut p = state();
         let act = TokenMsg::PersistentActivate {
             block: Block(1),
             proc: ProcId(5),
@@ -497,9 +559,7 @@ mod tests {
 
     #[test]
     fn arb_activation_also_feeds_active_for() {
-        use tokencmp_proto::ProcId;
-        use tokencmp_sim::NodeId;
-        let mut p = PersistentState::default();
+        let mut p = state();
         let act = TokenMsg::ArbActivate {
             block: Block(9),
             proc: ProcId(2),

@@ -10,7 +10,7 @@
 //! sequencer to model test-and-test-and-set loops.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -22,6 +22,7 @@ use tokencmp_trace::{LatencyBreakdown, Segment, SegmentParts, TraceEvent, TraceH
 
 use crate::common::{persistent_grant, transient_grant, GrantRules, PersistentState, TokenLine};
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
+use crate::persistent::PersistentBook;
 use crate::policy::{Activation, ContentionPredictor, Variant};
 use crate::recovery::{backoff_delay, RecoveryParams};
 
@@ -127,7 +128,8 @@ impl TokenL1 {
     /// Creates an L1 controller for processor `proc`.
     ///
     /// `me` must be the node id this controller is registered under
-    /// (its L1-D or L1-I slot in the layout).
+    /// (its L1-D or L1-I slot in the layout); its distributed
+    /// persistent-request table lives in the run's shared `book`.
     pub fn new(
         cfg: Rc<SystemConfig>,
         me: NodeId,
@@ -135,6 +137,7 @@ impl TokenL1 {
         variant: Variant,
         seed: u64,
         persistent_epoch: Rc<Cell<u64>>,
+        book: Rc<RefCell<PersistentBook>>,
     ) -> TokenL1 {
         let layout = cfg.layout();
         let rules = GrantRules {
@@ -144,7 +147,7 @@ impl TokenL1 {
         };
         TokenL1 {
             lines: SetAssoc::new(cfg.l1_sets, cfg.l1_ways, 0),
-            persistent: PersistentState::default(),
+            persistent: PersistentState::new(me, book),
             predictor: variant.uses_predictor().then(ContentionPredictor::new),
             proc_node: layout.proc(proc),
             layout,
@@ -590,17 +593,17 @@ impl TokenL1 {
         self.emit_persistent(block, false, ctx.now);
         match self.variant.activation() {
             Activation::Distributed => {
-                self.persistent.dist.deactivate(self.proc, epoch);
+                self.persistent.deactivate(self.proc, epoch);
                 // Wave rule: mark every request that was outstanding when
                 // ours completed; we may not re-issue for this block until
                 // they all drain.
-                self.persistent.dist.mark_peers(block);
+                self.persistent.mark_peers(block);
                 let msg = TokenMsg::PersistentDeactivate {
                     block,
                     proc: self.proc,
                     epoch,
                 };
-                let others = self.layout.all_coherence_nodes().into_iter();
+                let others = self.layout.all_coherence_nodes();
                 ctx.send_all(others.filter(|&n| n != self.me), msg);
             }
             Activation::Arbiter => {
@@ -648,13 +651,13 @@ impl TokenL1 {
             // Original TokenB: broadcast directly to every cache in the
             // system plus the block's home memory controller, ignoring
             // the hierarchy (§4 explains why this scales poorly).
-            let caches = self.layout.all_caches().into_iter();
+            let caches = self.layout.all_caches();
             let home = self.layout.mem(self.cfg.home_of(block));
             let dsts = caches.filter(|&n| n != self.me).chain([home]);
             ctx.send_all_after(issue_delay, dsts, req);
         } else {
             let cmp = self.layout.cmp_of_proc(self.proc);
-            let l1s = self.layout.l1s_on(cmp).into_iter();
+            let l1s = self.layout.l1s_on(cmp);
             let bank = self.layout.l2(cmp, self.cfg.l2_bank_of(block));
             let dsts = l1s.filter(|&n| n != self.me).chain([bank]);
             ctx.send_all_after(issue_delay, dsts, req);
@@ -688,7 +691,7 @@ impl TokenL1 {
         m.epoch = self.epoch;
         match self.variant.activation() {
             Activation::Distributed => {
-                if self.persistent.dist.has_marked(block) {
+                if self.persistent.has_marked(block) {
                     // Wave rule: wait for the previous wave to drain.
                     self.pending_persistent = Some((block, kind));
                     return;
@@ -707,7 +710,6 @@ impl TokenL1 {
                 self.persistent_epoch.set(epoch);
                 self.my_epoch = epoch;
                 self.persistent
-                    .dist
                     .activate(self.proc, block, self.me, kind, epoch);
                 let msg = TokenMsg::PersistentActivate {
                     block,
@@ -716,7 +718,7 @@ impl TokenL1 {
                     kind,
                     epoch,
                 };
-                let others = self.layout.all_coherence_nodes().into_iter();
+                let others = self.layout.all_coherence_nodes();
                 ctx.send_all(others.filter(|&n| n != self.me), msg);
                 self.arm_recovery_timer(ctx);
                 // We may already hold enough tokens (e.g. a racing
@@ -940,7 +942,7 @@ impl TokenL1 {
         if let TokenMsg::PersistentDeactivate { .. } | TokenMsg::ArbDeactivate { .. } = msg {
             if let Some((pblock, _)) = self.pending_persistent {
                 if pblock == block
-                    && !self.persistent.dist.has_marked(block)
+                    && !self.persistent.has_marked(block)
                     && self.mshr.as_ref().is_some_and(|m| m.block == block)
                 {
                     self.pending_persistent = None;

@@ -14,6 +14,7 @@
 //!   are never filtered (they are broadcast directly to every node).
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -26,6 +27,7 @@ use crate::common::{
     persistent_grant, storage_grant, transient_grant, GrantRules, PersistentState, TokenLine,
 };
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
+use crate::persistent::PersistentBook;
 use crate::policy::Variant;
 
 /// Counters exposed by an L2 bank after a run.
@@ -69,13 +71,15 @@ pub struct TokenL2 {
 }
 
 impl TokenL2 {
-    /// Creates an L2 bank controller.
+    /// Creates an L2 bank controller whose distributed
+    /// persistent-request table lives in the run's shared `book`.
     pub fn new(
         cfg: Rc<SystemConfig>,
         me: NodeId,
         cmp: CmpId,
         bank: u16,
         variant: Variant,
+        book: Rc<RefCell<PersistentBook>>,
     ) -> TokenL2 {
         let layout = cfg.layout();
         let rules = GrantRules {
@@ -89,7 +93,7 @@ impl TokenL2 {
             .trailing_zeros();
         TokenL2 {
             lines: SetAssoc::new(cfg.l2_sets, cfg.l2_ways, shift),
-            persistent: PersistentState::default(),
+            persistent: PersistentState::new(me, book),
             variant,
             filter: variant.uses_filter().then(|| {
                 assert!(
@@ -131,29 +135,26 @@ impl TokenL2 {
         self.lines.iter().map(|(b, l)| (b, l.tokens, l.owner))
     }
 
-    fn local_l1_index(&self, node: NodeId) -> Option<usize> {
-        self.layout.l1s_on(self.cmp).iter().position(|&n| n == node)
-    }
-
     fn mark_sharer(&mut self, block: Block, l1: NodeId) {
-        let Some(idx) = self.local_l1_index(l1) else {
+        let Some(f) = &mut self.filter else {
             return;
         };
-        if let Some(f) = &mut self.filter {
+        if let Some(idx) = local_l1_index(&self.layout, self.cmp, l1) {
             *f.entry(block).or_insert(0) |= 1u64 << idx;
         }
     }
 
     fn clear_sharer(&mut self, block: Block, l1: NodeId) {
-        let Some(idx) = self.local_l1_index(l1) else {
+        let Some(f) = &mut self.filter else {
             return;
         };
-        if let Some(f) = &mut self.filter {
-            if let Some(mask) = f.get_mut(&block) {
-                *mask &= !(1u64 << idx);
-                if *mask == 0 {
-                    f.remove(&block);
-                }
+        let Some(idx) = local_l1_index(&self.layout, self.cmp, l1) else {
+            return;
+        };
+        if let Some(mask) = f.get_mut(&block) {
+            *mask &= !(1u64 << idx);
+            if *mask == 0 {
+                f.remove(&block);
             }
         }
     }
@@ -436,7 +437,7 @@ impl TokenL2 {
             .as_ref()
             .map(|f| f.get(&block).copied().unwrap_or(0));
         let stats = &mut self.stats;
-        let l1s = self.layout.l1s_on(self.cmp).into_iter().enumerate();
+        let l1s = self.layout.l1s_on(self.cmp).enumerate();
         let wanted = l1s.filter_map(|(idx, l1)| {
             if mask.is_none_or(|m| m & (1u64 << idx) != 0) {
                 stats.forwarded_to_l1 += 1;
@@ -448,6 +449,17 @@ impl TokenL2 {
         });
         ctx.send_all_after(self.cfg.l2_latency, mem.into_iter().chain(wanted), req);
     }
+}
+
+/// The position of `node` among chip `cmp`'s L1 caches, in
+/// [`Layout::l1s_on`] order, or `None` if it is not one of them.
+fn local_l1_index(layout: &Layout, cmp: CmpId, node: NodeId) -> Option<u32> {
+    let (proc, first) = match layout.unit(node) {
+        Unit::L1D(p) => (p, 0),
+        Unit::L1I(p) => (p, layout.procs_per_cmp),
+        _ => return None,
+    };
+    (layout.cmp_of_proc(proc) == cmp).then(|| u32::from(first + layout.core_of_proc(proc)))
 }
 
 impl Component<TokenMsg> for TokenL2 {

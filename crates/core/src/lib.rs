@@ -46,6 +46,6 @@ pub use l1::{L1Stats, TokenL1};
 pub use l2::{L2Stats, TokenL2};
 pub use mem::{MemLine, MemStats, TokenMem};
 pub use msg::{ReqKind, TokenBundle, TokenMsg};
-pub use persistent::{ActiveReq, ArbNodeTable, Arbiter, DistTable};
+pub use persistent::{ActiveReq, ArbNodeTable, Arbiter, PersistentBook};
 pub use policy::{Activation, ContentionPredictor, Variant};
 pub use recovery::{backoff_delay, RecoveryParams};

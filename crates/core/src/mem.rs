@@ -7,6 +7,7 @@
 //! arbiter-based persistent request scheme (§3.2).
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -16,7 +17,7 @@ use tokencmp_trace::{TraceEvent, TraceHandle};
 
 use crate::common::{persistent_grant, storage_grant, GrantRules, PersistentState, TokenLine};
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
-use crate::persistent::{ActiveReq, Arbiter};
+use crate::persistent::{ActiveReq, Arbiter, PersistentBook};
 use crate::recovery::RecoveryParams;
 
 /// Counters exposed by a memory controller after a run.
@@ -81,8 +82,14 @@ pub struct TokenMem {
 }
 
 impl TokenMem {
-    /// Creates the memory controller for chip `cmp`.
-    pub fn new(cfg: Rc<SystemConfig>, me: NodeId, cmp: CmpId) -> TokenMem {
+    /// Creates the memory controller for chip `cmp`, whose distributed
+    /// persistent-request table lives in the run's shared `book`.
+    pub fn new(
+        cfg: Rc<SystemConfig>,
+        me: NodeId,
+        cmp: CmpId,
+        book: Rc<RefCell<PersistentBook>>,
+    ) -> TokenMem {
         let layout = cfg.layout();
         let rules = GrantRules {
             total_tokens: cfg.tokens_per_block,
@@ -90,7 +97,7 @@ impl TokenMem {
             migratory: cfg.migratory_sharing,
         };
         TokenMem {
-            persistent: PersistentState::default(),
+            persistent: PersistentState::new(me, book),
             blocks: HashMap::new(),
             arbiter: Arbiter::new(),
             serials: HashMap::new(),
@@ -350,7 +357,7 @@ impl TokenMem {
     }
 
     fn broadcast_arb(&mut self, msg: TokenMsg, ctx: &mut Ctx<'_, TokenMsg>) {
-        let others = self.layout.all_coherence_nodes().into_iter();
+        let others = self.layout.all_coherence_nodes();
         ctx.send_all_after(
             self.cfg.memctl_latency,
             others.filter(|&n| n != self.me),
@@ -493,9 +500,9 @@ impl TokenMem {
             block,
             serial: new_serial,
         };
-        let mut others = self.layout.all_coherence_nodes();
-        others.retain(|&n| n != self.me);
-        let awaiting = others.len() as u32;
+        let me = self.me;
+        let others = self.layout.all_coherence_nodes().filter(move |&n| n != me);
+        let awaiting = others.clone().count() as u32;
         ctx.send_all_after(self.cfg.memctl_latency, others, msg);
         self.recreating.insert(
             block,

@@ -8,7 +8,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tokencmp_core::msg::{ReqKind, TokenBundle, TokenMsg};
-use tokencmp_core::{TokenL1, TokenL2, TokenMem, Variant};
+use tokencmp_core::{PersistentBook, TokenL1, TokenL2, TokenMem, Variant};
 use tokencmp_proto::{AccessKind, Block, CpuReq, CpuResp, ProcId, SystemConfig, Unit};
 use tokencmp_sim::{Component, Ctx, Kernel, NodeId, Time};
 
@@ -45,6 +45,7 @@ fn build(
     let log: Log = Rc::new(RefCell::new(Vec::new()));
     let mut k: Kernel<TokenMsg> = Kernel::new_instant();
     let target = layout.node(under_test);
+    let book = Rc::new(RefCell::new(PersistentBook::new(&layout)));
     for i in 0..layout.total_nodes() {
         let me = NodeId(i);
         if me == target {
@@ -57,15 +58,17 @@ fn build(
                         variant,
                         7,
                         Rc::new(Cell::new(0)),
+                        book.clone(),
                     ));
                     assert_eq!(id, me);
                 }
                 Unit::L2Bank(c, b) => {
-                    let id = k.add_component(TokenL2::new(cfg.clone(), me, c, b, variant));
+                    let id =
+                        k.add_component(TokenL2::new(cfg.clone(), me, c, b, variant, book.clone()));
                     assert_eq!(id, me);
                 }
                 Unit::Mem(c) => {
-                    let id = k.add_component(TokenMem::new(cfg.clone(), me, c));
+                    let id = k.add_component(TokenMem::new(cfg.clone(), me, c, book.clone()));
                     assert_eq!(id, me);
                 }
                 Unit::Proc(_) => unreachable!("no processor controller under test"),

@@ -178,7 +178,7 @@ impl DirL2 {
     pub fn new(cfg: Rc<SystemConfig>, me: NodeId, cmp: CmpId, _bank: u16) -> DirL2 {
         let layout = cfg.layout();
         DirL2 {
-            local_l1s: layout.l1s_on(cmp),
+            local_l1s: layout.l1s_on(cmp).collect(),
             layout,
             me,
             cmp,

@@ -267,48 +267,36 @@ impl Layout {
     }
 
     /// The L1 caches (D then I) on a chip.
-    pub fn l1s_on(&self, c: CmpId) -> Vec<NodeId> {
-        let mut v = Vec::with_capacity(2 * self.procs_per_cmp as usize);
-        for p in self.procs_on(c) {
-            v.push(self.l1d(p));
-        }
-        for p in self.procs_on(c) {
-            v.push(self.l1i(p));
-        }
-        v
+    pub fn l1s_on(&self, c: CmpId) -> impl Iterator<Item = NodeId> + Clone + 'static {
+        let first = self.l1d(ProcId(c.0 * self.procs_per_cmp)).0;
+        let l1d = first..first + u32::from(self.procs_per_cmp);
+        let l1i = l1d.start + self.procs()..l1d.end + self.procs();
+        l1d.chain(l1i).map(NodeId)
     }
 
     /// The L2 banks on a chip.
-    pub fn l2s_on(&self, c: CmpId) -> Vec<NodeId> {
-        (0..self.banks_per_cmp).map(|b| self.l2(c, b)).collect()
+    pub fn l2s_on(&self, c: CmpId) -> impl Iterator<Item = NodeId> + Clone + 'static {
+        let first = self.l2(c, 0).0;
+        (first..first + u32::from(self.banks_per_cmp)).map(NodeId)
     }
 
-    /// Every cache node in the system (L1-D, L1-I, L2 banks).
-    pub fn all_caches(&self) -> Vec<NodeId> {
-        let mut v = Vec::with_capacity(self.caches() as usize);
-        for p in self.proc_ids() {
-            v.push(self.l1d(p));
-        }
-        for p in self.proc_ids() {
-            v.push(self.l1i(p));
-        }
-        for c in self.cmp_ids() {
-            v.extend(self.l2s_on(c));
-        }
-        v
+    /// Every cache node in the system (L1-D, L1-I, L2 banks): the
+    /// contiguous node range after the processors.
+    pub fn all_caches(&self) -> impl Iterator<Item = NodeId> + Clone + 'static {
+        let first = self.procs();
+        (first..first + self.caches()).map(NodeId)
     }
 
     /// Every memory controller.
-    pub fn all_mems(&self) -> Vec<NodeId> {
-        self.cmp_ids().map(|c| self.mem(c)).collect()
+    pub fn all_mems(&self) -> impl Iterator<Item = NodeId> + Clone + 'static {
+        let first = self.procs() + self.caches();
+        (first..self.total_nodes()).map(NodeId)
     }
 
     /// Every token-holding / persistent-table node: caches plus memory
     /// controllers.
-    pub fn all_coherence_nodes(&self) -> Vec<NodeId> {
-        let mut v = self.all_caches();
-        v.extend(self.all_mems());
-        v
+    pub fn all_coherence_nodes(&self) -> impl Iterator<Item = NodeId> + Clone + 'static {
+        (self.procs()..self.total_nodes()).map(NodeId)
     }
 }
 
@@ -337,7 +325,7 @@ mod tests {
         assert_eq!(l.l2_banks(), 16);
         assert_eq!(l.caches(), 48);
         assert_eq!(l.total_nodes(), 68);
-        assert_eq!(l.all_coherence_nodes().len(), 52);
+        assert_eq!(l.all_coherence_nodes().count(), 52);
     }
 
     #[test]
@@ -373,11 +361,30 @@ mod tests {
         let l = l();
         let c = CmpId(2);
         assert_eq!(l.procs_on(c).count(), 4);
-        assert_eq!(l.l1s_on(c).len(), 8);
-        assert_eq!(l.l2s_on(c).len(), 4);
+        assert_eq!(l.l1s_on(c).count(), 8);
+        assert_eq!(l.l2s_on(c).count(), 4);
         for n in l.l1s_on(c) {
             assert_eq!(l.placement(n), Placement::OnChip(c));
         }
+    }
+
+    #[test]
+    fn walks_list_nodes_in_unit_order() {
+        let l = Layout::new(3, 2, 4);
+        let c = CmpId(1);
+        let l1s: Vec<NodeId> = l.procs_on(c).map(|p| l.l1d(p)).collect();
+        let l1s = [l1s, l.procs_on(c).map(|p| l.l1i(p)).collect()].concat();
+        assert_eq!(l.l1s_on(c).collect::<Vec<_>>(), l1s);
+        let banks: Vec<NodeId> = (0..4).map(|b| l.l2(c, b)).collect();
+        assert_eq!(l.l2s_on(c).collect::<Vec<_>>(), banks);
+        let mut caches: Vec<NodeId> = l.proc_ids().map(|p| l.l1d(p)).collect();
+        caches.extend(l.proc_ids().map(|p| l.l1i(p)));
+        caches.extend(l.cmp_ids().flat_map(|c| (0..4).map(move |b| l.l2(c, b))));
+        assert_eq!(l.all_caches().collect::<Vec<_>>(), caches);
+        let mems: Vec<NodeId> = l.cmp_ids().map(|c| l.mem(c)).collect();
+        assert_eq!(l.all_mems().collect::<Vec<_>>(), mems);
+        caches.extend(mems);
+        assert_eq!(l.all_coherence_nodes().collect::<Vec<_>>(), caches);
     }
 
     #[test]

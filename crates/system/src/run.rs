@@ -9,7 +9,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use tokencmp_core::{RecoveryParams, TokenL1, TokenL2, TokenMem, TokenMsg, Variant};
+use tokencmp_core::{
+    PersistentBook, RecoveryParams, TokenL1, TokenL2, TokenMem, TokenMsg, Variant,
+};
 use tokencmp_directory::{ChipRights, DirHome, DirL1, DirL2, DirMsg, L1State};
 use tokencmp_net::{FaultHandle, FaultPlan, Network, Traffic, TrafficHandle};
 use tokencmp_proto::{Block, CpuPort, Layout, MsgClass, NetMsg, SystemConfig, Unit};
@@ -509,11 +511,13 @@ fn run_token(
         assert_eq!(id, layout.proc(p));
     }
     // Each processor's L1-D and L1-I share one persistent-request epoch
-    // counter (they issue under a single processor identity).
+    // counter (they issue under a single processor identity), and every
+    // coherence node keeps its distributed table in one shared book.
     let epochs: Vec<Rc<std::cell::Cell<u64>>> = layout
         .proc_ids()
         .map(|_| Rc::new(std::cell::Cell::new(0)))
         .collect();
+    let book = Rc::new(RefCell::new(PersistentBook::new(&layout)));
     for p in layout.proc_ids() {
         let me = layout.l1d(p);
         let id = k.add_component(TokenL1::new(
@@ -523,6 +527,7 @@ fn run_token(
             variant,
             opts.seed,
             epochs[p.0 as usize].clone(),
+            book.clone(),
         ));
         assert_eq!(id, me);
     }
@@ -535,19 +540,20 @@ fn run_token(
             variant,
             opts.seed ^ 0xF00D,
             epochs[p.0 as usize].clone(),
+            book.clone(),
         ));
         assert_eq!(id, me);
     }
     for c in layout.cmp_ids() {
         for b in 0..layout.banks_per_cmp {
             let me = layout.l2(c, b);
-            let id = k.add_component(TokenL2::new(cfg.clone(), me, c, b, variant));
+            let id = k.add_component(TokenL2::new(cfg.clone(), me, c, b, variant, book.clone()));
             assert_eq!(id, me);
         }
     }
     for c in layout.cmp_ids() {
         let me = layout.mem(c);
-        let id = k.add_component(TokenMem::new(cfg.clone(), me, c));
+        let id = k.add_component(TokenMem::new(cfg.clone(), me, c, book.clone()));
         assert_eq!(id, me);
     }
     // Token-loss recovery (§15) is armed only when the fault plan can

@@ -347,10 +347,11 @@ impl KernelMonitor<TokenMsg> for TokenSampler {
                 .component_as::<TokenMem>(self.layout.mem(c))
                 .expect("token mem");
             let ps = m.persistent();
-            dist_max = dist_max.max(ps.dist.len() as u64);
+            let book = ps.book();
+            dist_max = dist_max.max(book.len(ps.node()) as u64);
             arb += ps.arb.len() as u64;
             arb += m.arbiter().queued() as u64;
-            for (p, b) in ps.dist.entries() {
+            for (p, b) in book.entries(ps.node()) {
                 active.insert((b.0, p.0));
             }
             if let Some((b, req, _)) = m.arbiter().current() {

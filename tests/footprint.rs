@@ -5,15 +5,15 @@
 //! `sets × ways` slots — ~1.3 MB per L2 bank, ~1.4 GB across the system
 //! before the first access. The paged store allocates slot pages on
 //! first touch, so per-cache resident bytes must track the *touched*
-//! working set. The same holds for the persistent-request table every
-//! coherence node keeps: its bytes track live requests, not the 1024
-//! processors. These budgets are documented in DESIGN.md §18; the tests
-//! here hold the implementation to them.
+//! working set. The same holds for the persistent-request tables of the
+//! coherence nodes, kept in one shared book: their bytes track live
+//! requesters, not the 1024 processors, and each activation is stored
+//! once rather than at every node. These budgets are documented in
+//! DESIGN.md §18; the tests here hold the implementation to them.
 
 use tokencmp::cache::SetAssoc;
-use tokencmp::core::DistTable;
-use tokencmp::proto::ProcId;
-use tokencmp::sim::NodeId;
+use tokencmp::core::PersistentBook;
+use tokencmp::proto::{Layout, ProcId};
 use tokencmp::{Block, Fabric, ReqKind, SystemConfig};
 
 /// A stand-in for the per-line coherence state the protocols store
@@ -109,57 +109,120 @@ fn touched_working_set_stays_within_the_page_budget() {
 const PERSISTENT_NODE_BUDGET: usize = 4 * 1024;
 /// All 3,136 coherence nodes of the 1024-core system together.
 const PERSISTENT_SYSTEM_CEILING: usize = 16 * 1024 * 1024;
+/// All 832 coherence nodes of the 64 × 4 mesh with every one of its 256
+/// processors live at every node. A table per node with a 24-byte entry
+/// and a 16-byte epoch record per processor needs 8.5 MB here: the
+/// budget rules out any layout that copies each activation per node.
+const PERSISTENT_FULL_LOAD_BUDGET: usize = 2 * 1024 * 1024;
+
+/// Delivers the broadcast of `(proc, epoch)`'s activation (or, with no
+/// block, its deactivation) to every coherence node, as the L1s do.
+fn broadcast(book: &mut PersistentBook, layout: &Layout, p: u16, block: Option<Block>, epoch: u64) {
+    for node in layout.all_coherence_nodes() {
+        match block {
+            Some(b) => book.activate(
+                node,
+                ProcId(p),
+                b,
+                layout.l1d(ProcId(p)),
+                ReqKind::Write,
+                epoch,
+            ),
+            None => {
+                book.deactivate(node, ProcId(p), epoch);
+            }
+        }
+    }
+}
 
 /// Activates one request per processor in `procs` (four blocks shared
-/// among them), then deactivates them all.
-fn churn(t: &mut DistTable, procs: impl Iterator<Item = u16> + Clone) {
+/// among them) at every node, then deactivates them all.
+fn churn(book: &mut PersistentBook, layout: &Layout, procs: impl Iterator<Item = u16> + Clone) {
     for p in procs.clone() {
-        let block = Block(u64::from(p % 4));
-        t.activate(ProcId(p), block, NodeId(u32::from(p)), ReqKind::Write, 1);
+        broadcast(book, layout, p, Some(Block(u64::from(p % 4))), 1);
     }
     for p in procs {
-        t.deactivate(ProcId(p), 1);
+        broadcast(book, layout, p, None, 1);
     }
 }
 
 #[test]
 fn persistent_tables_grow_with_live_entries_not_processors() {
     let cfg = config_1024();
-    let procs = cfg.layout().procs() as u16;
+    let layout = cfg.layout();
+    let procs = layout.procs() as u16;
     assert_eq!(procs, 1024);
+    let nodes = layout.all_coherence_nodes().count();
+    assert_eq!(nodes, 3136);
 
-    // An idle table holds no entry storage at all.
-    let mut t = DistTable::new();
-    assert_eq!(t.resident_bytes(), 0, "empty persistent table allocates");
+    // An idle book holds no storage at all.
+    let mut book = PersistentBook::new(&layout);
+    assert_eq!(book.resident_bytes(), 0, "empty persistent book allocates");
 
-    // 64 live entries spread over all 1024 processors (one per chip).
+    // 64 requesters spread over all 1024 processors (one per chip), seen
+    // by every node.
     let one_per_chip = (0..procs).step_by(cfg.procs_per_cmp as usize);
-    churn(&mut t, one_per_chip.clone());
-    let spread = t.resident_bytes();
-    assert!(t.is_empty());
+    churn(&mut book, &layout, one_per_chip.clone());
+    assert!((0..nodes as u32).all(|i| book.is_empty(tokencmp::sim::NodeId(u32::from(procs) + i))));
+    let per_node = book.node_bytes();
+    let spread = book.resident_bytes();
+    println!("64 requesters: {per_node} B per node, {spread} B for the book");
     assert!(
-        spread <= PERSISTENT_NODE_BUDGET,
-        "64-requester persistent table resident {spread} B exceeds the {PERSISTENT_NODE_BUDGET} B budget"
+        per_node <= PERSISTENT_NODE_BUDGET,
+        "64-requester persistent table resident {per_node} B per node exceeds the {PERSISTENT_NODE_BUDGET} B budget"
+    );
+    assert!(
+        spread <= PERSISTENT_SYSTEM_CEILING,
+        "{nodes} persistent tables in {spread} B exceed the {PERSISTENT_SYSTEM_CEILING} B ceiling"
     );
 
-    // The same number of requesters packed into a 64-processor system
-    // costs exactly the same: bytes track entries, not the proc count.
-    let mut packed = DistTable::new();
-    churn(&mut packed, 0..64);
+    // The same number of requesters packed onto the first 64 processors
+    // costs exactly the same: bytes track requesters, not the proc count.
+    let mut packed = PersistentBook::new(&layout);
+    churn(&mut packed, &layout, 0..64);
+    assert_eq!(packed.node_bytes(), per_node);
     assert_eq!(packed.resident_bytes(), spread);
 
     // More live requesters cost more.
-    let mut busier = DistTable::new();
-    churn(&mut busier, 0..128);
+    let mut busier = PersistentBook::new(&layout);
+    churn(&mut busier, &layout, 0..128);
+    assert!(busier.node_bytes() > per_node);
     assert!(busier.resident_bytes() > spread);
+}
 
-    // System-wide: every coherence node (each cache and memory
-    // controller keeps a table) having seen those 64 requesters.
-    let nodes = cfg.layout().caches() as usize + cfg.cmps as usize;
-    assert_eq!(nodes, 3136);
+#[test]
+fn full_load_persistent_book_stores_each_activation_once() {
+    // The 64 × 4 mesh at full load: every processor has completed one
+    // persistent request (so every node keeps its deactivated epoch) and
+    // has its next one live at every node.
+    let mut cfg = SystemConfig {
+        cmps: 64,
+        procs_per_cmp: 4,
+        banks_per_cmp: 4,
+        fabric: Fabric::Mesh { cols: 8 },
+        ..SystemConfig::default()
+    };
+    cfg.tokens_per_block = (cfg.layout().caches() + 1).next_power_of_two();
+    cfg.validate().expect("64x4 mesh config");
+    let layout = cfg.layout();
+    assert_eq!(layout.all_coherence_nodes().count(), 832);
+    let mut book = PersistentBook::new(&layout);
+    for p in 0..layout.procs() as u16 {
+        let block = Some(Block(u64::from(p % 4)));
+        broadcast(&mut book, &layout, p, block, 1);
+        broadcast(&mut book, &layout, p, None, 1);
+        broadcast(&mut book, &layout, p, block, 2);
+    }
+    let probe = layout.mem(tokencmp::proto::CmpId(63));
+    assert_eq!(book.len(probe), 256);
+    let bytes = book.resident_bytes();
+    println!(
+        "full load: {} B per node, {bytes} B for the book",
+        book.node_bytes()
+    );
     assert!(
-        nodes * spread <= PERSISTENT_SYSTEM_CEILING,
-        "{nodes} persistent tables at {spread} B each exceed the {PERSISTENT_SYSTEM_CEILING} B ceiling"
+        bytes <= PERSISTENT_FULL_LOAD_BUDGET,
+        "full-load persistent book resident {bytes} B exceeds the {PERSISTENT_FULL_LOAD_BUDGET} B budget"
     );
 }
 

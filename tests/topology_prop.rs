@@ -20,7 +20,9 @@
 //! * on a multi-hop mesh, what the event-queue census exposes (the
 //!   sampled queue-depth and in-flight gauges, and the watchdog
 //!   diagnostic of an event-limited run) is pinned too, so the queue's
-//!   storage can change without changing what observers see.
+//!   storage can change without changing what observers see; so are the
+//!   sampled persistent-request gauges under reordering, so the tables'
+//!   storage can change the same way.
 
 use proptest::prelude::*;
 use tokencmp::net::{inter_hops, inter_path, next_hop};
@@ -293,6 +295,42 @@ fn multi_hop_census_series_is_pinned() {
         (series.samples.len(), got),
         (261, want),
         "census series digest 0x{got:016x} != golden 0x{want:016x}"
+    );
+}
+
+/// The persistent-request gauges the sampler builds from the memory
+/// controllers' table views — `persistent.occupancy` (the largest live
+/// count) and `persistent.max_age_ps` (the oldest live request) — must
+/// not depend on how the tables are stored. Pinned on the 4 × 2 mesh run
+/// above under the reorder fault tier, so activations and deactivations
+/// reach the controllers out of order, digested over every sample.
+#[test]
+fn multi_hop_persistent_gauges_are_pinned_under_reordering() {
+    let plan = tokencmp::FaultPlan::none().reordering(0.10, tokencmp::Dur::from_ns(15));
+    let opts = tokencmp::system::RunOptions::default()
+        .with_faults(plan)
+        .with_sampling(tokencmp::Dur::from_ns(20));
+    let res = run_multi_hop_dst1(Fabric::Mesh { cols: 4 }, &opts);
+    assert!(res.counters.counter("net.fault.reordered") > 0);
+    let series = res.series.expect("sampling was on");
+    let mut s = String::new();
+    let (mut peak_occupancy, mut peak_age) = (0, 0);
+    for sample in &series.samples {
+        let occupancy = sample.gauges["persistent.occupancy"];
+        let age = sample.gauges["persistent.max_age_ps"];
+        peak_occupancy = peak_occupancy.max(occupancy);
+        peak_age = peak_age.max(age);
+        s.push_str(&format!("at={} occ={occupancy} age={age}\n", sample.at_ps));
+    }
+    assert!(
+        peak_occupancy >= 2 && peak_age > 0,
+        "the series must see concurrent persistent requests age"
+    );
+    let (got, want) = (fnv1a(&s), 0xe2df_34a4_22e5_1979);
+    assert_eq!(
+        (series.samples.len(), got),
+        (286, want),
+        "persistent gauge digest 0x{got:016x} != golden 0x{want:016x}"
     );
 }
 

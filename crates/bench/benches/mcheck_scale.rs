@@ -1,14 +1,21 @@
-//! Model-checking state throughput: sequential BFS vs `check_parallel`.
+//! Model-checking state throughput of `check_parallel` across worker
+//! counts and reduction knobs.
 //!
-//! Measures states/sec for each model configuration across worker
-//! counts and reduction knobs, records the results into the committed
-//! trajectory `BENCH_mcheck.json` (see `tokencmp_bench::mcheck`), and
-//! exports the per-configuration scaling table to
-//! `target/sweep/mcheck_scaling.json` for the CI artifact.
+//! Measures states/sec for each model configuration, records the
+//! results into the committed trajectory `BENCH_mcheck.json` (see
+//! `tokencmp_bench::mcheck`), and exports the per-configuration scaling
+//! table to `target/sweep/mcheck_scaling.json` for the CI artifact.
+//!
+//! The `seq` row of each configuration is `check_parallel` on one worker
+//! with both reductions off: the pool runs every batch inline at one
+//! worker, so that is a sequential search (see `tokencmp_bench::mcheck`
+//! for what the row meant in older runs). A `par/w1` row would measure
+//! the same run twice, so it is not recorded.
 //!
 //! Modes:
 //! * default — all five fast configurations plus the flagship
-//!   `small_recovery/Distributed` (~1.4M states, two ~35s checks);
+//!   `small_recovery/Distributed` (~1.4M states, a ~12s `seq` check and
+//!   a ~7s reduced one);
 //!   merges into `BENCH_mcheck.json` under `TOKENCMP_BENCH_RUN`
 //!   (default `dev`) and runs the speedup gate on the fresh run.
 //! * `TOKENCMP_BENCH_SMOKE=1` — two small configurations, two worker
@@ -19,16 +26,16 @@
 //!   (default: the committed trajectory) and re-run the gate on every
 //!   recorded run.
 //!
-//! Every reductions-off parallel run is also asserted state-for-state
-//! identical to the sequential baseline — the bench doubles as a
-//! determinism check on whatever host it runs on.
+//! Every reductions-off multi-worker run is also asserted
+//! state-for-state identical to the one-worker `seq` row — the bench
+//! doubles as a determinism check on whatever host it runs on.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use tokencmp::mcheck::{
-    check, check_parallel, CheckOptions, DirModel, DirModelParams, Model, SubstrateMode,
-    TokenModel, TokenModelParams,
+    check_parallel, CheckOptions, DirModel, DirModelParams, Model, SubstrateMode, TokenModel,
+    TokenModelParams,
 };
 use tokencmp::sweep::json::Value;
 use tokencmp_bench::banner;
@@ -39,31 +46,20 @@ use tokencmp_bench::mcheck::{
 /// One measured row plus the data the scaling table needs.
 struct Row {
     entry: McheckBenchEntry,
-    /// A parallel run's wall-time split: expansion, merge and progress
-    /// seconds (printed, not recorded in the trajectory).
-    phases: Option<[f64; 3]>,
+    /// The run's wall-time split: expansion, merge and progress seconds
+    /// (printed, not recorded in the trajectory).
+    phases: [f64; 3],
 }
 
+/// The `seq` row: one worker, reductions off.
 fn seq_entry<M>(run: &str, config: &str, model: &M) -> Row
 where
     M: Model + Sync,
     M::State: Send + Sync,
 {
-    let r = check(model, &CheckOptions::default()).unwrap_or_else(|v| {
-        panic!("{config}: sequential check must pass: {v}");
-    });
-    Row {
-        entry: McheckBenchEntry::measured(
-            run,
-            config,
-            "seq".into(),
-            r.states as u64,
-            r.transitions,
-            Duration::from_secs_f64(r.seconds.max(1e-9)),
-            1,
-        ),
-        phases: None,
-    }
+    let mut row = par_entry(run, config, model, 1, false, false);
+    row.entry.bench = "seq".into();
+    row
 }
 
 fn par_entry<M>(
@@ -73,7 +69,6 @@ fn par_entry<M>(
     workers: usize,
     symmetry: bool,
     por: bool,
-    seq_states: u64,
 ) -> Row
 where
     M: Model + Sync,
@@ -88,12 +83,6 @@ where
     let r = check_parallel(model, &opts).unwrap_or_else(|v| {
         panic!("{config}: parallel check must pass: {v}");
     });
-    if !symmetry && !por {
-        assert_eq!(
-            r.states as u64, seq_states,
-            "{config}: reductions-off parallel run diverged from sequential"
-        );
-    }
     Row {
         entry: McheckBenchEntry::measured(
             run,
@@ -104,13 +93,13 @@ where
             Duration::from_secs_f64(r.seconds.max(1e-9)),
             r.workers as u64,
         ),
-        phases: Some([r.expand_s, r.merge_s, r.progress_s]),
+        phases: [r.expand_s, r.merge_s, r.progress_s],
     }
 }
 
-/// Measures one configuration: the sequential baseline, a reductions-off
-/// parallel run per worker count (determinism + scaling), and a fully
-/// reduced run per worker count (the production shape).
+/// Measures one configuration: the one-worker `seq` row, a
+/// reductions-off run per wider worker count (determinism + scaling),
+/// and a fully reduced run per worker count (the production shape).
 fn measure_config<M>(run: &str, config: &str, model: &M, workers: &[usize], rows: &mut Vec<Row>)
 where
     M: Model + Sync,
@@ -121,8 +110,15 @@ where
     let seq_states = seq.entry.states;
     rows.push(seq);
     for &w in workers {
-        rows.push(par_entry(run, config, model, w, false, false, seq_states));
-        rows.push(par_entry(run, config, model, w, true, true, seq_states));
+        if w > 1 {
+            let row = par_entry(run, config, model, w, false, false);
+            assert_eq!(
+                row.entry.states, seq_states,
+                "{config}: reductions-off {w}-worker run diverged from the one-worker run"
+            );
+            rows.push(row);
+        }
+        rows.push(par_entry(run, config, model, w, true, true));
     }
 }
 
@@ -145,14 +141,9 @@ fn print_table(rows: &[Row]) {
         if e.bench == "seq" {
             seq_rate = e.states_per_sec;
         }
-        let phases = match r.phases {
-            Some([expand, merge, progress]) => {
-                format!("{expand:>9.3} {merge:>9.3} {progress:>9.3}")
-            }
-            None => format!("{:>9} {:>9} {:>9}", "-", "-", "-"),
-        };
+        let [expand, merge, progress] = r.phases;
         println!(
-            "{:<28} {:<16} {:>10} {:>12} {:>12.3e} {:>8.2}x {phases}",
+            "{:<28} {:<16} {:>10} {:>12} {:>12.3e} {:>8.2}x {expand:>9.3} {merge:>9.3} {progress:>9.3}",
             e.config,
             e.bench,
             e.states,
@@ -164,7 +155,7 @@ fn print_table(rows: &[Row]) {
 }
 
 /// The scaling-table artifact CI uploads: one object per measured row,
-/// with the speedup against the same configuration's sequential rate.
+/// with the speedup against the same configuration's `seq` rate.
 fn export_scaling_table(rows: &[Row]) {
     let mut arr = Vec::new();
     let seq_rate = |config: &str| {
@@ -271,21 +262,16 @@ fn main() {
             workers,
             &mut rows,
         );
-        // The flagship ~1.4M-state configuration: the sequential
-        // baseline plus one fully reduced parallel run at the widest
-        // measured worker count (two ~35s checks — the bulk of this
-        // target's wall time).
+        // The flagship ~1.4M-state configuration: the `seq` row plus
+        // one fully reduced run at the widest measured worker count
+        // (the bulk of this target's wall time).
         let flagship =
             TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::Distributed));
         let config = "small_recovery/Distributed";
-        eprintln!("  measuring {config} (flagship, ~70s) ...");
-        let seq = seq_entry(&run, config, &flagship);
-        let seq_states = seq.entry.states;
-        rows.push(seq);
+        eprintln!("  measuring {config} (flagship, ~20s) ...");
+        rows.push(seq_entry(&run, config, &flagship));
         let w = *workers.last().expect("worker list is never empty");
-        rows.push(par_entry(
-            &run, config, &flagship, w, true, true, seq_states,
-        ));
+        rows.push(par_entry(&run, config, &flagship, w, true, true));
     }
 
     print_table(&rows);

@@ -7,6 +7,15 @@
 //! a parallel run named by its knobs (`par/w4`, `par/w4+sym+por`) — so
 //! diffs show the state-throughput history next to the kernel one.
 //!
+//! `seq` is `check_parallel` on one worker with both reductions off (the
+//! worker pool runs inline at one worker, so this is a sequential
+//! search), and such runs record no `par/w1` row. Runs that do carry a
+//! `par/w1` row measured `seq` with a separate sequential BFS, since
+//! deleted, which one explorer worker beat by 1.15–1.34× on every
+//! Section 5 configuration (EXPERIMENTS.md, "One model-checker
+//! search"). The gate's denominator is therefore faster in runs without
+//! a `par/w1` row, so the gate is stricter there, not looser.
+//!
 //! Schema (`tokencmp-mcheck-bench-v1`):
 //!
 //! ```json
@@ -26,7 +35,7 @@
 //! measured with ≥4 workers on a host with ≥4 cores. Entries from
 //! smaller hosts (the 1-core CI runner included) are validated for
 //! schema and determinism elsewhere but never gated on speed — a
-//! level-synchronous explorer cannot beat the sequential loop without
+//! level-synchronous explorer cannot beat its own one-worker run without
 //! real parallelism under it.
 
 use std::collections::BTreeMap;
@@ -51,7 +60,8 @@ pub struct McheckBenchEntry {
     /// Model configuration (`small/SafetyOnly`, `small_recovery/Distributed`,
     /// `dir/small`, ...).
     pub config: String,
-    /// Checker shape: `seq`, or `par/w<workers>[+sym][+por]`.
+    /// Checker shape: `seq` (one worker, no reductions), or
+    /// `par/w<workers>[+sym][+por]`.
     pub bench: String,
     /// Distinct states stored.
     pub states: u64,

@@ -2,10 +2,13 @@
 //!
 //! Each protocol configuration abstracts to a *family* of verified
 //! models. The universe of transition kinds a family can ever take is
-//! computed once per process by exhaustively enumerating the downscaled
-//! model's reachable state space ([`tokencmp_mcheck::reachable_kinds`])
-//! and collecting the label heads; the conformance report then compares
-//! the kinds a run actually exercised against this universe.
+//! computed once per process by model-checking the downscaled model
+//! ([`tokencmp_mcheck::check_parallel`], reductions off) and reading the
+//! label heads it collected ([`tokencmp_mcheck::ExploreReport::kinds`]);
+//! the conformance report then compares the kinds a run actually
+//! exercised against this universe. The search fails closed: a model
+//! that breaks an invariant, deadlocks, livelocks or outgrows the state
+//! budget panics instead of yielding a universe.
 //!
 //! A distributed-activation TokenCMP variant refines both the
 //! safety-only substrate (its transient-request policy maps to the
@@ -19,13 +22,10 @@ use std::sync::OnceLock;
 
 use tokencmp_core::Variant;
 use tokencmp_mcheck::{
-    reachable_kinds, DirModel, DirModelParams, SubstrateMode, TokenModel, TokenModelParams,
+    check_parallel, CheckOptions, DirModel, DirModelParams, Model, SubstrateMode, TokenModel,
+    TokenModelParams,
 };
 use tokencmp_system::Protocol;
-
-/// State budget for universe enumeration (the downscaled models stay
-/// far below this; exceeding it is a model-configuration bug).
-const MAX_STATES: usize = 5_000_000;
 
 /// The verified-model family a protocol configuration refines.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -59,8 +59,27 @@ impl Family {
     }
 }
 
+/// The transition kinds `model` takes anywhere in its reachable state
+/// space, from an unreduced search with the default state budget.
+///
+/// # Panics
+///
+/// Panics if the model fails verification or exceeds the budget.
+fn verified_kinds<M>(model: &M, name: &str) -> BTreeSet<String>
+where
+    M: Model + Sync,
+    M::State: Send + Sync,
+{
+    check_parallel(model, &CheckOptions::default())
+        .unwrap_or_else(|v| panic!("{name}: the coverage model fails verification: {v}"))
+        .kinds
+}
+
 fn token_kinds(mode: SubstrateMode) -> BTreeSet<String> {
-    reachable_kinds(&TokenModel::new(TokenModelParams::small(mode)), MAX_STATES)
+    verified_kinds(
+        &TokenModel::new(TokenModelParams::small(mode)),
+        &format!("small/{mode:?}"),
+    )
 }
 
 fn safety_union(mode: SubstrateMode) -> BTreeSet<String> {
@@ -86,7 +105,7 @@ pub fn arbiter_universe() -> &'static BTreeSet<String> {
 /// Transition-kind universe for the directory model.
 pub fn directory_universe() -> &'static BTreeSet<String> {
     static U: OnceLock<BTreeSet<String>> = OnceLock::new();
-    U.get_or_init(|| reachable_kinds(&DirModel::new(DirModelParams::small()), MAX_STATES))
+    U.get_or_init(|| verified_kinds(&DirModel::new(DirModelParams::small()), "dir/small"))
 }
 
 fn empty_universe() -> &'static BTreeSet<String> {
@@ -154,5 +173,34 @@ mod tests {
         assert!(!dst.contains("arb-request"));
         assert!(directory_universe().contains("req"));
         assert!(universe(Protocol::PerfectL2).is_empty());
+    }
+
+    /// A model whose every step breaks its invariant.
+    struct Broken;
+
+    impl Model for Broken {
+        type State = u8;
+        fn initial(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn successors(&self, s: &u8, out: &mut Vec<(String, u8)>) {
+            out.push(("step".into(), s.saturating_add(1)));
+        }
+        fn invariant(&self, s: &u8) -> Result<(), String> {
+            if *s == 0 {
+                Ok(())
+            } else {
+                Err("stepped".into())
+            }
+        }
+        fn is_quiescent(&self, _: &u8) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "broken: the coverage model fails verification")]
+    fn universe_search_fails_closed() {
+        let _ = verified_kinds(&Broken, "broken");
     }
 }

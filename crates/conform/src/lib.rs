@@ -14,9 +14,9 @@
 //!   directory holder map, and sequencer issue/commit matching. The
 //!   first inadmissible step yields a frozen violation report with the
 //!   flight-recorder tail at the offending instant.
-//! - [`coverage`] — per-protocol model-transition universes, computed
-//!   by enumerating the downscaled models' reachable state spaces
-//!   ([`tokencmp_mcheck::reachable_kinds`]); the checker labels each
+//! - [`coverage`] — per-protocol model-transition universes, read from
+//!   an unreduced model-checking run of each downscaled model
+//!   ([`tokencmp_mcheck::ExploreReport::kinds`]); the checker labels each
 //!   observed action with the model transition it refines, so a run
 //!   also *measures* which verified transitions the simulator
 //!   exercises.

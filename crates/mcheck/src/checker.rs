@@ -1,16 +1,18 @@
-//! A small explicit-state model checker.
+//! The model checker's contract: the [`Model`] trait every protocol
+//! specification implements, the [`CheckOptions`] a search runs under,
+//! the [`ActionMeta`] footprints the partial-order reduction reads, and
+//! the [`Violation`] a failed search returns.
 //!
-//! Breadth-first exhaustive exploration with invariant checking, deadlock
-//! detection, counterexample traces, and an `EF quiescence` progress check
-//! (from every reachable state, a state with no pending work must be
-//! reachable — catching both deadlocks and inescapable livelocks). This is
-//! the same methodology the paper uses with TLA+/TLC (§5), in-tree so the
+//! The search itself is [`crate::explore::check_parallel`]: breadth-first
+//! exhaustive exploration with invariant checking, deadlock detection,
+//! counterexample traces, and an `EF quiescence` progress check (from
+//! every reachable state, a state with no pending work must be reachable
+//! — catching both deadlocks and inescapable livelocks). This is the same
+//! methodology the paper uses with TLA+/TLC (§5), in-tree so the
 //! verification study is reproducible without external tooling.
 
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::time::Instant;
 
 /// A transition system with invariants.
 pub trait Model {
@@ -33,16 +35,6 @@ pub trait Model {
     /// True if `s` is allowed to have no successors, and is a valid
     /// target for the progress (EF-quiescence) check.
     fn is_quiescent(&self, s: &Self::State) -> bool;
-
-    /// Takes the single labeled step `label` from `s`, if the model
-    /// offers it — the refinement-checker entry point: an observed
-    /// implementation action conforms iff the model can take the
-    /// matching transition from its current abstract state.
-    fn step_labeled(&self, s: &Self::State, label: &str) -> Option<Self::State> {
-        let mut succ = Vec::new();
-        self.successors(s, &mut succ);
-        succ.into_iter().find(|(l, _)| l == label).map(|(_, t)| t)
-    }
 
     /// The canonical representative of `s`'s symmetry orbit, used by
     /// [`crate::explore::check_parallel`] when `CheckOptions::symmetry`
@@ -111,57 +103,6 @@ impl ActionMeta {
     }
 }
 
-/// The set of distinct transition *kinds* (first whitespace-separated
-/// word of each action label) fired anywhere in the model's reachable
-/// state space, up to `max_states` distinct states.
-///
-/// This is the coverage universe for conformance accounting: a kind in
-/// this set that a simulator trace never maps to is either dead spec or
-/// a missing test.
-///
-/// # Panics
-///
-/// Panics if the reachable state count exceeds `max_states`.
-pub fn reachable_kinds<M: Model>(
-    model: &M,
-    max_states: usize,
-) -> std::collections::BTreeSet<String> {
-    // Dedup by 128-bit fingerprint instead of retaining a full clone of
-    // every visited state: at the 5M-state scale the conformance
-    // coverage universes run at, that is 16 bytes per state rather than
-    // a whole protocol state (hundreds of bytes each for TokenModel).
-    // The collision risk is negligible (~n²/2^129; see DESIGN.md §17),
-    // and a collision could only drop a kind that is reachable via
-    // other states anyway.
-    let mut kinds = std::collections::BTreeSet::new();
-    let mut seen: std::collections::HashSet<u128> = std::collections::HashSet::new();
-    let mut frontier: Vec<M::State> = Vec::new();
-    for s in model.initial() {
-        if seen.insert(crate::explore::fingerprint(&s)) {
-            frontier.push(s);
-        }
-    }
-    let mut succ = Vec::new();
-    while let Some(s) = frontier.pop() {
-        succ.clear();
-        model.successors(&s, &mut succ);
-        for (label, t) in succ.drain(..) {
-            let kind = label.split_whitespace().next().unwrap_or("").to_string();
-            kinds.insert(kind);
-            let fp = crate::explore::fingerprint(&t);
-            if !seen.contains(&fp) {
-                assert!(
-                    seen.len() < max_states,
-                    "state space exceeded {max_states} states"
-                );
-                seen.insert(fp);
-                frontier.push(t);
-            }
-        }
-    }
-    kinds
-}
-
 /// A property violation plus the action trace leading to it.
 #[derive(Debug, Clone)]
 pub struct Violation {
@@ -185,34 +126,16 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Statistics from an exhaustive exploration.
-#[derive(Debug, Clone)]
-pub struct CheckReport {
-    /// Distinct reachable states.
-    pub states: usize,
-    /// Transitions explored.
-    pub transitions: u64,
-    /// Maximum BFS depth.
-    pub depth: usize,
-    /// Wall-clock seconds spent.
-    pub seconds: f64,
-    /// Whether the progress (EF-quiescence) check was run and passed.
-    pub progress_checked: bool,
-}
-
-/// Options for [`check`] and [`crate::explore::check_parallel`].
-///
-/// The sequential [`check`] reads only `max_states` and
-/// `check_progress`; the remaining knobs configure the parallel
-/// explorer and are ignored here.
+/// Options for [`crate::explore::check_parallel`]. The defaults run an
+/// unreduced search with the progress check on, on
+/// [`tokencmp_pool::default_threads`] workers.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckOptions {
     /// Abort after this many distinct states (guards against blow-up).
     pub max_states: usize,
     /// Run the EF-quiescence progress check after reachability.
     pub check_progress: bool,
-    /// Worker threads for [`crate::explore::check_parallel`]
-    /// (`0` = [`tokencmp_pool::default_threads`]).
+    /// Worker threads (`0` = [`tokencmp_pool::default_threads`]).
     pub workers: usize,
     /// Quotient the state space by the model's symmetry group
     /// ([`Model::canonicalize`]).
@@ -237,253 +160,64 @@ impl Default for CheckOptions {
     }
 }
 
-/// Exhaustively explores `model`, checking the invariant on every state,
-/// flagging non-quiescent deadlocks, and (optionally) verifying that a
-/// quiescent state stays reachable from everywhere.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found, with a minimal-length trace
-/// (BFS order).
-///
-/// # Panics
-///
-/// Panics if the state count exceeds `opts.max_states`.
-pub fn check<M: Model>(model: &M, opts: &CheckOptions) -> Result<CheckReport, Box<Violation>> {
-    let start = Instant::now();
-    let mut ids: HashMap<M::State, usize> = HashMap::new();
-    let mut states: Vec<M::State> = Vec::new();
-    let mut parent: Vec<Option<(usize, String)>> = Vec::new();
-    let mut depth_of: Vec<usize> = Vec::new();
-    let mut edges: Vec<Vec<usize>> = Vec::new(); // forward adjacency (by id)
-    let mut quiescent: Vec<bool> = Vec::new();
-    let mut frontier: Vec<usize> = Vec::new();
-    let mut transitions: u64 = 0;
-    let mut max_depth = 0;
-
-    let trace_to = |idx: usize, parent: &Vec<Option<(usize, String)>>, states: &Vec<M::State>| {
-        let mut trace = Vec::new();
-        let mut cur = idx;
-        while let Some((p, a)) = &parent[cur] {
-            trace.push(a.clone());
-            cur = *p;
-        }
-        trace.reverse();
-        (trace, format!("{:?}", states[idx]))
-    };
-
-    for s in model.initial() {
-        if let Err(m) = model.invariant(&s) {
-            return Err(Box::new(Violation {
-                message: m,
-                trace: vec![],
-                state: format!("{s:?}"),
-            }));
-        }
-        let id = states.len();
-        if ids.insert(s.clone(), id).is_none() {
-            states.push(s);
-            parent.push(None);
-            depth_of.push(0);
-            edges.push(Vec::new());
-            quiescent.push(false);
-            frontier.push(id);
-        }
-    }
-
-    let mut succ = Vec::new();
-    let mut head = 0;
-    while head < frontier.len() {
-        let id = frontier[head];
-        head += 1;
-        let s = states[id].clone();
-        succ.clear();
-        model.successors(&s, &mut succ);
-        quiescent[id] = model.is_quiescent(&s);
-        if succ.is_empty() && !quiescent[id] {
-            let (trace, state) = trace_to(id, &parent, &states);
-            return Err(Box::new(Violation {
-                message: "deadlock: non-quiescent state with no successors".into(),
-                trace,
-                state,
-            }));
-        }
-        for (label, t) in succ.drain(..) {
-            transitions += 1;
-            let t_id = match ids.get(&t) {
-                Some(&i) => i,
-                None => {
-                    if let Err(m) = model.invariant(&t) {
-                        let (mut trace, _) = trace_to(id, &parent, &states);
-                        trace.push(label.clone());
-                        return Err(Box::new(Violation {
-                            message: m,
-                            trace,
-                            state: format!("{t:?}"),
-                        }));
-                    }
-                    let i = states.len();
-                    assert!(
-                        i < opts.max_states,
-                        "state space exceeded {} states",
-                        opts.max_states
-                    );
-                    ids.insert(t.clone(), i);
-                    states.push(t);
-                    parent.push(Some((id, label)));
-                    let d = depth_of[id] + 1;
-                    depth_of.push(d);
-                    max_depth = max_depth.max(d);
-                    edges.push(Vec::new());
-                    quiescent.push(false);
-                    frontier.push(i);
-                    i
-                }
-            };
-            edges[id].push(t_id);
-        }
-    }
-
-    // Progress: every state can reach a quiescent state (EF quiescence).
-    if opts.check_progress {
-        let n = states.len();
-        // Backward reachability from quiescent states.
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (u, outs) in edges.iter().enumerate() {
-            for &v in outs {
-                rev[v].push(u);
-            }
-        }
-        let mut ok = vec![false; n];
-        let mut stack: Vec<usize> = (0..n).filter(|&i| quiescent[i]).collect();
-        for &i in &stack {
-            ok[i] = true;
-        }
-        while let Some(u) = stack.pop() {
-            for &v in &rev[u] {
-                if !ok[v] {
-                    ok[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        if let Some(bad) = (0..n).find(|&i| !ok[i]) {
-            let (trace, state) = trace_to(bad, &parent, &states);
-            return Err(Box::new(Violation {
-                message: "progress violation: no quiescent state reachable (livelock)".into(),
-                trace,
-                state,
-            }));
-        }
-    }
-
-    Ok(CheckReport {
-        states: states.len(),
-        transitions,
-        depth: max_depth,
-        seconds: start.elapsed().as_secs_f64(),
-        progress_checked: opts.check_progress,
-    })
-}
-
+/// The contract as a caller sees it: [`CheckOptions::default`] and its
+/// budget, and the [`Violation`] a failed search returns, on the
+/// explorer's test models.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::check_parallel;
+    use crate::explore::tests::{Counter, Livelock};
 
-    /// A counter that may increment up to `max` and reset from `max`.
-    struct Counter {
-        max: u8,
-        broken_invariant: bool,
-        deadlock_at_max: bool,
-    }
-
-    impl Model for Counter {
-        type State = u8;
-        fn initial(&self) -> Vec<u8> {
-            vec![0]
-        }
-        fn successors(&self, s: &u8, out: &mut Vec<(String, u8)>) {
-            if *s < self.max {
-                out.push((format!("inc {s}"), s + 1));
-            } else if !self.deadlock_at_max {
-                out.push(("reset".into(), 0));
-            }
-        }
-        fn invariant(&self, s: &u8) -> Result<(), String> {
-            if self.broken_invariant && *s == 3 {
-                Err("reached 3".into())
-            } else {
-                Ok(())
-            }
-        }
-        fn is_quiescent(&self, s: &u8) -> bool {
-            *s == 0
+    fn counter(max: u8) -> Counter {
+        Counter {
+            max,
+            broken_invariant: false,
+            deadlock_at_max: false,
         }
     }
 
     #[test]
     fn explores_all_states() {
-        let m = Counter {
-            max: 5,
-            broken_invariant: false,
-            deadlock_at_max: false,
-        };
-        let r = check(&m, &CheckOptions::default()).unwrap();
+        let r = check_parallel(&counter(5), &CheckOptions::default()).unwrap();
         assert_eq!(r.states, 6);
         assert_eq!(r.transitions, 6);
         assert_eq!(r.depth, 5);
-        assert!(r.progress_checked);
+        assert!(r.progress_checked, "the default runs the progress check");
     }
 
     #[test]
     fn finds_invariant_violation_with_minimal_trace() {
         let m = Counter {
-            max: 5,
             broken_invariant: true,
-            deadlock_at_max: false,
+            ..counter(5)
         };
-        let v = check(&m, &CheckOptions::default()).unwrap_err();
+        let v = check_parallel(&m, &CheckOptions::default()).unwrap_err();
         assert!(v.message.contains("reached 3"));
         assert_eq!(v.trace.len(), 3);
-        assert!(v.to_string().contains("trace (3 steps)"));
+        assert_eq!(
+            v.to_string(),
+            "violation: reached 3\nstate: 3\ntrace (3 steps):\n    0. inc 0\n    1. inc 1\n    2. inc 2\n"
+        );
     }
 
     #[test]
     fn finds_deadlock() {
         let m = Counter {
-            max: 2,
-            broken_invariant: false,
             deadlock_at_max: true,
+            ..counter(2)
         };
-        let v = check(&m, &CheckOptions::default()).unwrap_err();
+        let v = check_parallel(&m, &CheckOptions::default()).unwrap_err();
         assert!(v.message.contains("deadlock"), "{}", v.message);
         assert_eq!(v.trace.len(), 2);
     }
 
-    /// Two states cycling without ever reaching quiescence.
-    struct Livelock;
-    impl Model for Livelock {
-        type State = u8;
-        fn initial(&self) -> Vec<u8> {
-            vec![1]
-        }
-        fn successors(&self, s: &u8, out: &mut Vec<(String, u8)>) {
-            out.push(("spin".into(), 3 - s)); // 1 <-> 2
-        }
-        fn invariant(&self, _: &u8) -> Result<(), String> {
-            Ok(())
-        }
-        fn is_quiescent(&self, s: &u8) -> bool {
-            *s == 0 // unreachable
-        }
-    }
-
     #[test]
     fn finds_livelock_via_progress_check() {
-        let v = check(&Livelock, &CheckOptions::default()).unwrap_err();
+        let v = check_parallel(&Livelock, &CheckOptions::default()).unwrap_err();
         assert!(v.message.contains("progress"), "{}", v.message);
         // Without the progress check it passes.
-        let r = check(
+        let r = check_parallel(
             &Livelock,
             &CheckOptions {
                 check_progress: false,
@@ -495,51 +229,33 @@ mod tests {
     }
 
     #[test]
-    fn step_labeled_follows_exactly_one_transition() {
-        let m = Counter {
-            max: 5,
-            broken_invariant: false,
-            deadlock_at_max: false,
-        };
-        assert_eq!(m.step_labeled(&2, "inc 2"), Some(3));
-        assert_eq!(m.step_labeled(&2, "inc 3"), None, "label must match state");
-        assert_eq!(m.step_labeled(&5, "reset"), Some(0));
-        assert_eq!(m.step_labeled(&5, "inc 5"), None);
-    }
-
-    #[test]
     fn reachable_kinds_collects_label_heads() {
-        let m = Counter {
-            max: 3,
-            broken_invariant: false,
-            deadlock_at_max: false,
-        };
-        let kinds = reachable_kinds(&m, 1000);
-        let kinds: Vec<&str> = kinds.iter().map(String::as_str).collect();
+        // Labels "inc 0", "inc 1", "inc 2" and "reset": a kind is the
+        // first word.
+        let r = check_parallel(&counter(3), &CheckOptions::default()).unwrap();
+        let kinds: Vec<&str> = r.kinds.iter().map(String::as_str).collect();
         assert_eq!(kinds, ["inc", "reset"]);
     }
 
     #[test]
     #[should_panic(expected = "state space exceeded")]
     fn reachable_kinds_respects_state_budget() {
-        let m = Counter {
-            max: 100,
-            broken_invariant: false,
-            deadlock_at_max: false,
-        };
-        let _ = reachable_kinds(&m, 10);
+        // The coverage universes run the default options, progress
+        // check included; the budget binds there too.
+        let _ = check_parallel(
+            &counter(100),
+            &CheckOptions {
+                max_states: 10,
+                ..CheckOptions::default()
+            },
+        );
     }
 
     #[test]
     #[should_panic(expected = "state space exceeded")]
     fn respects_state_budget() {
-        let m = Counter {
-            max: 100,
-            broken_invariant: false,
-            deadlock_at_max: false,
-        };
-        let _ = check(
-            &m,
+        let _ = check_parallel(
+            &counter(100),
             &CheckOptions {
                 max_states: 10,
                 check_progress: false,

@@ -942,12 +942,12 @@ impl Model for DirModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{check, CheckOptions};
+    use crate::{check_parallel, CheckOptions};
 
     #[test]
     fn flat_directory_verifies() {
         let m = DirModel::new(DirModelParams::small());
-        let r = check(&m, &CheckOptions::default()).expect("flat directory must verify");
+        let r = check_parallel(&m, &CheckOptions::default()).expect("flat directory must verify");
         assert!(r.states > 100);
         assert!(r.progress_checked);
     }

@@ -1,20 +1,23 @@
 //! Parallel state-space exploration with symmetry and partial-order
 //! reduction.
 //!
-//! [`check_parallel`] rebuilds the sequential BFS of [`crate::check`]
-//! for scale while keeping every [`Model`] spec untouched:
+//! [`check_parallel`] is the crate's one state-space search: a
+//! breadth-first exploration built for scale that leaves every [`Model`]
+//! spec untouched:
 //!
 //! * **Parallel frontier expansion.** Exploration is level-synchronous:
 //!   the frontier of one BFS level fans out over the shared
 //!   [`tokencmp_pool`] worker pool (dynamic work claiming, results in
 //!   submission order), while the state store stays *frozen* — workers
 //!   only read it. A sequential merge phase then folds the expansions
-//!   back in frontier order, successors in generation order. Because
-//!   the sequential BFS also assigns ids in exactly that order, the
-//!   parallel explorer reproduces its state count, transition count,
-//!   depth, and first-violation trace *bit for bit* at any worker count
-//!   when both reductions are off — which is what the differential
-//!   suite in `tests/mcheck_parallel.rs` pins.
+//!   back in frontier order, successors in generation order. That is
+//!   the order a plain one-state-at-a-time BFS assigns ids in, so with
+//!   both reductions off the state count, transition count, depth, kind
+//!   set and first-violation trace are the plain BFS's, *bit for bit*,
+//!   at any worker count — which the differential suite in
+//!   `tests/mcheck_parallel.rs` pins against a test-only reference
+//!   search. With one worker the pool runs every batch inline, so the
+//!   same code is also the sequential search.
 //!
 //! * **Hashed state store.** States are deduplicated by 128-bit
 //!   fingerprint ([`fingerprint`]: the state's hash bytes recorded once,
@@ -151,17 +154,16 @@ fn on_audit_stripe(fp: u128) -> bool {
     fp & 0xF == 0
 }
 
-/// Statistics from a [`check_parallel`] run. Superset of
-/// [`crate::CheckReport`]: the extra fields record reduction and audit
-/// activity, the transition-kind universe (first word of every
-/// generated label, *including* labels pruned by the partial-order
-/// reduction — reduction saves stored and expanded states, never
-/// coverage accounting), and where the wall time went.
+/// Statistics from a [`check_parallel`] run: the search's shape, its
+/// reduction and audit activity, the transition-kind universe (first
+/// word of every generated label, *including* labels pruned by the
+/// partial-order reduction — reduction saves stored and expanded states,
+/// never coverage accounting), and where the wall time went.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Distinct stored states (canonical representatives).
     pub states: usize,
-    /// Transitions taken (equals the sequential count when POR is off).
+    /// Transitions taken (every generated one when POR is off).
     pub transitions: u64,
     /// Maximum BFS depth reached.
     pub depth: usize,
@@ -348,16 +350,15 @@ fn expand<M: Model>(
     }
 }
 
-/// Exhaustively explores `model` in parallel, checking the invariant on
-/// every state, flagging non-quiescent deadlocks, and (optionally)
-/// verifying EF-quiescence — the parallel, reducible counterpart of
-/// [`crate::check`].
+/// Exhaustively explores `model` on `opts.workers` threads, checking the
+/// invariant on every state, flagging non-quiescent deadlocks, and
+/// (optionally) verifying EF-quiescence.
 ///
 /// With `opts.symmetry` and `opts.por` both off, the verdict, state
-/// count, transition count, depth, and first-violation trace are
-/// identical to the sequential checker's at any worker count. With
-/// reductions on, the verdict and the transition-kind universe are
-/// preserved; states and transitions shrink.
+/// count, transition count, depth, kind set and first-violation trace
+/// are a plain sequential BFS's, at any worker count. With reductions
+/// on, the verdict and the transition-kind universe are preserved;
+/// states and transitions shrink.
 ///
 /// # Errors
 ///
@@ -463,7 +464,7 @@ where
         expand_s += t.elapsed().as_secs_f64();
 
         // Sequential merge in frontier order, successors in generation
-        // order — exactly the order the sequential BFS discovers them.
+        // order — exactly the order a plain sequential BFS discovers them.
         let t = Instant::now();
         let mut next: Vec<(u32, M::State)> = Vec::new();
         for exp in results.into_iter().flatten() {
@@ -551,8 +552,8 @@ where
     edge_start.push(edge_to.len());
 
     // Progress: every state can reach a quiescent state (EF quiescence),
-    // via backward reachability — same algorithm as the sequential
-    // checker, over the (possibly reduced) explored graph.
+    // via backward reachability over the (possibly reduced) explored
+    // graph.
     let mut progress_s = 0.0;
     if opts.check_progress {
         let t = Instant::now();
@@ -667,16 +668,15 @@ fn replay_state<M: Model>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::checker::check;
 
-    /// The checker test models, re-stated locally: a counter with
-    /// optional planted violations.
-    struct Counter {
-        max: u8,
-        broken_invariant: bool,
-        deadlock_at_max: bool,
+    /// A counter that may increment up to `max` and reset from `max`,
+    /// with optional planted violations. Shared with the `checker` tests.
+    pub(crate) struct Counter {
+        pub(crate) max: u8,
+        pub(crate) broken_invariant: bool,
+        pub(crate) deadlock_at_max: bool,
     }
 
     impl Model for Counter {
@@ -722,16 +722,13 @@ mod tests {
             broken_invariant: false,
             deadlock_at_max: false,
         };
-        let seq = check(&m, &CheckOptions::default()).unwrap();
         for workers in [1, 2, 4] {
             let opts = CheckOptions {
                 workers,
                 ..CheckOptions::default()
             };
             let par = check_parallel(&m, &opts).unwrap();
-            assert_eq!(par.states, seq.states);
-            assert_eq!(par.transitions, seq.transitions);
-            assert_eq!(par.depth, seq.depth);
+            assert_eq!((par.states, par.transitions, par.depth), (6, 6, 5));
             assert!(par.progress_checked);
             assert_eq!(
                 par.kinds.iter().map(String::as_str).collect::<Vec<_>>(),
@@ -747,11 +744,17 @@ mod tests {
             broken_invariant: true,
             deadlock_at_max: false,
         };
-        let seq = check(&m, &CheckOptions::default()).unwrap_err();
-        let par = check_parallel(&m, &CheckOptions::default()).unwrap_err();
-        assert_eq!(par.message, seq.message);
-        assert_eq!(par.trace, seq.trace);
-        assert_eq!(par.state, seq.state);
+        for workers in [1, 2, 4] {
+            let opts = CheckOptions {
+                workers,
+                ..CheckOptions::default()
+            };
+            let v = check_parallel(&m, &opts).unwrap_err();
+            assert_eq!(v.message, "reached 3");
+            assert_eq!(v.trace, ["inc 0", "inc 1", "inc 2"], "minimal trace");
+            assert_eq!(v.state, "3");
+            assert!(v.to_string().contains("trace (3 steps)"), "{v}");
+        }
     }
 
     #[test]
@@ -761,14 +764,14 @@ mod tests {
             broken_invariant: false,
             deadlock_at_max: true,
         };
-        let seq = check(&m, &CheckOptions::default()).unwrap_err();
-        let par = check_parallel(&m, &CheckOptions::default()).unwrap_err();
-        assert_eq!(par.message, seq.message);
-        assert_eq!(par.trace, seq.trace);
+        let v = check_parallel(&m, &CheckOptions::default()).unwrap_err();
+        assert!(v.message.contains("deadlock"), "{}", v.message);
+        assert_eq!(v.trace, ["inc 0", "inc 1"]);
     }
 
-    /// Two states cycling without ever reaching quiescence.
-    struct Livelock;
+    /// Two states cycling without ever reaching quiescence. Shared with
+    /// the `checker` tests.
+    pub(crate) struct Livelock;
     impl Model for Livelock {
         type State = u8;
         fn initial(&self) -> Vec<u8> {
@@ -790,6 +793,17 @@ mod tests {
         let v = check_parallel(&Livelock, &CheckOptions::default()).unwrap_err();
         assert!(v.message.contains("progress"), "{}", v.message);
         assert_eq!(v.state, "1", "replay must reconstruct the bad state");
+        // Without the progress check it passes.
+        let r = check_parallel(
+            &Livelock,
+            &CheckOptions {
+                check_progress: false,
+                ..CheckOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(r.states, 2);
+        assert!(!r.progress_checked);
     }
 
     #[test]
@@ -840,8 +854,8 @@ mod tests {
 
     #[test]
     fn symmetry_shrinks_states_and_keeps_kinds() {
-        let seq = check(&TwoSym, &CheckOptions::default()).unwrap();
-        assert_eq!(seq.states, 9);
+        let full = check_parallel(&TwoSym, &CheckOptions::default()).unwrap();
+        assert_eq!(full.states, 9);
         let par = check_parallel(
             &TwoSym,
             &CheckOptions {
@@ -903,15 +917,13 @@ mod tests {
 
     #[test]
     fn por_prunes_interleavings_but_finds_the_violation() {
-        let seq = check(&TwoPor, &CheckOptions::default()).unwrap_err();
-        assert!(seq.message.contains("corner"));
         let opts = CheckOptions {
             por: true,
             ..CheckOptions::default()
         };
         let par = check_parallel(&TwoPor, &opts).unwrap_err();
-        assert_eq!(par.message, seq.message);
-        assert_eq!(par.trace.len(), seq.trace.len(), "minimal trace length");
+        assert_eq!(par.message, "corner reached");
+        assert_eq!(par.trace.len(), 4, "minimal trace length");
         // And on the clean variant it actually reduces.
         struct Clean;
         impl Model for Clean {
@@ -932,7 +944,8 @@ mod tests {
                 TwoPor.action_meta(s, label)
             }
         }
-        let full = check(&Clean, &CheckOptions::default()).unwrap();
+        let full = check_parallel(&Clean, &CheckOptions::default()).unwrap();
+        assert_eq!((full.states, full.transitions), (9, 12));
         let red = check_parallel(&Clean, &opts).unwrap();
         assert!(red.por_states_reduced > 0);
         assert!(red.transitions < full.transitions);

@@ -1,7 +1,8 @@
 //! # Verification substrate (Section 5 of the paper)
 //!
-//! An in-tree explicit-state model checker ([`check`]) plus protocol
-//! specifications:
+//! An in-tree explicit-state model checker ([`check_parallel`]: one
+//! breadth-first search, run on any number of workers, with optional
+//! symmetry and partial-order reduction) plus protocol specifications:
 //!
 //! * [`TokenModel`] — the flat token coherence correctness substrate, in
 //!   three variants (safety-only, distributed activation, arbiter
@@ -14,7 +15,9 @@
 //!
 //! The `sec5_model_checking` bench target reproduces the paper's
 //! complexity comparison: reachable-state counts, wall time, and
-//! specification sizes ([`spec_lines`]).
+//! specification sizes ([`spec_lines`]). The conformance crate reads each
+//! model's transition-kind coverage universe from the same search
+//! ([`ExploreReport::kinds`]).
 
 pub mod checker;
 pub mod dir_model;
@@ -22,9 +25,7 @@ pub mod explore;
 pub mod inline_vec;
 pub mod token_model;
 
-pub use checker::{
-    check, reachable_kinds, ActionMeta, CheckOptions, CheckReport, Model, Violation,
-};
+pub use checker::{ActionMeta, CheckOptions, Model, Violation};
 pub use dir_model::{DirModel, DirModelParams};
 pub use explore::{check_parallel, ExploreReport};
 pub use inline_vec::InlineVec;

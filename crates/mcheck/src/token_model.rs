@@ -1205,42 +1205,44 @@ impl TokenModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{check, CheckOptions};
+    use crate::{check_parallel, CheckOptions};
 
     #[test]
     fn safety_substrate_verifies() {
         let m = TokenModel::new(TokenModelParams::small(SubstrateMode::SafetyOnly));
-        let r = check(&m, &CheckOptions::default()).expect("safety substrate must verify");
+        let r = check_parallel(&m, &CheckOptions::default()).expect("safety substrate must verify");
         assert!(r.states > 100, "suspiciously small space: {}", r.states);
     }
 
     #[test]
     fn distributed_substrate_verifies() {
         let m = TokenModel::new(TokenModelParams::small(SubstrateMode::Distributed));
-        let r = check(&m, &CheckOptions::default()).expect("dst substrate must verify");
+        let r = check_parallel(&m, &CheckOptions::default()).expect("dst substrate must verify");
         assert!(r.progress_checked);
     }
 
     #[test]
     fn arbiter_substrate_verifies() {
         let m = TokenModel::new(TokenModelParams::small(SubstrateMode::Arbiter));
-        let r = check(&m, &CheckOptions::default()).expect("arb substrate must verify");
+        let r = check_parallel(&m, &CheckOptions::default()).expect("arb substrate must verify");
         assert!(r.states > 100);
     }
 
     #[test]
     fn recovery_substrate_verifies() {
         let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
-        let r = check(&m, &CheckOptions::default()).expect("recovery substrate must verify");
+        let r =
+            check_parallel(&m, &CheckOptions::default()).expect("recovery substrate must verify");
         assert!(r.progress_checked, "EF-quiescence must hold under loss");
         assert!(r.states > 100, "suspiciously small space: {}", r.states);
     }
 
     #[test]
     fn recovery_reaches_every_recreation_kind() {
-        use crate::checker::reachable_kinds;
         let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
-        let kinds = reachable_kinds(&m, 5_000_000);
+        let kinds = check_parallel(&m, &CheckOptions::default())
+            .expect("recovery substrate must verify")
+            .kinds;
         for k in [
             "lose",
             "recreate-start",

@@ -8,7 +8,7 @@
 //! ```
 
 use tokencmp::mcheck::{
-    check, spec_lines, CheckOptions, DirModel, DirModelParams, SubstrateMode, TokenModel,
+    check_parallel, spec_lines, CheckOptions, DirModel, DirModelParams, SubstrateMode, TokenModel,
     TokenModelParams,
 };
 
@@ -25,7 +25,7 @@ fn main() {
         ("TokenCMP-arb", SubstrateMode::Arbiter),
     ] {
         let model = TokenModel::new(TokenModelParams::small(mode));
-        match check(&model, &opts) {
+        match check_parallel(&model, &opts) {
             Ok(r) => println!(
                 "{name:>28} {:>10} {:>12} {:>7} {:>7.2}s",
                 r.states, r.transitions, r.depth, r.seconds
@@ -38,7 +38,7 @@ fn main() {
     }
 
     let dir = DirModel::new(DirModelParams::small());
-    match check(&dir, &opts) {
+    match check_parallel(&dir, &opts) {
         Ok(r) => println!(
             "{:>28} {:>10} {:>12} {:>7} {:>7.2}s",
             "flat DirectoryCMP", r.states, r.transitions, r.depth, r.seconds

@@ -1,41 +1,168 @@
-//! Differential suite: the parallel explorer against the sequential BFS.
+//! Differential suite: the explorer against a test-only reference search.
 //!
-//! Three layers of evidence, mirroring DESIGN.md §17:
+//! [`reference`] below is a plain breadth-first search over full states:
+//! no fingerprints, batches, frozen store or reductions. Three layers of
+//! evidence, mirroring DESIGN.md §17:
 //!
 //! 1. **Exact determinism** — with both reductions off, `check_parallel`
-//!    must reproduce the sequential checker's state count, transition
-//!    count, depth, and first-violation trace bit-for-bit at every
+//!    must reproduce the reference's state count, transition count,
+//!    depth, kind set and first-violation trace bit-for-bit at every
 //!    worker count, on every protocol model.
 //! 2. **Verdict preservation** — with symmetry and POR on, the verdict
-//!    and the transition-kind universe must match the sequential run;
-//!    only the state/transition counts may shrink.
+//!    and the transition-kind universe must match the reference; only
+//!    the state/transition counts may shrink.
 //! 3. **Mutation tests** — deliberately broken reductions (a
 //!    canonicalization that conflates inequivalent states; an action
 //!    that lies about its footprint) must make the checker *miss* a
-//!    planted violation the sequential BFS finds, demonstrating the
+//!    planted violation the reference finds, demonstrating the
 //!    differential suite actually has teeth.
+//!
+//! The reference also checks, on every state it visits, that the
+//! explorer's one-walk fingerprint equals the two-walk streaming form it
+//! replaced.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use tokencmp::mcheck::checker::ActionMeta;
 use tokencmp::mcheck::explore::fingerprint;
 use tokencmp::mcheck::{
-    check, check_parallel, reachable_kinds, CheckOptions, DirModel, DirModelParams, Model,
-    SubstrateMode, TokenModel, TokenModelParams,
+    check_parallel, CheckOptions, DirModel, DirModelParams, Model, SubstrateMode, TokenModel,
+    TokenModelParams, Violation,
 };
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+// ---------------------------------------------------------------------------
+// The reference search.
+// ---------------------------------------------------------------------------
+
+/// What a clean reference search found.
+#[derive(Debug)]
+struct Reference {
+    states: usize,
+    transitions: u64,
+    depth: usize,
+    kinds: BTreeSet<String>,
+}
+
+/// The streaming fingerprint, kept here as the oracle: each seeded
+/// `DefaultHasher` pass walks the state itself.
+fn streaming_fingerprint<S: Hash>(s: &S) -> u128 {
+    let mut lo = DefaultHasher::new();
+    0u64.hash(&mut lo);
+    s.hash(&mut lo);
+    let mut hi = DefaultHasher::new();
+    0x9E37_79B9_7F4A_7C15u64.hash(&mut hi);
+    s.hash(&mut hi);
+    ((hi.finish() as u128) << 64) | lo.finish() as u128
+}
+
+/// A state the reference search discovered, with the index and label of
+/// the step that first reached it (none for an initial state).
+struct Found<S> {
+    state: S,
+    parent: Option<(usize, String)>,
+    depth: usize,
+}
+
+/// Breadth-first search of `model` over full states, checking the
+/// invariant on every new state and flagging non-quiescent states with
+/// no successors; it does not run the progress check. Returns the first
+/// violation in BFS order, with its trace and state text. Asserts on
+/// every visited state that it and its canonical form fingerprint as the
+/// streaming oracle does.
+fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
+    // Every discovered state in BFS order; the queue is the part past
+    // the state being expanded.
+    let mut found: Vec<Found<M::State>> = Vec::new();
+    let mut seen: HashSet<M::State> = HashSet::new();
+    let trace_to = |found: &[Found<M::State>], mut i: usize| {
+        let mut trace = Vec::new();
+        while let Some((p, label)) = &found[i].parent {
+            trace.push(label.clone());
+            i = *p;
+        }
+        trace.reverse();
+        trace
+    };
+    let violation = |message: String, trace: Vec<String>, s: &M::State| {
+        Box::new(Violation {
+            message,
+            trace,
+            state: format!("{s:?}"),
+        })
+    };
+    for s in model.initial() {
+        if let Err(m) = model.invariant(&s) {
+            return Err(violation(m, vec![], &s));
+        }
+        if seen.insert(s.clone()) {
+            found.push(Found {
+                state: s,
+                parent: None,
+                depth: 0,
+            });
+        }
+    }
+    let mut r = Reference {
+        states: 0,
+        transitions: 0,
+        depth: 0,
+        kinds: BTreeSet::new(),
+    };
+    let mut succs = Vec::new();
+    let mut head = 0;
+    while head < found.len() {
+        let (s, depth) = (found[head].state.clone(), found[head].depth + 1);
+        for t in [&s, &model.canonicalize(&s)] {
+            assert_eq!(
+                fingerprint(t),
+                streaming_fingerprint(t),
+                "fingerprint of {t:?}"
+            );
+        }
+        model.successors(&s, &mut succs);
+        if succs.is_empty() && !model.is_quiescent(&s) {
+            let message = "deadlock: non-quiescent state with no successors".into();
+            return Err(violation(message, trace_to(&found, head), &s));
+        }
+        for (label, t) in succs.drain(..) {
+            r.transitions += 1;
+            let kind = label.split_whitespace().next().unwrap_or("");
+            r.kinds.insert(kind.to_string());
+            if seen.contains(&t) {
+                continue;
+            }
+            if let Err(m) = model.invariant(&t) {
+                let mut trace = trace_to(&found, head);
+                trace.push(label);
+                return Err(violation(m, trace, &t));
+            }
+            seen.insert(t.clone());
+            r.depth = depth;
+            found.push(Found {
+                state: t,
+                parent: Some((head, label)),
+                depth,
+            });
+        }
+        head += 1;
+    }
+    r.states = found.len();
+    Ok(r)
+}
+
+// ---------------------------------------------------------------------------
+// Parity on the protocol models.
+// ---------------------------------------------------------------------------
 
 fn assert_exact_parity<M>(model: &M, name: &str)
 where
     M: Model + Sync,
     M::State: Send + Sync,
 {
-    let seq = check(model, &CheckOptions::default()).unwrap_or_else(|v| {
-        panic!("{name}: sequential check must pass: {v}");
-    });
-    let seq_kinds = reachable_kinds(model, 5_000_000);
+    let r = reference(model).unwrap_or_else(|v| panic!("{name}: reference must pass: {v}"));
     for workers in WORKERS {
         let par = check_parallel(
             model,
@@ -45,13 +172,13 @@ where
             },
         )
         .unwrap_or_else(|v| panic!("{name}/{workers}w: parallel check must pass: {v}"));
-        assert_eq!(par.states, seq.states, "{name}/{workers}w states");
+        assert_eq!(par.states, r.states, "{name}/{workers}w states");
         assert_eq!(
-            par.transitions, seq.transitions,
+            par.transitions, r.transitions,
             "{name}/{workers}w transitions"
         );
-        assert_eq!(par.depth, seq.depth, "{name}/{workers}w depth");
-        assert_eq!(par.kinds, seq_kinds, "{name}/{workers}w kind universe");
+        assert_eq!(par.depth, r.depth, "{name}/{workers}w depth");
+        assert_eq!(par.kinds, r.kinds, "{name}/{workers}w kind universe");
         assert!(par.progress_checked);
     }
 }
@@ -61,10 +188,7 @@ where
     M: Model + Sync,
     M::State: Send + Sync,
 {
-    let seq = check(model, &CheckOptions::default()).unwrap_or_else(|v| {
-        panic!("{name}: sequential check must pass: {v}");
-    });
-    let seq_kinds = reachable_kinds(model, 5_000_000);
+    let r = reference(model).unwrap_or_else(|v| panic!("{name}: reference must pass: {v}"));
     for workers in WORKERS {
         let red = check_parallel(
             model,
@@ -78,13 +202,13 @@ where
         )
         .unwrap_or_else(|v| panic!("{name}/{workers}w reduced check must pass: {v}"));
         assert!(
-            red.states <= seq.states,
+            red.states <= r.states,
             "{name}/{workers}w: reduction may only shrink ({} > {})",
             red.states,
-            seq.states
+            r.states
         );
         assert_eq!(
-            red.kinds, seq_kinds,
+            red.kinds, r.kinds,
             "{name}/{workers}w reduced kind universe"
         );
     }
@@ -137,7 +261,7 @@ fn directory_reduced_verdict_and_kinds_match() {
 #[test]
 fn symmetry_actually_reduces_the_symmetric_models() {
     let m = TokenModel::new(TokenModelParams::small(SubstrateMode::SafetyOnly));
-    let seq = check(&m, &CheckOptions::default()).unwrap();
+    let full = check_parallel(&m, &CheckOptions::default()).unwrap();
     let red = check_parallel(
         &m,
         &CheckOptions {
@@ -147,13 +271,13 @@ fn symmetry_actually_reduces_the_symmetric_models() {
     )
     .unwrap();
     assert!(
-        red.states * 2 <= seq.states + seq.states / 8,
+        red.states * 2 <= full.states + full.states / 8,
         "2-cache symmetry should roughly halve the safety substrate: {} vs {}",
         red.states,
-        seq.states
+        full.states
     );
     let d = DirModel::new(DirModelParams::small());
-    let dseq = check(&d, &CheckOptions::default()).unwrap();
+    let dfull = check_parallel(&d, &CheckOptions::default()).unwrap();
     let dred = check_parallel(
         &d,
         &CheckOptions {
@@ -162,7 +286,7 @@ fn symmetry_actually_reduces_the_symmetric_models() {
         },
     )
     .unwrap();
-    assert!(dred.states * 2 <= dseq.states + dseq.states / 8);
+    assert!(dred.states * 2 <= dfull.states + dfull.states / 8);
 }
 
 #[test]
@@ -184,9 +308,9 @@ fn por_prunes_ack_interleavings_in_the_recovery_model() {
 
 // ---------------------------------------------------------------------------
 // Planted violations: a wrapper invariant that is symmetric under the
-// model's group, violated somewhere reachable. Sequential and reduced
-// parallel runs must agree on the verdict; with reductions off the
-// whole counterexample must be identical.
+// model's group, violated somewhere reachable. The reference and reduced
+// runs must agree on the verdict; with reductions off the whole
+// counterexample must be identical.
 // ---------------------------------------------------------------------------
 
 struct PlantedToken(TokenModel);
@@ -252,7 +376,7 @@ fn planted_violations_found_identically_without_reductions() {
     let m = PlantedToken(TokenModel::new(TokenModelParams::small(
         SubstrateMode::SafetyOnly,
     )));
-    let seq = check(&m, &CheckOptions::default()).unwrap_err();
+    let expected = reference(&m).unwrap_err();
     for workers in WORKERS {
         let par = check_parallel(
             &m,
@@ -262,9 +386,9 @@ fn planted_violations_found_identically_without_reductions() {
             },
         )
         .unwrap_err();
-        assert_eq!(par.message, seq.message, "{workers}w");
-        assert_eq!(par.trace, seq.trace, "{workers}w");
-        assert_eq!(par.state, seq.state, "{workers}w");
+        assert_eq!(par.message, expected.message, "{workers}w");
+        assert_eq!(par.trace, expected.trace, "{workers}w");
+        assert_eq!(par.state, expected.state, "{workers}w");
     }
 }
 
@@ -278,19 +402,19 @@ fn planted_violations_survive_both_reductions() {
     let m = PlantedToken(TokenModel::new(TokenModelParams::small(
         SubstrateMode::SafetyOnly,
     )));
-    let seq = check(&m, &CheckOptions::default()).unwrap_err();
+    let expected = reference(&m).unwrap_err();
     let red = check_parallel(&m, &opts).unwrap_err();
-    assert_eq!(red.message, seq.message);
+    assert_eq!(red.message, expected.message);
     assert_eq!(
         red.trace.len(),
-        seq.trace.len(),
+        expected.trace.len(),
         "BFS reduction must keep the minimal trace length"
     );
 
     let d = PlantedDir(DirModel::new(DirModelParams::small()));
-    let dseq = check(&d, &CheckOptions::default()).unwrap_err();
+    let dexpected = reference(&d).unwrap_err();
     let dred = check_parallel(&d, &opts).unwrap_err();
-    assert_eq!(dred.message, dseq.message);
+    assert_eq!(dred.message, dexpected.message);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +468,7 @@ fn broken_canonicalization_misses_the_planted_violation() {
         symmetry: true,
         ..CheckOptions::default()
     };
-    assert!(check(&sound, &CheckOptions::default()).is_err());
+    assert!(reference(&sound).is_err());
     assert!(check_parallel(&sound, &opts).is_err());
     let missed = check_parallel(&broken, &opts)
         .expect("a canonicalization that conflates inequivalent states must (unsoundly) verify");
@@ -409,8 +533,8 @@ fn lying_independence_misses_the_order_dependent_violation() {
         ..CheckOptions::default()
     };
     assert!(
-        check(&LyingPor { lie: true }, &CheckOptions::default()).is_err(),
-        "sequential exploration must find y == 1"
+        reference(&LyingPor { lie: true }).is_err(),
+        "the reference search must find y == 1"
     );
     assert!(
         check_parallel(&LyingPor { lie: false }, &opts).is_err(),
@@ -422,64 +546,25 @@ fn lying_independence_misses_the_order_dependent_violation() {
 
 // ---------------------------------------------------------------------------
 // Search identity: the explorer's one-walk fingerprint equals the
-// two-walk streaming form it replaced, on every reachable state, and the
-// benchmark's reduced search keeps its exact shape.
+// two-walk streaming form it replaced on every reachable state (checked
+// by the reference search as it goes), and the benchmark's reduced
+// search keeps its exact shape.
 // ---------------------------------------------------------------------------
-
-/// The streaming fingerprint, kept here as the oracle: each seeded
-/// `DefaultHasher` pass walks the state itself.
-fn streaming_fingerprint<S: Hash>(s: &S) -> u128 {
-    let mut lo = DefaultHasher::new();
-    0u64.hash(&mut lo);
-    s.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    0x9E37_79B9_7F4A_7C15u64.hash(&mut hi);
-    s.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
-}
-
-/// Walks every reachable state of `model`, asserting that the state and
-/// its canonical form fingerprint identically under both forms.
-/// Returns the number of states walked.
-fn assert_fingerprint_identity<M: Model>(model: &M, name: &str) -> usize {
-    let mut seen: HashSet<M::State> = model.initial().into_iter().collect();
-    let mut stack: Vec<M::State> = seen.iter().cloned().collect();
-    let mut succs = Vec::new();
-    while let Some(s) = stack.pop() {
-        for t in [&s, &model.canonicalize(&s)] {
-            assert_eq!(
-                fingerprint(t),
-                streaming_fingerprint(t),
-                "{name}: fingerprint of {t:?}"
-            );
-        }
-        model.successors(&s, &mut succs);
-        for (_, t) in succs.drain(..) {
-            if !seen.contains(&t) {
-                seen.insert(t.clone());
-                stack.push(t);
-            }
-        }
-    }
-    seen.len()
-}
 
 #[test]
 fn fingerprint_equals_the_streaming_oracle_on_every_reachable_state() {
-    for mode in [
-        SubstrateMode::SafetyOnly,
-        SubstrateMode::Distributed,
-        SubstrateMode::Arbiter,
+    for (mode, states) in [
+        (SubstrateMode::SafetyOnly, 16_637),
+        (SubstrateMode::Distributed, 85_483),
+        (SubstrateMode::Arbiter, 15_855),
     ] {
         let m = TokenModel::new(TokenModelParams::small(mode));
-        let seq = check(&m, &CheckOptions::default()).unwrap();
-        let walked = assert_fingerprint_identity(&m, &format!("token/{mode:?}"));
-        assert_eq!(walked, seq.states, "token/{mode:?}: walk covers the space");
+        assert_eq!(reference(&m).unwrap().states, states, "token/{mode:?}");
     }
     let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
-    assert_eq!(assert_fingerprint_identity(&m, "token/recovery"), 94_270);
+    assert_eq!(reference(&m).unwrap().states, 94_270, "token/recovery");
     let d = DirModel::new(DirModelParams::small());
-    assert_eq!(assert_fingerprint_identity(&d, "dir"), 104_600);
+    assert_eq!(reference(&d).unwrap().states, 104_600, "dir");
 }
 
 /// The `mcheck-recovery` benchmark workload's search: one worker,
@@ -506,17 +591,15 @@ fn benchmark_search_shape_is_pinned() {
 
 // ---------------------------------------------------------------------------
 // Flagship: the Distributed recovery configuration (~1.4M unreduced
-// states) — promoted from `--ignored` by the CI `verification` job via
-// `check_parallel`, with the verdict and kind universe checked against
-// the sequential baseline.
+// states), run by the CI `verification` job (`--ignored`) with both
+// reductions and the collision audit, against the unreduced search's
+// row pinned in `tests/mcheck_invariants.rs` and its kind set.
 // ---------------------------------------------------------------------------
 
 #[test]
 #[ignore = "large state space (~1.4M states); run explicitly or in CI"]
-fn distributed_recovery_parallel_matches_sequential() {
+fn distributed_recovery_reduced_run_matches_the_pinned_unreduced_search() {
     let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::Distributed));
-    let seq = check(&m, &CheckOptions::default()).expect("sequential verdict");
-    let seq_kinds = reachable_kinds(&m, 5_000_000);
     let red = check_parallel(
         &m,
         &CheckOptions {
@@ -526,16 +609,36 @@ fn distributed_recovery_parallel_matches_sequential() {
             ..CheckOptions::default()
         },
     )
-    .expect("parallel verdict must match the sequential pass");
-    assert_eq!(red.kinds, seq_kinds, "transition-kind universe");
-    assert!(red.states <= seq.states);
+    .expect("the reduced flagship search must verify");
+    assert!(red.progress_checked);
+    assert_eq!(
+        red.kinds.iter().map(String::as_str).collect::<Vec<_>>(),
+        [
+            "complete",
+            "deliver-ack",
+            "deliver-activate",
+            "deliver-deactivate",
+            "deliver-inval",
+            "deliver-stale",
+            "deliver-tokens",
+            "forward",
+            "issue",
+            "lose",
+            "mem-grant",
+            "recreate-done",
+            "recreate-start",
+            "write",
+            "writeback",
+        ],
+        "the unreduced search's transition-kind universe"
+    );
     // Distributed mode is not exchangeable (fixed-priority activation),
-    // so symmetry degenerates to the identity there; with the ack class
-    // being the only POR site, the counts should be nearly unreduced.
-    assert!(
-        red.states * 100 >= seq.states * 95,
-        "unexpectedly strong reduction ({} of {}) — recheck soundness",
-        red.states,
-        seq.states
+    // so symmetry degenerates to the identity there, and the ack class
+    // is the only POR site: against the unreduced row (1,437,255 states,
+    // 7,223,161 transitions, depth 58) the reduction keeps every state
+    // and prunes 422 transitions.
+    assert_eq!(
+        (red.states, red.transitions, red.depth),
+        (1_437_255, 7_223_161 - 422, 58)
     );
 }

@@ -31,7 +31,6 @@
 //! doubles as a determinism check on whatever host it runs on.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use tokencmp::mcheck::{
     check_parallel, CheckOptions, DirModel, DirModelParams, Model, SubstrateMode, TokenModel,
@@ -43,22 +42,14 @@ use tokencmp_bench::mcheck::{
     append, check_speedup, trajectory_path, validate_file, McheckBenchEntry,
 };
 
-/// One measured row plus the data the scaling table needs.
-struct Row {
-    entry: McheckBenchEntry,
-    /// The run's wall-time split: expansion, merge and progress seconds
-    /// (printed, not recorded in the trajectory).
-    phases: [f64; 3],
-}
-
 /// The `seq` row: one worker, reductions off.
-fn seq_entry<M>(run: &str, config: &str, model: &M) -> Row
+fn seq_entry<M>(run: &str, config: &str, model: &M) -> McheckBenchEntry
 where
     M: Model + Sync,
     M::State: Send + Sync,
 {
     let mut row = par_entry(run, config, model, 1, false, false);
-    row.entry.bench = "seq".into();
+    row.bench = "seq".into();
     row
 }
 
@@ -69,7 +60,7 @@ fn par_entry<M>(
     workers: usize,
     symmetry: bool,
     por: bool,
-) -> Row
+) -> McheckBenchEntry
 where
     M: Model + Sync,
     M::State: Send + Sync,
@@ -83,37 +74,36 @@ where
     let r = check_parallel(model, &opts).unwrap_or_else(|v| {
         panic!("{config}: parallel check must pass: {v}");
     });
-    Row {
-        entry: McheckBenchEntry::measured(
-            run,
-            config,
-            McheckBenchEntry::par_bench_name(workers, symmetry, por),
-            r.states as u64,
-            r.transitions,
-            Duration::from_secs_f64(r.seconds.max(1e-9)),
-            r.workers as u64,
-        ),
-        phases: [r.expand_s, r.merge_s, r.progress_s],
-    }
+    McheckBenchEntry::measured(
+        run,
+        config,
+        McheckBenchEntry::par_bench_name(workers, symmetry, por),
+        &r,
+    )
 }
 
 /// Measures one configuration: the one-worker `seq` row, a
 /// reductions-off run per wider worker count (determinism + scaling),
 /// and a fully reduced run per worker count (the production shape).
-fn measure_config<M>(run: &str, config: &str, model: &M, workers: &[usize], rows: &mut Vec<Row>)
-where
+fn measure_config<M>(
+    run: &str,
+    config: &str,
+    model: &M,
+    workers: &[usize],
+    rows: &mut Vec<McheckBenchEntry>,
+) where
     M: Model + Sync,
     M::State: Send + Sync,
 {
     eprintln!("  measuring {config} ...");
     let seq = seq_entry(run, config, model);
-    let seq_states = seq.entry.states;
+    let seq_states = seq.states;
     rows.push(seq);
     for &w in workers {
         if w > 1 {
             let row = par_entry(run, config, model, w, false, false);
             assert_eq!(
-                row.entry.states, seq_states,
+                row.states, seq_states,
                 "{config}: reductions-off {w}-worker run diverged from the one-worker run"
             );
             rows.push(row);
@@ -122,7 +112,7 @@ where
     }
 }
 
-fn print_table(rows: &[Row]) {
+fn print_table(rows: &[McheckBenchEntry]) {
     println!(
         "{:<28} {:<16} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9}",
         "config",
@@ -136,12 +126,11 @@ fn print_table(rows: &[Row]) {
         "progr. s"
     );
     let mut seq_rate = 0.0;
-    for r in rows {
-        let e = &r.entry;
+    for e in rows {
         if e.bench == "seq" {
             seq_rate = e.states_per_sec;
         }
-        let [expand, merge, progress] = r.phases;
+        let [expand, merge, progress] = e.phases().map(|(_, ns)| ns.unwrap_or(0) as f64 / 1e9);
         println!(
             "{:<28} {:<16} {:>10} {:>12} {:>12.3e} {:>8.2}x {expand:>9.3} {merge:>9.3} {progress:>9.3}",
             e.config,
@@ -155,16 +144,16 @@ fn print_table(rows: &[Row]) {
 }
 
 /// The scaling-table artifact CI uploads: one object per measured row,
-/// with the speedup against the same configuration's `seq` rate.
-fn export_scaling_table(rows: &[Row]) {
+/// with its wall-time split and the speedup against the same
+/// configuration's `seq` rate.
+fn export_scaling_table(rows: &[McheckBenchEntry]) {
     let mut arr = Vec::new();
     let seq_rate = |config: &str| {
         rows.iter()
-            .find(|r| r.entry.config == config && r.entry.bench == "seq")
-            .map(|r| r.entry.states_per_sec)
+            .find(|e| e.config == config && e.bench == "seq")
+            .map(|e| e.states_per_sec)
     };
-    for r in rows {
-        let e = &r.entry;
+    for e in rows {
         let mut obj = std::collections::BTreeMap::from([
             ("config".to_string(), Value::Str(e.config.clone())),
             ("bench".to_string(), Value::Str(e.bench.clone())),
@@ -174,6 +163,11 @@ fn export_scaling_table(rows: &[Row]) {
             ("workers".to_string(), Value::Int(e.workers)),
             ("host_cores".to_string(), Value::Int(e.host_cores)),
         ]);
+        for (k, ns) in e.phases() {
+            if let Some(ns) = ns {
+                obj.insert(k.to_string(), Value::Int(ns));
+            }
+        }
         if let Some(base) = seq_rate(&e.config) {
             obj.insert(
                 "speedup_vs_seq".to_string(),
@@ -277,8 +271,7 @@ fn main() {
     print_table(&rows);
     export_scaling_table(&rows);
 
-    let fresh: Vec<McheckBenchEntry> = rows.into_iter().map(|r| r.entry).collect();
-    match append(&path, fresh.clone()) {
+    match append(&path, rows.clone()) {
         Ok(all) => println!(
             "\nwrote {} ({} entries, run `{run}`)",
             path.display(),
@@ -289,7 +282,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    match check_speedup(&fresh, &run) {
+    match check_speedup(&rows, &run) {
         Ok(report) => print!("{report}"),
         Err(e) => {
             eprintln!("{e}");

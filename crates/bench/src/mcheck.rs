@@ -25,10 +25,18 @@
 //!     {"run": "pr9", "config": "small_recovery/Distributed",
 //!      "bench": "par/w4+sym+por", "states": 1437255,
 //!      "transitions": 7222739, "elapsed_ns": 35630000000,
-//!      "states_per_sec": 40338.6, "workers": 4, "host_cores": 4}
+//!      "states_per_sec": 40338.6, "workers": 4, "host_cores": 4,
+//!      "expand_ns": 30210000000, "merge_ns": 4120000000,
+//!      "progress_ns": 1180000000}
 //!   ]
 //! }
 //! ```
+//!
+//! `expand_ns`, `merge_ns` and `progress_ns` split the wall time into
+//! the explorer's frontier expansion, its sequential merges and the
+//! progress check (`ExploreReport::{expand_s, merge_s, progress_s}`).
+//! Entries from runs before `pr18` lack them; they are optional, but the
+//! phases an entry records may not sum to more than its `elapsed_ns`.
 //!
 //! The speedup gate is honest about hardware: `check_parallel` must hit
 //! ≥2x the same run's sequential states/sec **only** for entries
@@ -44,6 +52,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use tokencmp::mcheck::ExploreReport;
 use tokencmp::sweep::json::{parse, Value};
 
 /// Schema tag every trajectory file must carry.
@@ -76,33 +85,45 @@ pub struct McheckBenchEntry {
     /// `available_parallelism` on the measuring host — the gate reads
     /// this, so 1-core CI entries are self-describing.
     pub host_cores: u64,
+    /// Wall time in frontier expansion (absent before run `pr18`).
+    pub expand_ns: Option<u64>,
+    /// Wall time in the sequential merges (absent before run `pr18`).
+    pub merge_ns: Option<u64>,
+    /// Wall time in the progress check (absent before run `pr18`).
+    pub progress_ns: Option<u64>,
 }
 
 impl McheckBenchEntry {
-    /// An entry from a raw measurement; derives the rate field and
-    /// stamps the host's core count.
-    pub fn measured(
-        run: &str,
-        config: &str,
-        bench: String,
-        states: u64,
-        transitions: u64,
-        elapsed: Duration,
-        workers: u64,
-    ) -> McheckBenchEntry {
+    /// An entry from one explorer run; derives the rate field, records
+    /// the wall-time split and stamps the host's core count.
+    pub fn measured(run: &str, config: &str, bench: String, r: &ExploreReport) -> McheckBenchEntry {
+        let ns = |s: f64| Duration::from_secs_f64(s).as_nanos() as u64;
+        let elapsed = r.seconds.max(1e-9);
         McheckBenchEntry {
             run: run.to_string(),
             config: config.to_string(),
             bench,
-            states,
-            transitions,
-            elapsed_ns: elapsed.as_nanos() as u64,
-            states_per_sec: states as f64 / elapsed.as_secs_f64(),
-            workers,
+            states: r.states as u64,
+            transitions: r.transitions,
+            elapsed_ns: ns(elapsed),
+            states_per_sec: r.states as f64 / elapsed,
+            workers: r.workers as u64,
             host_cores: std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
                 .unwrap_or(1),
+            expand_ns: Some(ns(r.expand_s)),
+            merge_ns: Some(ns(r.merge_s)),
+            progress_ns: Some(ns(r.progress_s)),
         }
+    }
+
+    /// The phase fields by name: expansion, merge, progress.
+    pub fn phases(&self) -> [(&'static str, Option<u64>); 3] {
+        [
+            ("expand_ns", self.expand_ns),
+            ("merge_ns", self.merge_ns),
+            ("progress_ns", self.progress_ns),
+        ]
     }
 
     /// The canonical `par/...` bench name for a knob combination.
@@ -123,7 +144,7 @@ impl McheckBenchEntry {
     }
 
     fn to_value(&self) -> Value {
-        Value::Obj(BTreeMap::from([
+        let mut obj = BTreeMap::from([
             ("run".into(), Value::Str(self.run.clone())),
             ("config".into(), Value::Str(self.config.clone())),
             ("bench".into(), Value::Str(self.bench.clone())),
@@ -133,7 +154,13 @@ impl McheckBenchEntry {
             ("states_per_sec".into(), Value::Float(self.states_per_sec)),
             ("workers".into(), Value::Int(self.workers)),
             ("host_cores".into(), Value::Int(self.host_cores)),
-        ]))
+        ]);
+        for (k, ns) in self.phases() {
+            if let Some(ns) = ns {
+                obj.insert(k.into(), Value::Int(ns));
+            }
+        }
+        Value::Obj(obj)
     }
 
     fn from_value(v: &Value, idx: usize) -> Result<McheckBenchEntry, String> {
@@ -171,7 +198,11 @@ impl McheckBenchEntry {
         if host_cores == 0 {
             return Err(format!("entry {idx}: `host_cores` must be >= 1"));
         }
-        Ok(McheckBenchEntry {
+        let phase = |k: &str| match v.get(k) {
+            None => Ok(None),
+            Some(_) => int_field(k).map(Some),
+        };
+        let entry = McheckBenchEntry {
             run: str_field("run")?,
             config: str_field("config")?,
             bench,
@@ -181,7 +212,18 @@ impl McheckBenchEntry {
             states_per_sec: rate,
             workers,
             host_cores,
-        })
+            expand_ns: phase("expand_ns")?,
+            merge_ns: phase("merge_ns")?,
+            progress_ns: phase("progress_ns")?,
+        };
+        let phases: u64 = entry.phases().iter().filter_map(|&(_, ns)| ns).sum();
+        if phases > entry.elapsed_ns {
+            return Err(format!(
+                "entry {idx}: phases sum to {phases} ns, more than `elapsed_ns` = {}",
+                entry.elapsed_ns
+            ));
+        }
+        Ok(entry)
     }
 }
 
@@ -361,6 +403,9 @@ mod tests {
             states_per_sec: sps,
             workers,
             host_cores,
+            expand_ns: None,
+            merge_ns: None,
+            progress_ns: None,
         }
     }
 
@@ -399,6 +444,23 @@ mod tests {
         zero.workers = 0;
         let err = parse_trajectory(&render(&[zero])).unwrap_err();
         assert!(err.contains("workers"), "{err}");
+    }
+
+    #[test]
+    fn phases_are_optional_but_may_not_exceed_the_wall_time() {
+        let old = entry("dir/small", "seq", 1e5, 1, 1);
+        let mut split = old.clone();
+        let (expand, merge) = (old.elapsed_ns / 2, old.elapsed_ns / 4);
+        split.expand_ns = Some(expand);
+        split.merge_ns = Some(merge);
+        split.progress_ns = Some(old.elapsed_ns - expand - merge);
+        let text = render(&[old.clone(), split.clone()]);
+        assert!(!text.lines().nth(3).unwrap().contains("merge_ns"), "{text}");
+        assert_eq!(parse_trajectory(&text).unwrap(), [old, split.clone()]);
+
+        split.progress_ns = Some(split.progress_ns.unwrap() + 1);
+        let err = parse_trajectory(&render(&[split])).unwrap_err();
+        assert!(err.contains("more than `elapsed_ns`"), "{err}");
     }
 
     #[test]

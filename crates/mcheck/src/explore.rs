@@ -21,14 +21,30 @@
 //!
 //! * **Hashed state store.** States are deduplicated by 128-bit
 //!   fingerprint ([`fingerprint`]: the state's hash bytes recorded once,
-//!   then two independently seeded hash passes) in one map, retaining 16
-//!   bytes per state instead of a full clone. At n = 10⁷ states the
-//!   collision probability is about n²/2¹²⁹ ≈ 10⁻²⁵ (see DESIGN.md §17).
-//!   Workers settle successors the frozen store already holds and hand
-//!   the merge only their ids, dropping the state while it is still in
-//!   cache. `CheckOptions::collision_audit` additionally retains full
-//!   states on a 1/16 fingerprint stripe and asserts that every dedup
-//!   hit on the stripe compares equal.
+//!   then one SipHash-1-3 pass in its 128-bit output mode) in one map,
+//!   retaining 16 bytes per state instead of a full clone. At n = 10⁷
+//!   states the collision probability is about n²/2¹²⁹ ≈ 10⁻²⁵ (see
+//!   DESIGN.md §17). `CheckOptions::collision_audit` additionally
+//!   retains full states on a 1/16 fingerprint stripe and asserts that
+//!   every dedup hit on the stripe compares equal.
+//!
+//! * **Compact expansion records.** A worker writes one 4-byte record
+//!   per taken successor: the id of a state the frozen store already
+//!   holds (the state and its label are dropped while still in cache),
+//!   or a marker plus a 4-byte index into the batch's list of *fresh*
+//!   successors, which carry state, label and invariant verdict to the
+//!   merge. Each batch reuses one successor buffer.
+//!
+//! * **Batch-local dedup.** A worker remembers the fingerprint of every
+//!   fresh successor it has emitted in its batch, and records a repeat
+//!   as a back-reference to the first occurrence: no state copy, no
+//!   label and no second `invariant` call. The merge resolves it to the
+//!   id it gave the first occurrence, which is the id the store lookup
+//!   would have returned, since the merge reaches the first occurrence
+//!   earlier in the same batch. Batch sizes depend on the worker count,
+//!   so which repeats are caught does too; the ids do not. States on
+//!   the audit stripe are never deduplicated inside a batch, so the
+//!   audit still sees every dedup hit on the stripe.
 //!
 //! * **Compact graph.** Edges are stored in CSR form (one flat target
 //!   list plus per-state offsets — states are expanded in id order);
@@ -50,7 +66,7 @@
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 use tokencmp_pool::{default_threads, par_map_threads};
@@ -63,14 +79,17 @@ thread_local! {
     static FP_BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Records the bytes a `Hash` impl writes.
+/// Records the bytes a `Hash` impl writes. Its methods are inlined into
+/// the caller's `Hash` walk: most writes are one to eight bytes.
 struct ByteSink<'a>(&'a mut Vec<u8>);
 
 impl Hasher for ByteSink<'_> {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         self.0.extend_from_slice(bytes);
     }
 
+    #[inline]
     fn write_u8(&mut self, i: u8) {
         self.0.push(i);
     }
@@ -80,26 +99,100 @@ impl Hasher for ByteSink<'_> {
     }
 }
 
-/// 128-bit state fingerprint: two independent 64-bit `DefaultHasher`
-/// passes over the same value, distinguished by a seed prefix. The value
-/// is walked once into a reusable per-thread byte buffer and both passes
-/// hash that buffer; SipHash is a streaming hash, so the result equals
-/// streaming `s.hash()` into each seeded hasher (the oracle in
-/// `tests/mcheck_parallel.rs` checks this on every reachable model
-/// state). `DefaultHasher::new` is specified to produce identical
-/// streams across instances, so fingerprints are stable within a build —
-/// which is all the store needs (they are never persisted).
+/// SipHash-1-3 with zero keys, the function behind std's
+/// `DefaultHasher`: one round per 8-byte little-endian word, then three
+/// finalization rounds.
+struct Sip13([u64; 4]);
+
+impl Sip13 {
+    /// The state after absorbing `bytes` as one message, including the
+    /// final word that carries the tail bytes and the length's low byte.
+    /// `wide` selects the 128-bit output mode, which differs only in
+    /// `v1`'s initial value and in the finalization.
+    #[inline]
+    fn absorb(bytes: &[u8], wide: bool) -> Sip13 {
+        let mut s = Sip13([
+            0x736f_6d65_7073_6575,
+            0x646f_7261_6e64_6f6d ^ if wide { 0xee } else { 0 },
+            0x6c79_6765_6e65_7261,
+            0x7465_6462_7974_6573,
+        ]);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            s.compress(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        s.compress(u64::from_le_bytes(last) | (bytes.len() as u64) << 56);
+        s
+    }
+
+    #[inline]
+    fn round(&mut self) {
+        let [v0, v1, v2, v3] = &mut self.0;
+        *v0 = v0.wrapping_add(*v1);
+        *v1 = v1.rotate_left(13) ^ *v0;
+        *v0 = v0.rotate_left(32);
+        *v2 = v2.wrapping_add(*v3);
+        *v3 = v3.rotate_left(16) ^ *v2;
+        *v0 = v0.wrapping_add(*v3);
+        *v3 = v3.rotate_left(21) ^ *v0;
+        *v2 = v2.wrapping_add(*v1);
+        *v1 = v1.rotate_left(17) ^ *v2;
+        *v2 = v2.rotate_left(32);
+    }
+
+    #[inline]
+    fn compress(&mut self, m: u64) {
+        self.0[3] ^= m;
+        self.round();
+        self.0[0] ^= m;
+    }
+
+    /// Three finalization rounds, folded to one word.
+    #[inline]
+    fn fold(&mut self) -> u64 {
+        for _ in 0..3 {
+            self.round();
+        }
+        let [v0, v1, v2, v3] = self.0;
+        v0 ^ v1 ^ v2 ^ v3
+    }
+
+    /// The 128-bit output: the first output word is the low half.
+    #[inline]
+    fn finish128(mut self) -> u128 {
+        self.0[2] ^= 0xee;
+        let lo = self.fold();
+        self.0[1] ^= 0xdd;
+        let hi = self.fold();
+        u128::from(hi) << 64 | u128::from(lo)
+    }
+
+    /// The 64-bit output `DefaultHasher::finish` gives, against which
+    /// the unit tests check the rounds and the tail padding.
+    #[cfg(test)]
+    fn finish64(mut self) -> u64 {
+        self.0[2] ^= 0xff;
+        self.fold()
+    }
+}
+
+/// 128-bit state fingerprint: SipHash-1-3 in its 128-bit output mode
+/// (the construction behind rustc's 128-bit fingerprints) over the bytes
+/// `s.hash()` writes. The value is walked once into a reusable
+/// per-thread byte buffer and hashed in one pass; SipHash is a streaming
+/// hash, so the result equals streaming `s.hash()` into a SipHash-1-3-128
+/// hasher (the oracle in `tests/mcheck_parallel.rs` checks this on every
+/// reachable model state). The keys are fixed, so fingerprints are
+/// stable within a build, which is all the store needs (they are never
+/// persisted).
 pub fn fingerprint<S: Hash>(s: &S) -> u128 {
     FP_BYTES.with_borrow_mut(|bytes| {
         bytes.clear();
         s.hash(&mut ByteSink(bytes));
-        let pass = |seed: u64| {
-            let mut h = DefaultHasher::new();
-            seed.hash(&mut h);
-            h.write(bytes);
-            h.finish()
-        };
-        ((pass(0x9E37_79B9_7F4A_7C15) as u128) << 64) | pass(0) as u128
+        Sip13::absorb(bytes, true).finish128()
     })
 }
 
@@ -191,25 +284,27 @@ pub struct ExploreReport {
     pub progress_s: f64,
 }
 
-/// A taken successor as a worker settled it against the frozen store.
-enum Succ<S> {
-    /// A state the frozen store holds: its id.
-    Known(u32),
-    /// A state the frozen store lacks (or, under the collision audit,
-    /// one on the audit stripe): the merge settles it.
-    Open {
-        label: String,
-        state: S,
-        fp: u128,
-        /// The invariant error, evaluated only for states absent from
-        /// the frozen store.
-        inv_err: Option<String>,
-    },
+/// The record of a taken successor the frozen store does not settle:
+/// its entry in [`Batch::refs`] names its fresh successor. State ids
+/// never reach this value (`check_parallel` caps the budget at
+/// `u32::MAX` states, ids `0..u32::MAX`).
+const OPEN: u32 = u32::MAX;
+
+/// A taken successor the merge settles: the first occurrence in its
+/// batch of a state the frozen store lacks or, under the collision
+/// audit, any occurrence of a state on the audit stripe.
+struct Fresh<S> {
+    label: String,
+    state: S,
+    fp: u128,
+    /// The invariant error, evaluated only for states absent from the
+    /// frozen store.
+    inv_err: Option<String>,
 }
 
-/// One frontier state's expansion, produced by a worker against the
-/// frozen store and folded in deterministically by the merge phase.
-struct Expansion<S> {
+/// One frontier state's expansion. Its taken successors are the next
+/// `taken` records of its batch.
+struct Expansion {
     id: u32,
     quiescent: bool,
     /// `Some(pretty-printed state)` iff non-quiescent with no successors.
@@ -220,133 +315,209 @@ struct Expansion<S> {
     /// Kinds (label heads) of generated successors, pruned included,
     /// that the frozen kind set lacks.
     new_kinds: Vec<String>,
-    /// Taken successors in generation order.
-    taken: Vec<Succ<S>>,
+    /// Taken successors.
+    taken: u32,
 }
 
-/// Expands one frontier state against the frozen store and kind set
-/// (only the merge writes them).
-fn expand<M: Model>(
+/// A contiguous run of one level's frontier, expanded by one worker
+/// against the frozen store and folded in by the merge.
+struct Batch<S> {
+    /// Expansions in frontier order.
+    exps: Vec<Expansion>,
+    /// One record per taken successor, in generation order: the id of a
+    /// state the frozen store holds, or [`OPEN`].
+    recs: Vec<u32>,
+    /// One entry per [`OPEN`] record: the index in `fresh` of the
+    /// successor's first occurrence in this batch.
+    refs: Vec<u32>,
+    /// Successors new to the frozen store, each once, in order of first
+    /// occurrence; under the collision audit, also every occurrence of a
+    /// state on the stripe.
+    fresh: Vec<Fresh<S>>,
+}
+
+/// A worker's expansion of one batch: the frozen view it reads (only the
+/// merge writes the store and the kind set), the batch it fills, and the
+/// scratch it reuses across the batch's states.
+struct Worker<'a, M: Model> {
+    model: &'a M,
+    opts: &'a CheckOptions,
+    store: &'a FpMap<u32>,
+    kinds: &'a BTreeSet<String>,
+    out: Batch<M::State>,
+    /// Fingerprint → `fresh` index of every successor off the audit
+    /// stripe that this batch has emitted as fresh.
+    emitted: FpMap<u32>,
+    succs: Vec<(String, M::State)>,
+}
+
+/// Expands one batch of a level's frontier against the frozen store and
+/// kind set.
+fn expand_batch<M: Model>(
     model: &M,
     opts: &CheckOptions,
     store: &FpMap<u32>,
     kinds: &BTreeSet<String>,
-    id: u32,
-    s: &M::State,
-) -> Expansion<M::State> {
-    let mut succs = Vec::new();
-    model.successors(s, &mut succs);
-    let quiescent = model.is_quiescent(s);
-    if succs.is_empty() && !quiescent {
-        return Expansion {
+    chunk: &[(u32, M::State)],
+) -> Batch<M::State> {
+    let mut worker = Worker {
+        model,
+        opts,
+        store,
+        kinds,
+        out: Batch {
+            exps: Vec::with_capacity(chunk.len()),
+            recs: Vec::new(),
+            refs: Vec::new(),
+            fresh: Vec::new(),
+        },
+        emitted: FpMap::default(),
+        succs: Vec::new(),
+    };
+    for (id, s) in chunk {
+        worker.expand(*id, s);
+    }
+    worker.out
+}
+
+impl<M: Model> Worker<'_, M> {
+    /// Expands one frontier state, appending its expansion and records.
+    fn expand(&mut self, id: u32, s: &M::State) {
+        let (model, opts) = (self.model, self.opts);
+        let mut succs = std::mem::take(&mut self.succs);
+        model.successors(s, &mut succs);
+        let quiescent = model.is_quiescent(s);
+        let mut exp = Expansion {
             id,
             quiescent,
-            deadlock: Some(format!("{s:?}")),
+            deadlock: None,
             pruned: 0,
             new_kinds: Vec::new(),
-            taken: Vec::new(),
+            taken: 0,
         };
-    }
-
-    let mut new_kinds: Vec<String> = Vec::new();
-    for (label, _) in &succs {
-        let head = label.split_whitespace().next().unwrap_or("");
-        if !kinds.contains(head) && !new_kinds.iter().any(|k| k == head) {
-            new_kinds.push(head.to_string());
+        if succs.is_empty() && !quiescent {
+            exp.deadlock = Some(format!("{s:?}"));
         }
-    }
-
-    let with_fp = |c: M::State| {
-        let fp = fingerprint(&c);
-        (c, fp)
-    };
-    let canon_fp = |t: &M::State| {
-        with_fp(if opts.symmetry {
-            model.canonicalize(t)
-        } else {
-            t.clone()
-        })
-    };
-    // Canonical forms by successor index, computed lazily (ample
-    // selection may avoid the work for pruned successors) and shared by
-    // the selection and the expansion.
-    let mut canon: Vec<Option<(M::State, u128)>> = vec![None; succs.len()];
-
-    // Ample-set selection: for each declared class (ascending id), take
-    // its members alone iff (C1/C2, via the model's class promise plus a
-    // mechanical footprint check) no co-enabled non-member conflicts
-    // with the class, and (C3, cycle proviso) at least one member leads
-    // out of the frozen store — i.e. to a state expanded at a strictly
-    // later level, so deferred actions cannot be postponed forever
-    // around a cycle.
-    let mut metas: Vec<ActionMeta> = Vec::new();
-    let mut ample: Option<u32> = None;
-    if opts.por && succs.len() > 1 {
-        metas = succs
-            .iter()
-            .map(|(label, _)| model.action_meta(s, label))
-            .collect();
-        let classes: BTreeSet<u32> = metas.iter().filter_map(|m| m.class).collect();
-        'class: for c in classes {
-            let members: Vec<usize> = (0..succs.len())
-                .filter(|&i| metas[i].class == Some(c))
-                .collect();
-            if members.len() == succs.len() {
-                continue; // no reduction to be had
+        for (label, _) in &succs {
+            let head = label.split_whitespace().next().unwrap_or("");
+            if !self.kinds.contains(head) && !exp.new_kinds.iter().any(|k| k == head) {
+                exp.new_kinds.push(head.to_string());
             }
-            let combined = members.iter().fold(ActionMeta::rw(0, 0), |acc, &i| {
-                ActionMeta::rw(acc.reads | metas[i].reads, acc.writes | metas[i].writes)
-            });
-            for meta in &metas {
-                if meta.class != Some(c) && combined.dependent(meta) {
-                    continue 'class;
+        }
+
+        let with_fp = |c: M::State| {
+            let fp = fingerprint(&c);
+            (c, fp)
+        };
+        let canon_fp = |t: &M::State| {
+            with_fp(if opts.symmetry {
+                model.canonicalize(t)
+            } else {
+                t.clone()
+            })
+        };
+        // Canonical forms by successor index, computed lazily by the
+        // ample selection's cycle proviso (which may avoid the work for
+        // pruned successors) and reused by the expansion. Allocated only
+        // for states the proviso evaluates.
+        let mut canon: Vec<Option<(M::State, u128)>> = Vec::new();
+
+        // Ample-set selection: for each declared class (ascending id),
+        // take its members alone iff (C1/C2, via the model's class
+        // promise plus a mechanical footprint check) no co-enabled
+        // non-member conflicts with the class, and (C3, cycle proviso) at
+        // least one member leads out of the frozen store — i.e. to a
+        // state expanded at a strictly later level, so deferred actions
+        // cannot be postponed forever around a cycle.
+        let mut metas: Vec<ActionMeta> = Vec::new();
+        let mut ample: Option<u32> = None;
+        if opts.por && succs.len() > 1 {
+            metas = succs
+                .iter()
+                .map(|(label, _)| model.action_meta(s, label))
+                .collect();
+            let classes: BTreeSet<u32> = metas.iter().filter_map(|m| m.class).collect();
+            'class: for c in classes {
+                let members: Vec<usize> = (0..succs.len())
+                    .filter(|&i| metas[i].class == Some(c))
+                    .collect();
+                if members.len() == succs.len() {
+                    continue; // no reduction to be had
+                }
+                let combined = members.iter().fold(ActionMeta::rw(0, 0), |acc, &i| {
+                    ActionMeta::rw(acc.reads | metas[i].reads, acc.writes | metas[i].writes)
+                });
+                for meta in &metas {
+                    if meta.class != Some(c) && combined.dependent(meta) {
+                        continue 'class;
+                    }
+                }
+                if canon.is_empty() {
+                    canon.resize_with(succs.len(), || None);
+                }
+                let leaves = members.iter().any(|&i| {
+                    let (_, fp) = canon[i].get_or_insert_with(|| canon_fp(&succs[i].1));
+                    !self.store.contains_key(fp)
+                });
+                if leaves {
+                    ample = Some(c);
+                    break;
                 }
             }
-            let leaves = members.iter().any(|&i| {
-                let (_, fp) = canon[i].get_or_insert_with(|| canon_fp(&succs[i].1));
-                !store.contains_key(fp)
-            });
-            if leaves {
-                ample = Some(c);
-                break;
+        }
+
+        let generated = succs.len() as u32;
+        for (i, (label, t)) in succs.drain(..).enumerate() {
+            if ample.is_some_and(|c| metas[i].class != Some(c)) {
+                continue;
+            }
+            exp.taken += 1;
+            let (state, fp) = match canon.get_mut(i).and_then(Option::take) {
+                Some(c) => c,
+                None if opts.symmetry => canon_fp(&t),
+                None => with_fp(t),
+            };
+            self.settle(label, state, fp);
+        }
+        exp.pruned = generated - exp.taken;
+        self.out.exps.push(exp);
+        self.succs = succs;
+    }
+
+    /// Records one taken successor: a back-reference if this batch has
+    /// already emitted it as fresh, its id if the frozen store holds it
+    /// (unless the audit must compare it), and otherwise a fresh
+    /// successor with its invariant verdict.
+    fn settle(&mut self, label: String, state: M::State, fp: u128) {
+        let out = &mut self.out;
+        if let Some(&first) = self.emitted.get(&fp) {
+            out.recs.push(OPEN);
+            out.refs.push(first);
+            return;
+        }
+        let known = self.store.get(&fp).copied();
+        let audit = self.opts.collision_audit && on_audit_stripe(fp);
+        match known {
+            Some(t_id) if !audit => out.recs.push(t_id),
+            _ => {
+                let j = out.fresh.len() as u32;
+                if !audit {
+                    self.emitted.insert(fp, j);
+                }
+                out.recs.push(OPEN);
+                out.refs.push(j);
+                out.fresh.push(Fresh {
+                    inv_err: if known.is_none() {
+                        self.model.invariant(&state).err()
+                    } else {
+                        None
+                    },
+                    label,
+                    state,
+                    fp,
+                });
             }
         }
-    }
-
-    let generated = succs.len();
-    let mut taken = Vec::with_capacity(generated);
-    for (i, (label, t)) in succs.into_iter().enumerate() {
-        if ample.is_some_and(|c| metas[i].class != Some(c)) {
-            continue;
-        }
-        let (state, fp) = match canon[i].take() {
-            Some(c) => c,
-            None if opts.symmetry => canon_fp(&t),
-            None => with_fp(t),
-        };
-        let known = store.get(&fp).copied();
-        taken.push(match known {
-            Some(t_id) if !(opts.collision_audit && on_audit_stripe(fp)) => Succ::Known(t_id),
-            _ => Succ::Open {
-                inv_err: if known.is_none() {
-                    model.invariant(&state).err()
-                } else {
-                    None
-                },
-                label,
-                state,
-                fp,
-            },
-        });
-    }
-
-    Expansion {
-        id,
-        quiescent,
-        deadlock: None,
-        pruned: (generated - taken.len()) as u32,
-        new_kinds,
-        taken,
     }
 }
 
@@ -366,12 +537,19 @@ fn expand<M: Model>(
 ///
 /// # Panics
 ///
-/// Panics if the state count exceeds `opts.max_states`.
+/// Panics if the state count exceeds `opts.max_states`, and on entry if
+/// `opts.max_states` exceeds `u32::MAX`, the most states 4-byte ids can
+/// name.
 pub fn check_parallel<M>(model: &M, opts: &CheckOptions) -> Result<ExploreReport, Box<Violation>>
 where
     M: Model + Sync,
     M::State: Send + Sync,
 {
+    assert!(
+        opts.max_states <= u32::MAX as usize,
+        "CheckOptions::max_states = {} exceeds u32::MAX, the most states 4-byte ids can name",
+        opts.max_states
+    );
     let start = Instant::now();
     let workers = if opts.workers == 0 {
         default_threads()
@@ -453,12 +631,9 @@ where
         // so the merge below is schedule-independent.
         let t = Instant::now();
         let batch = (frontier.len() / (workers.max(1) * 8)).clamp(1, 1024);
-        let results: Vec<Vec<Expansion<M::State>>> =
+        let results: Vec<Batch<M::State>> =
             par_map_threads(frontier.chunks(batch).collect(), workers, |chunk| {
-                chunk
-                    .iter()
-                    .map(|(id, s)| expand(model, opts, &store, &kinds, *id, s))
-                    .collect()
+                expand_batch(model, opts, &store, &kinds, chunk)
             });
         drop(frontier);
         expand_s += t.elapsed().as_secs_f64();
@@ -467,80 +642,93 @@ where
         // order — exactly the order a plain sequential BFS discovers them.
         let t = Instant::now();
         let mut next: Vec<(u32, M::State)> = Vec::new();
-        for exp in results.into_iter().flatten() {
-            let id = exp.id;
-            debug_assert_eq!(edge_start.len(), id as usize, "expanded out of id order");
-            edge_start.push(edge_to.len());
-            quiescent[id as usize] = exp.quiescent;
-            if let Some(state) = exp.deadlock {
-                return Err(Box::new(Violation {
-                    message: "deadlock: non-quiescent state with no successors".into(),
-                    trace: trace_to(id, &parent, &labels),
-                    state,
-                }));
-            }
-            if exp.pruned > 0 {
-                por_states_reduced += 1;
-                por_pruned += u64::from(exp.pruned);
-            }
-            kinds.extend(exp.new_kinds);
-            for succ in exp.taken {
-                transitions += 1;
-                let (label, c, fp, inv_err) = match succ {
-                    Succ::Known(t_id) => {
+        for batch in results {
+            let mut recs = batch.recs.into_iter();
+            let mut refs = batch.refs.into_iter();
+            let mut fresh = batch.fresh.into_iter();
+            // The id each merged `fresh` entry settled to, by index.
+            let mut fresh_ids: Vec<u32> = Vec::with_capacity(fresh.len());
+            for exp in batch.exps {
+                let id = exp.id;
+                debug_assert_eq!(edge_start.len(), id as usize, "expanded out of id order");
+                edge_start.push(edge_to.len());
+                quiescent[id as usize] = exp.quiescent;
+                if let Some(state) = exp.deadlock {
+                    return Err(Box::new(Violation {
+                        message: "deadlock: non-quiescent state with no successors".into(),
+                        trace: trace_to(id, &parent, &labels),
+                        state,
+                    }));
+                }
+                if exp.pruned > 0 {
+                    por_states_reduced += 1;
+                    por_pruned += u64::from(exp.pruned);
+                }
+                kinds.extend(exp.new_kinds);
+                for rec in recs.by_ref().take(exp.taken as usize) {
+                    transitions += 1;
+                    if rec != OPEN {
+                        edge_to.push(rec);
+                        continue;
+                    }
+                    let j = refs.next().expect("one ref per open record") as usize;
+                    if let Some(&t_id) = fresh_ids.get(j) {
+                        // A repeat: the merge settled its first
+                        // occurrence earlier in this batch.
                         edge_to.push(t_id);
                         continue;
                     }
-                    Succ::Open {
+                    let Fresh {
                         label,
-                        state,
+                        state: c,
                         fp,
                         inv_err,
-                    } => (label, state, fp, inv_err),
-                };
-                let t_id = match store.get(&fp) {
-                    Some(&i) => {
-                        if let Some(full) = stripe.get(&fp) {
+                    } = fresh.next().expect("refs name fresh entries in order");
+                    let t_id = match store.get(&fp) {
+                        Some(&i) => {
+                            if let Some(full) = stripe.get(&fp) {
+                                assert!(
+                                    *full == c,
+                                    "fingerprint collision: distinct states share {fp:#034x}"
+                                );
+                                audited += 1;
+                            }
+                            i
+                        }
+                        None => {
+                            if let Some(m) = inv_err {
+                                let mut trace = trace_to(id, &parent, &labels);
+                                trace.push(label);
+                                return Err(Box::new(Violation {
+                                    message: m,
+                                    trace,
+                                    state: format!("{c:?}"),
+                                }));
+                            }
                             assert!(
-                                *full == c,
-                                "fingerprint collision: distinct states share {fp:#034x}"
+                                fps.len() < opts.max_states,
+                                "state space exceeded {} states",
+                                opts.max_states
                             );
-                            audited += 1;
+                            let i = fps.len() as u32;
+                            let l = *label_ids.entry(label).or_insert_with_key(|k| {
+                                labels.push(k.clone());
+                                (labels.len() - 1) as u32
+                            });
+                            store.insert(fp, i);
+                            fps.push(fp);
+                            parent.push((id, l));
+                            quiescent.push(false);
+                            if opts.collision_audit && on_audit_stripe(fp) {
+                                stripe.insert(fp, c.clone());
+                            }
+                            next.push((i, c));
+                            i
                         }
-                        i
-                    }
-                    None => {
-                        if let Some(m) = inv_err {
-                            let mut trace = trace_to(id, &parent, &labels);
-                            trace.push(label);
-                            return Err(Box::new(Violation {
-                                message: m,
-                                trace,
-                                state: format!("{c:?}"),
-                            }));
-                        }
-                        let i = fps.len() as u32;
-                        assert!(
-                            (i as usize) < opts.max_states,
-                            "state space exceeded {} states",
-                            opts.max_states
-                        );
-                        let l = *label_ids.entry(label).or_insert_with_key(|k| {
-                            labels.push(k.clone());
-                            (labels.len() - 1) as u32
-                        });
-                        store.insert(fp, i);
-                        fps.push(fp);
-                        parent.push((id, l));
-                        quiescent.push(false);
-                        if opts.collision_audit && on_audit_stripe(fp) {
-                            stripe.insert(fp, c.clone());
-                        }
-                        next.push((i, c));
-                        i
-                    }
-                };
-                edge_to.push(t_id);
+                    };
+                    fresh_ids.push(t_id);
+                    edge_to.push(t_id);
+                }
             }
         }
         if !next.is_empty() {
@@ -703,6 +891,33 @@ pub(crate) mod tests {
         }
     }
 
+    /// The SipHash-1-3 code under `fingerprint`, finalized to 64 bits,
+    /// is std's `DefaultHasher` bit for bit: every length 0..=64 covers
+    /// every tail length with zero to eight full words before it.
+    #[test]
+    fn sip13_matches_default_hasher_on_random_bytes() {
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        let mut next = || {
+            // xorshift64*
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for len in 0..=64 {
+            for _ in 0..16 {
+                let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                let mut std = std::hash::DefaultHasher::new();
+                std.write(&bytes);
+                assert_eq!(
+                    Sip13::absorb(&bytes, false).finish64(),
+                    std.finish(),
+                    "{bytes:02x?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fingerprints_separate_nearby_values() {
         let fps: std::collections::HashSet<u128> =
@@ -819,6 +1034,24 @@ pub(crate) mod tests {
             &CheckOptions {
                 max_states: 10,
                 check_progress: false,
+                ..CheckOptions::default()
+            },
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn a_budget_beyond_u32_ids_fails_closed() {
+        let m = Counter {
+            max: 2,
+            broken_invariant: false,
+            deadlock_at_max: false,
+        };
+        let _ = check_parallel(
+            &m,
+            &CheckOptions {
+                max_states: u32::MAX as usize + 1,
                 ..CheckOptions::default()
             },
         );
@@ -990,6 +1223,20 @@ pub(crate) mod tests {
         assert_eq!(r.states, 32 * 32);
         let dedup_hits = r.transitions - (r.states as u64 - 1);
         assert!(dedup_hits > 500, "grid must reconverge heavily");
-        assert!(r.audited > 0, "audit stripe must see dedup hits");
+        // Brute force: every transition into a stripe state is a dedup
+        // hit, except the one that first reaches it (every state but the
+        // root is reached by a transition).
+        let mut stripe_hits = 0u64;
+        for a in 0..32u8 {
+            for b in 0..32u8 {
+                if !on_audit_stripe(fingerprint(&(a, b))) {
+                    continue;
+                }
+                let into = u64::from(a > 0) + u64::from(b > 0);
+                stripe_hits += into.saturating_sub(1);
+            }
+        }
+        assert!(stripe_hits > 0, "audit stripe must see dedup hits");
+        assert_eq!(r.audited, stripe_hits, "every dedup hit on the stripe");
     }
 }

@@ -18,11 +18,12 @@
 //!    differential suite actually has teeth.
 //!
 //! The reference also checks, on every state it visits, that the
-//! explorer's one-walk fingerprint equals the two-walk streaming form it
-//! replaced.
+//! explorer's fingerprint (one walk into a buffer, then one hash pass)
+//! equals a separately written SipHash-1-3-128 that streams the state's
+//! hash bytes one at a time.
 
 use std::collections::{BTreeSet, HashSet};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 use tokencmp::mcheck::checker::ActionMeta;
 use tokencmp::mcheck::explore::fingerprint;
@@ -46,16 +47,90 @@ struct Reference {
     kinds: BTreeSet<String>,
 }
 
-/// The streaming fingerprint, kept here as the oracle: each seeded
-/// `DefaultHasher` pass walks the state itself.
+/// The fingerprint oracle: SipHash-1-3 in its 128-bit output mode,
+/// written separately from the explorer's, absorbing the bytes `s.hash()`
+/// writes one at a time, with no buffer.
 fn streaming_fingerprint<S: Hash>(s: &S) -> u128 {
-    let mut lo = DefaultHasher::new();
-    0u64.hash(&mut lo);
-    s.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    0x9E37_79B9_7F4A_7C15u64.hash(&mut hi);
-    s.hash(&mut hi);
-    ((hi.finish() as u128) << 64) | lo.finish() as u128
+    let mut h = StreamingSip128 {
+        v: [
+            0x736f_6d65_7073_6575,
+            0x646f_7261_6e64_6f6d ^ 0xee,
+            0x6c79_6765_6e65_7261,
+            0x7465_6462_7974_6573,
+        ],
+        word: 0,
+        len: 0,
+    };
+    s.hash(&mut h);
+    h.finish128()
+}
+
+/// Streaming SipHash-1-3-128 state, keys zero: the current partial
+/// little-endian word and the byte count so far.
+struct StreamingSip128 {
+    v: [u64; 4],
+    word: u64,
+    len: u64,
+}
+
+impl StreamingSip128 {
+    fn sip_round(&mut self) {
+        let v = &mut self.v;
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13);
+        v[1] ^= v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16);
+        v[3] ^= v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21);
+        v[3] ^= v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17);
+        v[1] ^= v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+
+    fn absorb_word(&mut self, m: u64) {
+        self.v[3] ^= m;
+        self.sip_round();
+        self.v[0] ^= m;
+    }
+
+    fn finish128(mut self) -> u128 {
+        let last = self.word | (self.len << 56);
+        self.absorb_word(last);
+        self.v[2] ^= 0xee;
+        let mut out = [0u64; 2];
+        for (k, half) in out.iter_mut().enumerate() {
+            if k == 1 {
+                self.v[1] ^= 0xdd;
+            }
+            for _ in 0..3 {
+                self.sip_round();
+            }
+            *half = self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3];
+        }
+        (u128::from(out[1]) << 64) | u128::from(out[0])
+    }
+}
+
+impl Hasher for StreamingSip128 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.word |= u64::from(b) << (8 * (self.len % 8));
+            self.len += 1;
+            if self.len.is_multiple_of(8) {
+                let m = std::mem::take(&mut self.word);
+                self.absorb_word(m);
+            }
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("the oracle is read through finish128")
+    }
 }
 
 /// A state the reference search discovered, with the index and label of
@@ -545,10 +620,10 @@ fn lying_independence_misses_the_order_dependent_violation() {
 }
 
 // ---------------------------------------------------------------------------
-// Search identity: the explorer's one-walk fingerprint equals the
-// two-walk streaming form it replaced on every reachable state (checked
-// by the reference search as it goes), and the benchmark's reduced
-// search keeps its exact shape.
+// Search identity: the explorer's buffered fingerprint equals the
+// byte-at-a-time streaming oracle on every reachable state (checked by
+// the reference search as it goes), and the benchmark's reduced search
+// keeps its exact shape.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -611,6 +686,7 @@ fn distributed_recovery_reduced_run_matches_the_pinned_unreduced_search() {
     )
     .expect("the reduced flagship search must verify");
     assert!(red.progress_checked);
+    assert!(red.audited > 0, "the audit stripe must see dedup hits");
     assert_eq!(
         red.kinds.iter().map(String::as_str).collect::<Vec<_>>(),
         [

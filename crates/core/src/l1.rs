@@ -9,7 +9,6 @@
 //! response-delay window, and implements the spin-watch used by the
 //! sequencer to model test-and-test-and-set loops.
 
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -174,18 +173,18 @@ impl TokenL1 {
         }
     }
 
-    /// Installs the run's trace sink (no sink ⇒ zero tracing work).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+    /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
+    pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
+        self.trace = trace.cloned();
     }
 
     /// Arms token-loss recovery: once a persistent request has been
     /// outstanding for `params.base`, this cache starts asking the
-    /// block's home memory to recreate the tokens. Installed by the
-    /// system layer only when the fault plan can drop token-carrying
+    /// block's home memory to recreate the tokens. The system layer
+    /// passes `Some` only when the fault plan can drop token-carrying
     /// messages.
-    pub fn set_recovery(&mut self, params: RecoveryParams) {
-        self.recovery = Some(params);
+    pub fn set_recovery(&mut self, params: Option<RecoveryParams>) {
+        self.recovery = params;
     }
 
     /// The recreation serial this cache believes is current for `block`.
@@ -1061,12 +1060,6 @@ impl Component<TokenMsg> for TokenL1 {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "l1"
     }

@@ -13,7 +13,6 @@
 //!   and starvation-freedom come from the substrate; persistent requests
 //!   are never filtered (they are broadcast directly to every node).
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -114,9 +113,9 @@ impl TokenL2 {
         }
     }
 
-    /// Installs the run's trace sink (no sink ⇒ zero tracing work).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+    /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
+    pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
+        self.trace = trace.cloned();
     }
 
     /// The recreation serial this bank believes is current for `block`.
@@ -518,12 +517,6 @@ impl Component<TokenMsg> for TokenL2 {
         unreachable!("L2 banks schedule no wakeups")
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "l2"
     }

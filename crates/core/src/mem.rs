@@ -6,7 +6,6 @@
 //! it). The controller also hosts the arbiter for the original
 //! arbiter-based persistent request scheme (§3.2).
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -113,16 +112,16 @@ impl TokenMem {
         }
     }
 
-    /// Installs the run's trace sink (no sink ⇒ zero tracing work).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+    /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
+    pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
+        self.trace = trace.cloned();
     }
 
-    /// Arms this controller as a token-recreation authority (§15).
-    /// Installed by the system layer only when the fault plan can drop
+    /// Arms this controller as a token-recreation authority (§15). The
+    /// system layer passes `Some` only when the fault plan can drop
     /// token-carrying messages.
-    pub fn set_recovery(&mut self, params: RecoveryParams) {
-        self.recovery = Some(params);
+    pub fn set_recovery(&mut self, params: Option<RecoveryParams>) {
+        self.recovery = params;
     }
 
     /// The current recreation serial for `block` (0 unless this home has
@@ -675,12 +674,6 @@ impl Component<TokenMsg> for TokenMem {
         self.try_forward(block, ctx);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "mem"
     }

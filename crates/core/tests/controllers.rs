@@ -3,7 +3,6 @@
 //! recording stub, so individual protocol rules (§3/§4) can be asserted
 //! message by message.
 
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -25,63 +24,74 @@ impl Component<TokenMsg> for Recorder {
         self.log.borrow_mut().push((self.me, src, ctx.now, msg));
     }
     fn on_wake(&mut self, _tag: u64, _ctx: &mut Ctx<'_, TokenMsg>) {}
-    fn as_any(&self) -> &dyn Any {
-        self
+}
+
+/// A node of the test kernel: the controller under test or a recorder.
+enum Node {
+    Rec(Recorder),
+    L1(Box<TokenL1>),
+    L2(Box<TokenL2>),
+    Mem(Box<TokenMem>),
+}
+
+impl Node {
+    fn as_component(&mut self) -> &mut dyn Component<TokenMsg> {
+        match self {
+            Node::Rec(n) => n,
+            Node::L1(n) => n.as_mut(),
+            Node::L2(n) => n.as_mut(),
+            Node::Mem(n) => n.as_mut(),
+        }
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+
+    fn l1(&self) -> &TokenL1 {
+        match self {
+            Node::L1(l1) => l1,
+            _ => panic!("not the L1 under test"),
+        }
     }
 }
+
+impl Component<TokenMsg> for Node {
+    fn on_msg(&mut self, src: NodeId, msg: TokenMsg, ctx: &mut Ctx<'_, TokenMsg>) {
+        self.as_component().on_msg(src, msg, ctx);
+    }
+    fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, TokenMsg>) {
+        self.as_component().on_wake(tag, ctx);
+    }
+}
+
+type TestKernel = Kernel<TokenMsg, Vec<Node>>;
 
 /// Builds a kernel with the unit under test at its layout slot and
 /// recorders everywhere else. Instant transport (latency zero) so timing
 /// assertions reflect controller-internal delays only.
-fn build(
-    cfg: &Rc<SystemConfig>,
-    under_test: Unit,
-    variant: Variant,
-) -> (Kernel<TokenMsg>, Log, NodeId) {
+fn build(cfg: &Rc<SystemConfig>, under_test: Unit, variant: Variant) -> (TestKernel, Log, NodeId) {
     let layout = cfg.layout();
     let log: Log = Rc::new(RefCell::new(Vec::new()));
-    let mut k: Kernel<TokenMsg> = Kernel::new_instant();
     let target = layout.node(under_test);
     let book = Rc::new(RefCell::new(PersistentBook::new(&layout)));
-    for i in 0..layout.total_nodes() {
-        let me = NodeId(i);
-        if me == target {
-            match under_test {
-                Unit::L1D(p) | Unit::L1I(p) => {
-                    let id = k.add_component(TokenL1::new(
-                        cfg.clone(),
-                        me,
-                        p,
-                        variant,
-                        7,
-                        Rc::new(Cell::new(0)),
-                        book.clone(),
-                    ));
-                    assert_eq!(id, me);
-                }
-                Unit::L2Bank(c, b) => {
-                    let id =
-                        k.add_component(TokenL2::new(cfg.clone(), me, c, b, variant, book.clone()));
-                    assert_eq!(id, me);
-                }
-                Unit::Mem(c) => {
-                    let id = k.add_component(TokenMem::new(cfg.clone(), me, c, book.clone()));
-                    assert_eq!(id, me);
-                }
-                Unit::Proc(_) => unreachable!("no processor controller under test"),
-            }
-        } else {
-            let id = k.add_component(Recorder {
-                me,
-                log: log.clone(),
-            });
-            assert_eq!(id, me);
+    let node = |me: NodeId| {
+        if me != target {
+            let log = log.clone();
+            return Node::Rec(Recorder { me, log });
         }
-    }
-    (k, log, target)
+        match under_test {
+            Unit::L1D(p) | Unit::L1I(p) => {
+                let epoch = Rc::new(Cell::new(0));
+                let l1 = TokenL1::new(cfg.clone(), me, p, variant, 7, epoch, book.clone());
+                Node::L1(Box::new(l1))
+            }
+            Unit::L2Bank(c, b) => {
+                let l2 = TokenL2::new(cfg.clone(), me, c, b, variant, book.clone());
+                Node::L2(Box::new(l2))
+            }
+            Unit::Mem(c) => Node::Mem(Box::new(TokenMem::new(cfg.clone(), me, c, book.clone()))),
+            Unit::Proc(_) => unreachable!("no processor controller under test"),
+        }
+    };
+    let nodes = (0..layout.total_nodes()).map(|i| node(NodeId(i))).collect();
+    (Kernel::new_instant(nodes), log, target)
 }
 
 fn received_by(log: &Log, node: NodeId) -> Vec<TokenMsg> {
@@ -198,7 +208,7 @@ fn l1_completes_store_when_all_tokens_arrive() {
         "store must complete: {done:?}"
     );
     // The L1 now holds everything.
-    let l1c = k.component_as::<TokenL1>(l1).unwrap();
+    let l1c = k.nodes()[l1.index()].l1();
     assert_eq!(
         l1c.token_census(),
         vec![(block, cfg.tokens_per_block, true)]
@@ -264,11 +274,7 @@ fn l1_answers_external_write_with_everything_and_fires_watch() {
     assert!(received_by(&log, layout.proc(p))
         .iter()
         .any(|m| matches!(m, TokenMsg::CpuResp(CpuResp::WatchFired { .. }))));
-    assert!(k
-        .component_as::<TokenL1>(l1)
-        .unwrap()
-        .token_census()
-        .is_empty());
+    assert!(k.nodes()[l1.index()].l1().token_census().is_empty());
 }
 
 #[test]
@@ -321,7 +327,7 @@ fn l1_keeps_single_token_on_local_read_request() {
         "single-token holder must stay silent on reads"
     );
     assert_eq!(
-        k.component_as::<TokenL1>(l1).unwrap().token_census(),
+        k.nodes()[l1.index()].l1().token_census(),
         vec![(block, 1, false)]
     );
 }

@@ -6,7 +6,6 @@
 //! A realistic configuration stores the directory in DRAM (80 ns per
 //! access); `DirectoryCMP-zero` sets that latency to zero.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -437,12 +436,6 @@ impl Component<DirMsg> for DirHome {
         unreachable!("home directories schedule no wakeups")
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "home"
     }

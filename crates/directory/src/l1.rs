@@ -9,7 +9,6 @@
 //! forwards/invalidations for recently-written blocks, as in all protocols
 //! of the paper.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -102,9 +101,9 @@ impl DirL1 {
         }
     }
 
-    /// Installs the run's trace sink (no sink ⇒ zero tracing work).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+    /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
+    pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
+        self.trace = trace.cloned();
     }
 
     /// True if a miss is outstanding.
@@ -481,12 +480,6 @@ impl Component<DirMsg> for DirL1 {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "l1"
     }

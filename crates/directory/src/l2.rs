@@ -20,7 +20,6 @@
 //! All data responses route through the L2 — the strictly hierarchical
 //! behaviour whose intra-CMP traffic cost Figure 7b measures.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -1240,12 +1239,6 @@ impl Component<DirMsg> for DirL2 {
         unreachable!("L2 banks schedule no wakeups")
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "l2"
     }

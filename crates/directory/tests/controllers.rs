@@ -4,7 +4,6 @@
 //! writebacks, unblocks, migratory transfers) can be asserted message by
 //! message.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -26,45 +25,63 @@ impl Component<DirMsg> for Recorder {
         self.log.borrow_mut().push((self.me, src, ctx.now, msg));
     }
     fn on_wake(&mut self, _tag: u64, _ctx: &mut Ctx<'_, DirMsg>) {}
-    fn as_any(&self) -> &dyn Any {
-        self
+}
+
+/// A node of the test kernel: the controller under test or a recorder.
+enum Node {
+    Rec(Recorder),
+    L1(Box<DirL1>),
+    L2(Box<DirL2>),
+    Home(Box<DirHome>),
+}
+
+impl Node {
+    fn as_component(&mut self) -> &mut dyn Component<DirMsg> {
+        match self {
+            Node::Rec(n) => n,
+            Node::L1(n) => n.as_mut(),
+            Node::L2(n) => n.as_mut(),
+            Node::Home(n) => n.as_mut(),
+        }
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+
+    fn home(&self) -> &DirHome {
+        match self {
+            Node::Home(h) => h,
+            _ => panic!("not the home under test"),
+        }
     }
 }
 
-fn build(cfg: &Rc<SystemConfig>, under_test: Unit) -> (Kernel<DirMsg>, Log, NodeId) {
+impl Component<DirMsg> for Node {
+    fn on_msg(&mut self, src: NodeId, msg: DirMsg, ctx: &mut Ctx<'_, DirMsg>) {
+        self.as_component().on_msg(src, msg, ctx);
+    }
+    fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, DirMsg>) {
+        self.as_component().on_wake(tag, ctx);
+    }
+}
+
+type TestKernel = Kernel<DirMsg, Vec<Node>>;
+
+fn build(cfg: &Rc<SystemConfig>, under_test: Unit) -> (TestKernel, Log, NodeId) {
     let layout = cfg.layout();
     let log: Log = Rc::new(RefCell::new(Vec::new()));
-    let mut k: Kernel<DirMsg> = Kernel::new_instant();
     let target = layout.node(under_test);
-    for i in 0..layout.total_nodes() {
-        let me = NodeId(i);
-        if me == target {
-            match under_test {
-                Unit::L1D(p) | Unit::L1I(p) => {
-                    assert_eq!(k.add_component(DirL1::new(cfg.clone(), me, p)), me);
-                }
-                Unit::L2Bank(c, b) => {
-                    assert_eq!(k.add_component(DirL2::new(cfg.clone(), me, c, b)), me);
-                }
-                Unit::Mem(c) => {
-                    assert_eq!(k.add_component(DirHome::new(cfg.clone(), me, c)), me);
-                }
-                Unit::Proc(_) => unreachable!(),
-            }
-        } else {
-            assert_eq!(
-                k.add_component(Recorder {
-                    me,
-                    log: log.clone()
-                }),
-                me
-            );
+    let node = |me: NodeId| {
+        if me != target {
+            let log = log.clone();
+            return Node::Rec(Recorder { me, log });
         }
-    }
-    (k, log, target)
+        match under_test {
+            Unit::L1D(p) | Unit::L1I(p) => Node::L1(Box::new(DirL1::new(cfg.clone(), me, p))),
+            Unit::L2Bank(c, b) => Node::L2(Box::new(DirL2::new(cfg.clone(), me, c, b))),
+            Unit::Mem(c) => Node::Home(Box::new(DirHome::new(cfg.clone(), me, c))),
+            Unit::Proc(_) => unreachable!(),
+        }
+    };
+    let nodes = (0..layout.total_nodes()).map(|i| node(NodeId(i))).collect();
+    (Kernel::new_instant(nodes), log, target)
 }
 
 fn received_by(log: &Log, node: NodeId) -> Vec<DirMsg> {
@@ -476,7 +493,7 @@ fn home_grants_exclusive_from_dram_and_then_forwards() {
     );
     k.run(10_000, Time::from_ns(1000));
     assert_eq!(
-        k.component_as::<DirHome>(home).unwrap().state(block),
+        k.nodes()[home.index()].home().state(block),
         HomeState::Exclusive(CmpId(0))
     );
     // A second chip's write is forwarded to the owner with an ack count.
@@ -547,7 +564,7 @@ fn home_writeback_handshake_clears_the_owner() {
     );
     k.run(10_000, Time::from_ns(2000));
     assert_eq!(
-        k.component_as::<DirHome>(home).unwrap().state(block),
+        k.nodes()[home.index()].home().state(block),
         HomeState::Uncached
     );
 }

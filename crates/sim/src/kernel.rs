@@ -1,6 +1,5 @@
 //! The simulation kernel: components, message transport, and the run loop.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -11,11 +10,11 @@ use crate::queue::{EventKind, EventQueue, QueuedEvent};
 use crate::stats::Stats;
 use crate::time::{Dur, Time};
 
-/// Identifies a component registered with a [`Kernel`].
+/// Identifies a node of a [`Kernel`]'s [`NodeSet`].
 ///
-/// Node ids are dense indices assigned in registration order; system
-/// builders lay out ids deterministically so components can address each
-/// other before construction completes.
+/// Node ids are dense indices `0..node_count`; a system lays out its
+/// ids deterministically so components can address each other before
+/// construction completes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
@@ -79,20 +78,15 @@ impl<M> Transport<M> for InstantTransport {
 /// processor sequencer, ...).
 ///
 /// Components react to delivered messages and to self-scheduled wakeups;
-/// they never block. The `as_any` methods allow system harnesses to downcast
-/// components after a run to harvest results.
-pub trait Component<M>: 'static {
+/// they never block. A [`NodeSet`] owns them by value, typed, so a
+/// harness reads results after a run through [`Kernel::nodes`] with no
+/// downcast.
+pub trait Component<M> {
     /// Handles a message delivered from `src`.
     fn on_msg(&mut self, src: NodeId, msg: M, ctx: &mut Ctx<'_, M>);
 
     /// Handles a wakeup previously scheduled with [`Ctx::wake_in`].
     fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, M>);
-
-    /// Upcast for downcasting in harnesses. Implement as `self`.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast for downcasting in harnesses. Implement as `self`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 
     /// A short, static label for this component's *kind* (`"l1"`,
     /// `"mem"`, `"seq"`, ...), used by the host-time profiler to
@@ -100,6 +94,45 @@ pub trait Component<M>: 'static {
     /// deliberately generic so existing components keep working.
     fn kind(&self) -> &'static str {
         "component"
+    }
+}
+
+/// The nodes a [`Kernel`] runs, owned by value: the kernel hands each
+/// event to the node with its [`NodeId`]. Ids run densely over
+/// `0..node_count()`, and the kernel rejects any other id before
+/// dispatch, so a set that maps id ranges to typed per-kind storage never
+/// routes a stray id into its last kind. `Vec<C>` is the node set of one
+/// component type (id `i` is element `i`).
+pub trait NodeSet<M> {
+    /// Number of nodes; valid ids are `0..node_count()`.
+    fn node_count(&self) -> usize;
+
+    /// Delivers `msg`, sent by `src`, to node `dst`.
+    fn on_msg(&mut self, dst: NodeId, src: NodeId, msg: M, ctx: &mut Ctx<'_, M>);
+
+    /// Delivers wakeup `tag` to node `dst`.
+    fn on_wake(&mut self, dst: NodeId, tag: u64, ctx: &mut Ctx<'_, M>);
+
+    /// The [`Component::kind`] of node `id`; the kernel asks only on
+    /// profiled events.
+    fn kind(&self, id: NodeId) -> &'static str;
+}
+
+impl<M, C: Component<M>> NodeSet<M> for Vec<C> {
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+
+    fn on_msg(&mut self, dst: NodeId, src: NodeId, msg: M, ctx: &mut Ctx<'_, M>) {
+        self[dst.index()].on_msg(src, msg, ctx);
+    }
+
+    fn on_wake(&mut self, dst: NodeId, tag: u64, ctx: &mut Ctx<'_, M>) {
+        self[dst.index()].on_wake(tag, ctx);
+    }
+
+    fn kind(&self, id: NodeId) -> &'static str {
+        self[id.index()].kind()
     }
 }
 
@@ -111,18 +144,18 @@ pub trait Component<M>: 'static {
 /// point `at <= t` fires (multiple, if an event gap spans several
 /// periods), so sample times form a deterministic arithmetic sequence
 /// regardless of event spacing. Monitors get `&Kernel` — they can read
-/// queue depth, pending events, components, and stats, but cannot
+/// queue depth, pending events, the typed nodes, and stats, but cannot
 /// perturb the simulation.
-pub trait KernelMonitor<M> {
+pub trait KernelMonitor<M, N> {
     /// Takes one sample. `at` is the nominal sample time (the kernel's
     /// own clock still reads the previous event's time).
-    fn sample(&mut self, at: Time, kernel: &Kernel<M>);
+    fn sample(&mut self, at: Time, kernel: &Kernel<M, N>);
 }
 
-struct MonitorSlot<M> {
+struct MonitorSlot<M, N> {
     period: Dur,
     next_due: Time,
-    monitor: Rc<RefCell<dyn KernelMonitor<M>>>,
+    monitor: Rc<RefCell<dyn KernelMonitor<M, N>>>,
 }
 
 /// The per-event view a component gets of the kernel: the clock, its own
@@ -273,17 +306,17 @@ pub enum RunOutcome {
 }
 
 /// The discrete-event simulator: a clock, an event queue, a transport, and
-/// a set of components.
-pub struct Kernel<M> {
+/// the run's typed node set `N`.
+pub struct Kernel<M, N> {
     time: Time,
     queue: EventQueue<M>,
-    components: Vec<Box<dyn Component<M>>>,
+    nodes: N,
     transport: Box<dyn Transport<M>>,
     stats: Stats,
     stopped: bool,
     events_processed: u64,
     last_progress: Time,
-    monitor: Option<MonitorSlot<M>>,
+    monitor: Option<MonitorSlot<M, N>>,
     /// Mirror of `monitor`'s `next_due` (`Time::MAX` when unmonitored):
     /// the run loop compares against this plain field on every event
     /// instead of deref-ing the slot.
@@ -298,13 +331,13 @@ pub struct Kernel<M> {
     fan_buf: Vec<(Time, NodeId)>,
 }
 
-impl<M: Clone + 'static> Kernel<M> {
-    /// Creates a kernel using the given transport.
-    pub fn new(transport: Box<dyn Transport<M>>) -> Kernel<M> {
+impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
+    /// Creates a kernel that runs `nodes` over the given transport.
+    pub fn new(transport: Box<dyn Transport<M>>, nodes: N) -> Kernel<M, N> {
         Kernel {
             time: Time::ZERO,
             queue: EventQueue::new(),
-            components: Vec::new(),
+            nodes,
             transport,
             stats: Stats::new(),
             stopped: false,
@@ -326,7 +359,7 @@ impl<M: Clone + 'static> Kernel<M> {
     /// # Panics
     ///
     /// Panics if `period` is zero (the sample loop would never advance).
-    pub fn set_monitor(&mut self, period: Dur, monitor: Rc<RefCell<dyn KernelMonitor<M>>>) {
+    pub fn set_monitor(&mut self, period: Dur, monitor: Rc<RefCell<dyn KernelMonitor<M, N>>>) {
         assert!(period > Dur::ZERO, "monitor period must be positive");
         self.monitor = Some(MonitorSlot {
             period,
@@ -367,15 +400,13 @@ impl<M: Clone + 'static> Kernel<M> {
     }
 
     /// Creates a kernel whose transport delivers instantly (for tests).
-    pub fn new_instant() -> Kernel<M> {
-        Kernel::new(Box::new(InstantTransport { latency: Dur::ZERO }))
+    pub fn new_instant(nodes: N) -> Kernel<M, N> {
+        Kernel::new(Box::new(InstantTransport { latency: Dur::ZERO }), nodes)
     }
 
-    /// Registers a component, returning its id (dense, in order).
-    pub fn add_component<C: Component<M>>(&mut self, c: C) -> NodeId {
-        let id = NodeId(self.components.len() as u32);
-        self.components.push(Box::new(c));
-        id
+    /// The node set, typed, for reading results after (or between) runs.
+    pub fn nodes(&self) -> &N {
+        &self.nodes
     }
 
     /// Current simulated time.
@@ -391,34 +422,6 @@ impl<M: Clone + 'static> Kernel<M> {
     /// The shared statistics registry.
     pub fn stats(&self) -> &Stats {
         &self.stats
-    }
-
-    /// Mutable access to the statistics registry.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
-    /// The transport, for harvesting traffic statistics after a run.
-    pub fn transport(&self) -> &dyn Transport<M> {
-        self.transport.as_ref()
-    }
-
-    /// Downcasts a registered component to a concrete type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn component_as<C: Component<M>>(&self, id: NodeId) -> Option<&C> {
-        self.components[id.index()].as_any().downcast_ref::<C>()
-    }
-
-    /// Mutably downcasts a registered component to a concrete type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn component_as_mut<C: Component<M>>(&mut self, id: NodeId) -> Option<&mut C> {
-        self.components[id.index()].as_any_mut().downcast_mut::<C>()
     }
 
     /// Schedules a wakeup for `dst` at `delay` from the current time; used
@@ -463,7 +466,7 @@ impl<M: Clone + 'static> Kernel<M> {
     ///
     /// # Panics
     ///
-    /// Panics if an event addresses an unregistered component.
+    /// Panics if an event addresses a node outside the node set.
     pub fn step(&mut self) -> bool {
         if self.queue.is_empty() {
             return false;
@@ -496,13 +499,11 @@ impl<M: Clone + 'static> Kernel<M> {
         debug_assert!(ev.time >= self.time, "event in the past");
         self.time = ev.time;
         self.events_processed += 1;
-        let idx = ev.dst.index();
         assert!(
-            idx < self.components.len(),
+            ev.dst.index() < self.nodes.node_count(),
             "event for unknown {:?}",
             ev.dst
         );
-        let kind = self.components[idx].kind();
         let mut ctx = Ctx {
             now: self.time,
             self_id: ev.dst,
@@ -515,14 +516,14 @@ impl<M: Clone + 'static> Kernel<M> {
             profiler: prof.as_deref(),
         };
         match ev.kind {
-            EventKind::Msg { src, msg } => self.components[idx].on_msg(src, msg, &mut ctx),
-            EventKind::Wake { tag } => self.components[idx].on_wake(tag, &mut ctx),
+            EventKind::Msg { src, msg } => self.nodes.on_msg(ev.dst, src, msg, &mut ctx),
+            EventKind::Wake { tag } => self.nodes.on_wake(ev.dst, tag, &mut ctx),
         }
         if let (Some(p), Some(t0), Some(t1)) = (prof, t0, t1) {
             let gross_ns = t1.elapsed().as_nanos() as u64;
             let mut p = p.borrow_mut();
             p.add_pop(t1.duration_since(t0).as_nanos() as u64);
-            p.end_event(kind, gross_ns);
+            p.end_event(self.nodes.kind(ev.dst), gross_ns);
         }
         true
     }
@@ -600,11 +601,11 @@ impl<M: Clone + 'static> Kernel<M> {
     }
 }
 
-impl<M> fmt::Debug for Kernel<M> {
+impl<M, N: NodeSet<M>> fmt::Debug for Kernel<M, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Kernel")
             .field("time", &self.time)
-            .field("components", &self.components.len())
+            .field("nodes", &self.nodes.node_count())
             .field("pending", &self.queue.len())
             .field("events_processed", &self.events_processed)
             .finish()
@@ -614,6 +615,11 @@ impl<M> fmt::Debug for Kernel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A kernel over one component, and that component's id.
+    fn single<C: Component<u64>>(c: C) -> (Kernel<u64, Vec<C>>, NodeId) {
+        (Kernel::new_instant(vec![c]), NodeId(0))
+    }
 
     #[derive(Debug, Default)]
     struct Echo {
@@ -635,32 +641,23 @@ mod tests {
                 ctx.stop();
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
     fn ping_pong_counts_down() {
-        let mut k = Kernel::new(Box::new(InstantTransport {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let echo = |peer| Echo {
+            reply_to: Some(peer),
+            ..Default::default()
+        };
+        let transport = InstantTransport {
             latency: Dur::from_ns(3),
-        }));
-        let a = k.add_component(Echo {
-            reply_to: Some(NodeId(1)),
-            ..Default::default()
-        });
-        let b = k.add_component(Echo {
-            reply_to: Some(NodeId(0)),
-            ..Default::default()
-        });
+        };
+        let mut k: Kernel<u64, _> = Kernel::new(Box::new(transport), vec![echo(b), echo(a)]);
         k.inject(a, b, 5);
         assert_eq!(k.run_to_completion(), RunOutcome::Idle);
         // 5 arrives at b; 4 at a; 3 at b; 2 at a; 1 at b; 0 at a.
-        let ea = k.component_as::<Echo>(a).unwrap();
-        let eb = k.component_as::<Echo>(b).unwrap();
+        let (ea, eb) = (&k.nodes()[a.index()], &k.nodes()[b.index()]);
         assert_eq!(
             ea.received.iter().map(|&(_, m)| m).collect::<Vec<_>>(),
             [4, 2, 0]
@@ -675,8 +672,7 @@ mod tests {
 
     #[test]
     fn stop_request_halts_run() {
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Echo::default());
+        let (mut k, a) = single(Echo::default());
         k.wake(a, Dur::from_ns(1), 99);
         k.wake(a, Dur::from_ns(2), 99);
         assert_eq!(k.run_to_completion(), RunOutcome::Stopped);
@@ -692,15 +688,8 @@ mod tests {
             fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
                 ctx.wake_in(Dur::from_ns(1), tag);
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Spinner);
+        let (mut k, a) = single(Spinner);
         k.wake(a, Dur::ZERO, 0);
         assert_eq!(k.run(1_000, Time::MAX), RunOutcome::EventLimit);
         assert_eq!(k.run(u64::MAX, Time::from_ns(2_000)), RunOutcome::TimeLimit);
@@ -718,15 +707,8 @@ mod tests {
             fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
                 ctx.wake_in(Dur::from_ns(1), tag);
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Spinner);
+        let (mut k, a) = single(Spinner);
         k.wake(a, Dur::ZERO, 0);
         let outcome = k.run_watched(u64::MAX, Time::MAX, Some(Dur::from_ns(50)));
         assert_eq!(outcome, RunOutcome::Stalled);
@@ -750,15 +732,8 @@ mod tests {
                 }
                 ctx.wake_in(Dur::from_ns(1), tag);
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Worker(0));
+        let (mut k, a) = single(Worker(0));
         k.wake(a, Dur::ZERO, 0);
         let outcome = k.run_watched(1_000, Time::MAX, Some(Dur::from_ns(50)));
         assert_eq!(outcome, RunOutcome::EventLimit);
@@ -767,8 +742,7 @@ mod tests {
 
     #[test]
     fn pending_events_expose_the_census() {
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Echo::default());
+        let (mut k, a) = single(Echo::default());
         k.wake(a, Dur::from_ns(1), 7);
         k.inject(a, a, 42);
         let (mut wakes, mut msgs) = (0, 0);
@@ -786,8 +760,7 @@ mod tests {
         // Regression: the census used to report heap-internal order, so
         // watchdog stall dumps depended on heap layout. It must be sorted
         // by (time, seq).
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Echo::default());
+        let (mut k, a) = single(Echo::default());
         // Scrambled times plus same-time ties.
         for (delay, tag) in [(9, 0), (1, 1), (9, 2), (4, 3), (1, 4)] {
             k.wake(a, Dur::from_ns(delay), tag);
@@ -811,14 +784,13 @@ mod tests {
                 Delivery::Dropped
             }
         }
-        let mut k: Kernel<u64> = Kernel::new(Box::new(BlackHole));
-        let a = k.add_component(Echo::default());
+        let mut k: Kernel<u64, _> = Kernel::new(Box::new(BlackHole), vec![Echo::default()]);
+        let a = NodeId(0);
         k.inject(a, a, 1);
         assert_eq!(k.pending_events().len(), 0);
         k.wake(a, Dur::from_ns(1), 0);
         assert_eq!(k.run_to_completion(), RunOutcome::Idle);
-        let e = k.component_as::<Echo>(a).unwrap();
-        assert!(e.received.is_empty());
+        assert!(k.nodes()[a.index()].received.is_empty());
     }
 
     #[test]
@@ -835,25 +807,18 @@ mod tests {
                     ctx.wake_in(Dur::from_ns(1), tag);
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct Recorder {
             at: Vec<Time>,
             depths: Vec<usize>,
         }
-        impl KernelMonitor<u64> for Recorder {
-            fn sample(&mut self, at: Time, kernel: &Kernel<u64>) {
+        impl KernelMonitor<u64, Vec<Spinner>> for Recorder {
+            fn sample(&mut self, at: Time, kernel: &Kernel<u64, Vec<Spinner>>) {
                 self.at.push(at);
                 self.depths.push(kernel.queue_depth());
             }
         }
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Spinner(0));
+        let (mut k, a) = single(Spinner(0));
         k.wake(a, Dur::ZERO, 0);
         let rec = Rc::new(RefCell::new(Recorder {
             at: Vec::new(),
@@ -873,13 +838,12 @@ mod tests {
     #[test]
     fn monitor_catches_up_across_event_gaps() {
         struct Recorder(Vec<Time>);
-        impl KernelMonitor<u64> for Recorder {
-            fn sample(&mut self, at: Time, _: &Kernel<u64>) {
+        impl KernelMonitor<u64, Vec<Echo>> for Recorder {
+            fn sample(&mut self, at: Time, _: &Kernel<u64, Vec<Echo>>) {
                 self.0.push(at);
             }
         }
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Echo::default());
+        let (mut k, a) = single(Echo::default());
         // Two events 35 ns apart: every intermediate 10 ns tick fires.
         k.wake(a, Dur::from_ns(1), 0);
         k.wake(a, Dur::from_ns(36), 0);
@@ -902,18 +866,11 @@ mod tests {
                     ctx.send(ctx.self_id, 7);
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
             fn kind(&self) -> &'static str {
                 "named"
             }
         }
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Named(0));
+        let (mut k, a) = single(Named(0));
         k.wake(a, Dur::ZERO, 0);
         let prof = HostProfiler::handle(1);
         k.set_profiler(prof.clone());
@@ -973,12 +930,6 @@ mod tests {
         fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
             self.cast(tag, ctx);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Verdicts from a call counter, so they depend on dispatch order:
@@ -1010,20 +961,27 @@ mod tests {
 
     /// Runs the caster script to completion, logging every event as it
     /// leaves the queue (the census head before each step).
-    fn run_casters(fan: bool, prof: Option<ProfilerHandle>) -> (Log, Kernel<u64>, u64) {
+    fn run_casters(
+        fan: bool,
+        prof: Option<ProfilerHandle>,
+    ) -> (Log, Kernel<u64, Vec<Caster>>, u64) {
         let dropped = Rc::default();
-        let mut k: Kernel<u64> = Kernel::new(Box::new(Scripted {
-            calls: 0,
-            dropped: Rc::clone(&dropped),
-        }));
         let peers: Vec<NodeId> = (0..5).map(NodeId).collect();
-        for &id in &peers {
-            k.add_component(Caster {
+        let casters = peers
+            .iter()
+            .map(|_| Caster {
                 fan,
                 peers: peers.clone(),
                 casts: 0,
                 wakes: 0,
-            });
+            })
+            .collect();
+        let transport = Scripted {
+            calls: 0,
+            dropped: Rc::clone(&dropped),
+        };
+        let mut k = Kernel::new(Box::new(transport), casters);
+        for &id in &peers {
             k.wake(
                 id,
                 Dur::from_ns(u64::from(id.0 % 2)),
@@ -1061,12 +1019,8 @@ mod tests {
         let (plain, ..) = run_casters(true, None);
         let (log, k, _) = run_casters(true, Some(prof.clone()));
         assert_eq!(plain, log, "profiling perturbed the run");
-        let (mut casts, mut wakes) = (0, 0);
-        for id in 0..5 {
-            let c = k.component_as::<Caster>(NodeId(id)).unwrap();
-            casts += c.casts;
-            wakes += c.wakes;
-        }
+        let casts: u64 = k.nodes().iter().map(|c| c.casts).sum();
+        let wakes: u64 = k.nodes().iter().map(|c| c.wakes).sum();
         let report = prof.borrow().report();
         let calls = |cat: &str| {
             report
@@ -1081,9 +1035,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "event for unknown n2")]
+    fn an_event_past_the_last_node_fails_closed() {
+        let mut k: Kernel<u64, _> = Kernel::new_instant(vec![Echo::default(), Echo::default()]);
+        k.wake(NodeId(2), Dur::ZERO, 0);
+        k.step();
+    }
+
+    #[test]
     fn time_advances_monotonically() {
-        let mut k: Kernel<u64> = Kernel::new_instant();
-        let a = k.add_component(Echo::default());
+        let (mut k, a) = single(Echo::default());
         k.wake(a, Dur::from_ns(10), 0);
         k.wake(a, Dur::from_ns(5), 0);
         let mut last = Time::ZERO;

@@ -7,7 +7,8 @@
 //! * a picosecond-resolution simulated clock ([`Time`], [`Dur`]),
 //! * a deterministic event queue and run loop ([`Kernel`]),
 //! * a component abstraction ([`Component`]) with message delivery and
-//!   self-scheduled wakeups ([`Ctx`]),
+//!   self-scheduled wakeups ([`Ctx`]), run as a typed node set
+//!   ([`NodeSet`]) the kernel owns by value,
 //! * a pluggable message transport ([`Transport`]) so the interconnect
 //!   crate can model latency, bandwidth occupancy and traffic accounting,
 //! * a statistics registry ([`Stats`], [`Histogram`], [`Ewma`]), and
@@ -35,16 +36,14 @@
 //!     fn on_wake(&mut self, _tag: u64, ctx: &mut Ctx<'_, u32>) {
 //!         ctx.send(self.peer, 0);
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
-//! let mut k = Kernel::new_instant();
-//! let a = k.add_component(Ping { peer: NodeId(1), left: 3 });
-//! let b = k.add_component(Ping { peer: NodeId(0), left: 3 });
-//! assert_eq!(a, NodeId(0));
-//! k.wake(b, Dur::from_ns(1), 0);
+//! // A `Vec` of one component type is a node set: node `i` is element `i`.
+//! let pings = vec![Ping { peer: NodeId(1), left: 3 }, Ping { peer: NodeId(0), left: 3 }];
+//! let mut k: Kernel<u32, _> = Kernel::new_instant(pings);
+//! k.wake(NodeId(1), Dur::from_ns(1), 0);
 //! k.run_to_completion();
+//! assert!(k.nodes().iter().all(|p| p.left == 0));
 //! ```
 
 pub mod kernel;
@@ -55,7 +54,7 @@ pub mod stats;
 pub mod time;
 
 pub use kernel::{
-    Component, Ctx, Delivery, InstantTransport, Kernel, KernelMonitor, NodeId, RunOutcome,
+    Component, Ctx, Delivery, InstantTransport, Kernel, KernelMonitor, NodeId, NodeSet, RunOutcome,
     Transport,
 };
 pub use profile::{CatTotals, HostProfile, HostProfiler, ProfileEntry, ProfilerHandle};

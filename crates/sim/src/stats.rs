@@ -207,6 +207,10 @@ impl Histogram {
     /// Folds `other` into `self` bucket-by-bucket; the result is exactly
     /// the histogram that would have recorded both sample streams.
     pub fn merge(&mut self, other: &Histogram) {
+        // Merging an empty histogram is a no-op: skip its bucket walk.
+        if other.count == 0 {
+            return;
+        }
         for (b, &o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }

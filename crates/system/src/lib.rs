@@ -9,10 +9,13 @@
 //! counters. Protocol invariants (token conservation, single-writer) are
 //! audited at quiescence.
 
+mod directory;
+mod nodes;
 pub mod perfect;
 pub mod run;
 pub mod sequencer;
 pub mod telemetry;
+mod token;
 pub mod workload;
 
 pub use perfect::{PerfectL2, PerfectStats};
@@ -21,8 +24,5 @@ pub use run::{
     RunResult,
 };
 pub use sequencer::{uniform_work, Sequencer};
-pub use telemetry::{
-    default_telemetry, parse_profile, parse_sample_ns, DirSampler, PerfectSampler,
-    TelemetryOptions, TokenSampler,
-};
+pub use telemetry::{default_telemetry, parse_profile, parse_sample_ns, TelemetryOptions};
 pub use workload::{Completed, ScriptedWorkload, Step, ValueStore, Workload};

@@ -7,13 +7,20 @@
 //! round-trip to an L2 bank. This is an unimplementable bound, exactly as
 //! the paper uses it.
 
-use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use tokencmp_cache::SetAssoc;
+use tokencmp_core::TokenMsg;
 use tokencmp_proto::{Block, CpuPort, CpuReq, CpuResp, ProcId, SystemConfig};
-use tokencmp_sim::{Component, Ctx, Dur, NodeId};
+use tokencmp_sim::{Component, Ctx, Dur, NodeId, NodeSet, Stats, Time};
+use tokencmp_trace::TraceHandle;
+
+use crate::nodes::{sequencers, System};
+use crate::sequencer::Sequencer;
+use crate::telemetry::{Reading, StarvationAges};
+use crate::workload::Workload;
 
 /// Counters exposed by the PerfectL2 model after a run.
 #[derive(Clone, Debug, Default)]
@@ -144,12 +151,6 @@ impl<M: CpuPort + 'static> Component<M> for PerfectL2<M> {
         unreachable!("PerfectL2 schedules no wakeups")
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "perfect_l2"
     }
@@ -161,5 +162,78 @@ impl<M> std::fmt::Debug for PerfectL2<M> {
             .field("procs", &self.seqs.len())
             .field("stats", &self.stats)
             .finish()
+    }
+}
+
+/// A PerfectL2 system's nodes: the sequencers (ids `0..P`), then the one
+/// [`PerfectL2`] node (id `P`) every sequencer issues to.
+pub(crate) struct PerfectNodes {
+    seqs: Vec<Sequencer<TokenMsg>>,
+    l2: PerfectL2<TokenMsg>,
+}
+
+impl PerfectNodes {
+    /// Builds the PerfectL2 lower-bound system.
+    pub(crate) fn build(
+        cfg: &Rc<SystemConfig>,
+        wl: &Rc<RefCell<dyn Workload>>,
+        trace: Option<&TraceHandle>,
+    ) -> PerfectNodes {
+        let layout = cfg.layout();
+        let magic = NodeId(layout.procs());
+        let seqs = sequencers(&layout, wl, trace, |_| (magic, magic));
+        let ids = layout.proc_ids().map(|p| layout.proc(p)).collect();
+        PerfectNodes {
+            seqs,
+            l2: PerfectL2::new(cfg.clone(), ids),
+        }
+    }
+}
+
+impl NodeSet<TokenMsg> for PerfectNodes {
+    fn node_count(&self) -> usize {
+        self.seqs.len() + 1
+    }
+
+    fn on_msg(&mut self, dst: NodeId, src: NodeId, msg: TokenMsg, ctx: &mut Ctx<'_, TokenMsg>) {
+        match self.seqs.get_mut(dst.index()) {
+            Some(seq) => seq.on_msg(src, msg, ctx),
+            None => self.l2.on_msg(src, msg, ctx),
+        }
+    }
+
+    fn on_wake(&mut self, dst: NodeId, tag: u64, ctx: &mut Ctx<'_, TokenMsg>) {
+        match self.seqs.get_mut(dst.index()) {
+            Some(seq) => seq.on_wake(tag, ctx),
+            None => self.l2.on_wake(tag, ctx),
+        }
+    }
+
+    fn kind(&self, id: NodeId) -> &'static str {
+        match self.seqs.get(id.index()) {
+            Some(seq) => seq.kind(),
+            None => self.l2.kind(),
+        }
+    }
+}
+
+impl System for PerfectNodes {
+    type Msg = TokenMsg;
+
+    /// PerfectL2 models no interconnect.
+    const NETWORKED: bool = false;
+
+    fn seqs(&self) -> &[Sequencer<TokenMsg>] {
+        &self.seqs
+    }
+
+    /// The miss total.
+    fn sample(&self, _at: Time, _ages: &mut StarvationAges, reading: &mut Reading) {
+        reading.totals.insert("misses", self.l2.stats.misses);
+    }
+
+    fn harvest(&self, counters: &mut Stats) {
+        counters.add("l1.hits", self.l2.stats.hits);
+        counters.add("l1.misses", self.l2.stats.misses);
     }
 }

@@ -6,26 +6,23 @@
 //! unified [`RunResult`] the benchmark harnesses consume.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
-use tokencmp_core::{
-    PersistentBook, RecoveryParams, TokenL1, TokenL2, TokenMem, TokenMsg, Variant,
-};
-use tokencmp_directory::{ChipRights, DirHome, DirL1, DirL2, DirMsg, L1State};
-use tokencmp_net::{FaultHandle, FaultPlan, Network, Traffic, TrafficHandle};
-use tokencmp_proto::{Block, CpuPort, Layout, MsgClass, NetMsg, SystemConfig, Unit};
+use tokencmp_core::Variant;
+use tokencmp_net::{FaultHandle, FaultPlan, Network, Traffic};
+use tokencmp_proto::{MsgClass, NetMsg, SystemConfig};
 use tokencmp_sim::kernel::RunOutcome;
 use tokencmp_sim::{
-    Dur, EventKind, HostProfiler, InstantTransport, Kernel, NodeId, ProfilerHandle, Stats, Time,
+    Dur, EventKind, HostProfiler, InstantTransport, Kernel, Stats, Time, Transport,
 };
-use tokencmp_trace::{HostProfile, LatencyBreakdown, ProfiledSink, TimeSeries, TraceHandle};
+use tokencmp_trace::{HostProfile, ProfiledSink, TimeSeries, TraceHandle};
 
-use crate::perfect::PerfectL2;
-use crate::sequencer::Sequencer;
-use crate::telemetry::{
-    default_telemetry, DirSampler, PerfectSampler, TelemetryOptions, TokenSampler,
-};
+use crate::directory;
+use crate::nodes::System;
+use crate::perfect::PerfectNodes;
+use crate::telemetry::{default_telemetry, Sampler, TelemetryOptions};
+use crate::token;
 use crate::workload::Workload;
 
 /// The protocols of the paper's evaluation (§6).
@@ -309,14 +306,8 @@ pub fn run_workload_traced<W: Workload + 'static>(
             opts.faults.max_drop_rate(),
         );
     }
-    let cfg = Rc::new(cfg.clone());
     let wl = Rc::new(RefCell::new(workload));
-    let result = match protocol {
-        Protocol::Token(v) => run_token(&cfg, v, wl.clone(), opts, trace.clone()),
-        Protocol::Directory => run_directory(&cfg, wl.clone(), opts, false, trace.clone()),
-        Protocol::DirectoryZero => run_directory(&cfg, wl.clone(), opts, true, trace.clone()),
-        Protocol::PerfectL2 => run_perfect(&cfg, wl.clone(), opts, trace.clone()),
-    };
+    let result = run_protocol(cfg, protocol, wl.clone(), opts, trace.clone());
     let w = Rc::try_unwrap(wl)
         .ok()
         .expect("kernel leaked workload references")
@@ -331,79 +322,124 @@ pub fn run_workload_traced<W: Workload + 'static>(
     (result, w)
 }
 
-fn finish<M: Clone + 'static>(
-    kernel: &Kernel<M>,
-    outcome: RunOutcome,
-    runtime: Dur,
-    traffic: Option<&TrafficHandle>,
-    counters: Stats,
-    diagnostic: Option<String>,
+/// Runs `protocol` on `cfg`. Kept apart from the workload-generic
+/// [`run_workload_traced`] so that the harness is compiled once per
+/// node-set type, not once per workload type.
+fn run_protocol(
+    cfg: &SystemConfig,
+    protocol: Protocol,
+    wl: Rc<RefCell<dyn Workload>>,
+    opts: &RunOptions,
+    trace: Option<TraceHandle>,
 ) -> RunResult {
-    RunResult {
-        outcome,
-        runtime,
-        events: kernel.events_processed(),
-        traffic: traffic.map(|t| t.borrow().clone()).unwrap_or_default(),
-        counters,
-        diagnostic,
-        series: None,
-        profile: None,
+    let cfg = Rc::new(cfg.clone());
+    match protocol {
+        Protocol::Token(v) => run(&cfg, opts, trace, |s| token::build(&cfg, v, &wl, opts, s)),
+        Protocol::Directory | Protocol::DirectoryZero => run(&cfg, opts, trace, |s| {
+            let zero_cycle = protocol == Protocol::DirectoryZero;
+            directory::build(&cfg, zero_cycle, &wl, s)
+        }),
+        Protocol::PerfectL2 => run(&cfg, opts, trace, |s| PerfectNodes::build(&cfg, &wl, s)),
     }
 }
 
-/// Creates the run's host profiler (when enabled) and, when both a
-/// profiler and a trace sink are present, interposes a [`ProfiledSink`]
-/// so sink time is attributed; the wrapped handle forwards flight dumps
-/// and conformance verdicts, so callers holding the original handle are
-/// unaffected.
-fn profiled_trace(
+/// The one run harness: builds the system `build` returns (given the
+/// run's trace sink) around the run's transport, profiler, sampler and
+/// trace sink, drives it until every processor finishes, and diagnoses,
+/// harvests and audits it through its [`System`] passes.
+fn run<S: System>(
+    cfg: &SystemConfig,
     opts: &RunOptions,
-    trace: &Option<TraceHandle>,
-) -> (Option<ProfilerHandle>, Option<TraceHandle>) {
+    trace: Option<TraceHandle>,
+    build: impl FnOnce(Option<&TraceHandle>) -> S,
+) -> RunResult {
+    let layout = cfg.layout();
+    // With both a host profiler and a trace sink, a `ProfiledSink`
+    // interposes so sink time is attributed; it forwards flight dumps
+    // and conformance verdicts, so callers holding the original handle
+    // are unaffected.
     let profiler = opts
         .telemetry
         .profile
         .then(|| HostProfiler::handle(opts.telemetry.profile_stride));
-    let sink = match (&profiler, trace) {
-        (Some(p), Some(t)) => {
-            let wrapped: TraceHandle = ProfiledSink::wrap(t.clone(), p.clone());
-            Some(wrapped)
-        }
-        _ => trace.clone(),
+    let trace = match (&profiler, trace) {
+        (Some(p), Some(t)) => Some(ProfiledSink::wrap(t, p.clone()) as TraceHandle),
+        (_, t) => t,
     };
-    (profiler, sink)
-}
+    let (transport, traffic, faults): (Box<dyn Transport<S::Msg>>, _, _) = if S::NETWORKED {
+        let mut net = Network::with_faults(cfg, opts.faults, opts.seed);
+        if let Some(t) = &trace {
+            net.set_trace(t.clone());
+        }
+        let (traffic, faults) = (net.traffic_handle(), net.fault_handle());
+        (Box::new(net), Some(traffic), faults)
+    } else {
+        let instant = InstantTransport { latency: Dur::ZERO };
+        (Box::new(instant), None, None)
+    };
+    let mut k = Kernel::new(transport, build(trace.as_ref()));
+    if let Some(p) = &profiler {
+        k.set_profiler(p.clone());
+    }
+    let sampler = opts.telemetry.sample_period.map(|period| {
+        let tiers = S::NETWORKED.then_some(layout);
+        let s = Rc::new(RefCell::new(Sampler::new(period, tiers, faults.clone())));
+        k.set_monitor(period, s.clone());
+        s
+    });
 
-/// Satellite diagnostics: a stalled or limit-hit run with the sampler on
-/// appends the tail of the time series to the watchdog snapshot — the
-/// last gauge samples before the stall are usually the story.
-fn append_series_tail(diagnostic: &mut Option<String>, series: Option<&TimeSeries>) {
-    if let (Some(d), Some(s)) = (diagnostic.as_mut(), series) {
-        if !s.is_empty() {
+    for p in layout.proc_ids() {
+        k.wake(layout.proc(p), Dur::ZERO, 0);
+    }
+    let outcome = k.run_watched(opts.max_events, opts.horizon, opts.stall_window);
+    let mut diagnostic = diagnose(&k, outcome);
+    let mut runtime = Dur::ZERO;
+    for (p, seq) in layout.proc_ids().zip(k.nodes().seqs()) {
+        match seq.done_at {
+            Some(t) => runtime = runtime.max(t.since(Time::ZERO)),
+            None => assert_ne!(
+                outcome,
+                RunOutcome::Idle,
+                "kernel went idle with processor {p:?} unfinished (protocol deadlock)"
+            ),
+        }
+    }
+    let series = sampler.map(|s| s.borrow().series().clone());
+    if let Some(d) = diagnostic.as_mut() {
+        // The sink's flight-recorder tail, the protocol's own lines, and
+        // the last samples of the time series: the gauges just before a
+        // stall are usually the story.
+        if let Some(dump) = trace.as_ref().and_then(|t| t.borrow().flight_dump()) {
+            d.push_str(&dump);
+        }
+        k.nodes().snapshot(d);
+        if let Some(s) = series.as_ref().filter(|s| !s.is_empty()) {
             d.push_str(&s.tail_table(8));
         }
     }
-}
 
-/// Appends the sink's flight-recorder tail (the last N trace events) to
-/// an un-clean run's diagnostic snapshot.
-fn append_flight_dump(diagnostic: &mut Option<String>, trace: &Option<TraceHandle>) {
-    if let (Some(d), Some(t)) = (diagnostic.as_mut(), trace) {
-        if let Some(dump) = t.borrow().flight_dump() {
-            d.push_str(&dump);
-        }
+    let mut counters = k.stats().clone();
+    k.nodes().harvest(&mut counters);
+    export_fault_counters(&mut counters, faults.as_ref());
+    if opts.audit && outcome == RunOutcome::Idle {
+        k.nodes().audit(faults.as_ref());
+    }
+    RunResult {
+        outcome,
+        runtime,
+        events: k.events_processed(),
+        traffic: traffic.map(|t| t.borrow().clone()).unwrap_or_default(),
+        counters,
+        diagnostic,
+        series,
+        profile: profiler.map(|p| p.borrow().report()),
     }
 }
 
 /// Builds the watchdog diagnostic snapshot for a run that did not end
 /// cleanly: kernel progress state, each processor's pending operation,
 /// and a census of in-flight messages by class.
-fn diagnose<M: CpuPort + NetMsg + Clone + 'static>(
-    kernel: &Kernel<M>,
-    layout: &Layout,
-    outcome: RunOutcome,
-) -> Option<String> {
-    use std::fmt::Write as _;
+fn diagnose<S: System>(kernel: &Kernel<S::Msg, S>, outcome: RunOutcome) -> Option<String> {
     if matches!(outcome, RunOutcome::Idle | RunOutcome::Stopped) {
         return None;
     }
@@ -415,10 +451,7 @@ fn diagnose<M: CpuPort + NetMsg + Clone + 'static>(
         kernel.events_processed(),
         kernel.last_progress(),
     );
-    for p in layout.proc_ids() {
-        let seq = kernel
-            .component_as::<Sequencer<M>>(layout.proc(p))
-            .expect("sequencer type");
+    for seq in kernel.nodes().seqs() {
         let _ = writeln!(s, "  {seq:?}");
     }
     let mut wakes = 0u64;
@@ -440,243 +473,13 @@ fn diagnose<M: CpuPort + NetMsg + Clone + 'static>(
     Some(s)
 }
 
-/// Drives the kernel and computes the last-processor-done time, plus a
-/// diagnostic snapshot if the run did not end cleanly.
-fn drive<M: CpuPort + NetMsg + Clone + 'static>(
-    kernel: &mut Kernel<M>,
-    layout: &Layout,
-    opts: &RunOptions,
-) -> (RunOutcome, Dur, Option<String>) {
-    for p in layout.proc_ids() {
-        kernel.wake(layout.proc(p), Dur::ZERO, 0);
-    }
-    let outcome = kernel.run_watched(opts.max_events, opts.horizon, opts.stall_window);
-    let diagnostic = diagnose(kernel, layout, outcome);
-    let mut runtime = Dur::ZERO;
-    for p in layout.proc_ids() {
-        let seq = kernel
-            .component_as::<Sequencer<M>>(layout.proc(p))
-            .expect("sequencer type");
-        match seq.done_at {
-            Some(t) => runtime = runtime.max(t.since(Time::ZERO)),
-            None => {
-                assert_ne!(
-                    outcome,
-                    RunOutcome::Idle,
-                    "kernel went idle with processor {p:?} unfinished (protocol deadlock)"
-                );
-            }
-        }
-    }
-    (outcome, runtime, diagnostic)
-}
-
-// ---- TokenCMP -------------------------------------------------------------------
-
-fn run_token(
-    cfg: &Rc<SystemConfig>,
-    variant: Variant,
-    wl: Rc<RefCell<dyn Workload>>,
-    opts: &RunOptions,
-    trace: Option<TraceHandle>,
-) -> RunResult {
-    let layout = cfg.layout();
-    let (profiler, trace) = profiled_trace(opts, &trace);
-    let mut net = Network::with_faults(cfg, opts.faults, opts.seed);
-    if let Some(t) = &trace {
-        net.set_trace(t.clone());
-    }
-    let traffic = net.traffic_handle();
-    let faults = net.fault_handle();
-    let mut k: Kernel<TokenMsg> = Kernel::new(Box::new(net));
-    if let Some(p) = &profiler {
-        k.set_profiler(p.clone());
-    }
-    let sampler = opts.telemetry.sample_period.map(|period| {
-        let s = Rc::new(RefCell::new(TokenSampler::new(
-            cfg.clone(),
-            period,
-            faults.clone(),
-        )));
-        k.set_monitor(period, s.clone());
-        s
-    });
-    for p in layout.proc_ids() {
-        let id = k.add_component(Sequencer::<TokenMsg>::new(
-            p,
-            layout.l1d(p),
-            layout.l1i(p),
-            wl.clone(),
-        ));
-        assert_eq!(id, layout.proc(p));
-    }
-    // Each processor's L1-D and L1-I share one persistent-request epoch
-    // counter (they issue under a single processor identity), and every
-    // coherence node keeps its distributed table in one shared book.
-    let epochs: Vec<Rc<std::cell::Cell<u64>>> = layout
-        .proc_ids()
-        .map(|_| Rc::new(std::cell::Cell::new(0)))
-        .collect();
-    let book = Rc::new(RefCell::new(PersistentBook::new(&layout)));
-    for p in layout.proc_ids() {
-        let me = layout.l1d(p);
-        let id = k.add_component(TokenL1::new(
-            cfg.clone(),
-            me,
-            p,
-            variant,
-            opts.seed,
-            epochs[p.0 as usize].clone(),
-            book.clone(),
-        ));
-        assert_eq!(id, me);
-    }
-    for p in layout.proc_ids() {
-        let me = layout.l1i(p);
-        let id = k.add_component(TokenL1::new(
-            cfg.clone(),
-            me,
-            p,
-            variant,
-            opts.seed ^ 0xF00D,
-            epochs[p.0 as usize].clone(),
-            book.clone(),
-        ));
-        assert_eq!(id, me);
-    }
-    for c in layout.cmp_ids() {
-        for b in 0..layout.banks_per_cmp {
-            let me = layout.l2(c, b);
-            let id = k.add_component(TokenL2::new(cfg.clone(), me, c, b, variant, book.clone()));
-            assert_eq!(id, me);
-        }
-    }
-    for c in layout.cmp_ids() {
-        let me = layout.mem(c);
-        let id = k.add_component(TokenMem::new(cfg.clone(), me, c, book.clone()));
-        assert_eq!(id, me);
-    }
-    // Token-loss recovery (§15) is armed only when the fault plan can
-    // actually drop token-carrying messages: a lossless run schedules no
-    // recovery timers and stays bit-identical to a build without the
-    // recovery subsystem. The drain window extends the configured base
-    // by the plan's worst extra in-flight delay so every stale bundle
-    // has landed before the remint.
-    if opts.faults.drops_tokens() {
-        let recovery = RecoveryParams {
-            base: cfg.recreation_timeout,
-            cap: cfg.recreation_backoff_cap,
-            drain: cfg.recreation_drain + opts.faults.max_extra_delay(),
-        };
-        for p in layout.proc_ids() {
-            for node in [layout.l1d(p), layout.l1i(p)] {
-                k.component_as_mut::<TokenL1>(node)
-                    .unwrap()
-                    .set_recovery(recovery);
-            }
-        }
-        for c in layout.cmp_ids() {
-            k.component_as_mut::<TokenMem>(layout.mem(c))
-                .unwrap()
-                .set_recovery(recovery);
-        }
-    }
-    if let Some(t) = &trace {
-        for p in layout.proc_ids() {
-            k.component_as_mut::<Sequencer<TokenMsg>>(layout.proc(p))
-                .unwrap()
-                .set_trace(t.clone());
-            for node in [layout.l1d(p), layout.l1i(p)] {
-                k.component_as_mut::<TokenL1>(node)
-                    .unwrap()
-                    .set_trace(t.clone());
-            }
-        }
-        for c in layout.cmp_ids() {
-            for b in 0..layout.banks_per_cmp {
-                k.component_as_mut::<TokenL2>(layout.l2(c, b))
-                    .unwrap()
-                    .set_trace(t.clone());
-            }
-            k.component_as_mut::<TokenMem>(layout.mem(c))
-                .unwrap()
-                .set_trace(t.clone());
-        }
-    }
-
-    let (outcome, runtime, mut diagnostic) = drive(&mut k, &layout, opts);
-    append_flight_dump(&mut diagnostic, &trace);
-    if let Some(d) = diagnostic.as_mut() {
-        use std::fmt::Write as _;
-        for p in layout.proc_ids() {
-            for node in [layout.l1d(p), layout.l1i(p)] {
-                let l1 = k.component_as::<TokenL1>(node).unwrap();
-                if let Some(line) = l1.pending_snapshot() {
-                    let _ = writeln!(d, "  {:?} ({node:?}): {line}", layout.unit(node));
-                }
-            }
-        }
-    }
-    let series = sampler.map(|s| s.borrow().series().clone());
-    append_series_tail(&mut diagnostic, series.as_ref());
-
-    // Harvest counters.
-    let mut counters = k.stats().clone();
-    let mut lat = LatencyBreakdown::new();
-    for p in layout.proc_ids() {
-        for node in [layout.l1d(p), layout.l1i(p)] {
-            let l1 = k.component_as::<TokenL1>(node).unwrap();
-            counters.add("l1.hits", l1.stats.hits);
-            counters.add("l1.misses", l1.stats.misses);
-            counters.add("l1.transient", l1.stats.transient_issued);
-            counters.add("l1.retries", l1.stats.retries);
-            counters.add("l1.persistent", l1.stats.persistent_issued);
-            counters.add("l1.persistent_reads", l1.stats.persistent_reads);
-            counters.add("l1.pred_shortcuts", l1.stats.predictor_shortcuts);
-            if l1.stats.recreation_requests > 0 {
-                counters.add("l1.recreation_requests", l1.stats.recreation_requests);
-            }
-            lat.merge(&l1.stats.lat);
-        }
-    }
-    counters.add("l1.miss_latency_ps_sum", lat.total().sum() as u64);
-    lat.export_into(&mut counters);
-    for c in layout.cmp_ids() {
-        for b in 0..layout.banks_per_cmp {
-            let l2 = k.component_as::<TokenL2>(layout.l2(c, b)).unwrap();
-            counters.add("l2.local_requests", l2.stats.local_requests);
-            counters.add("l2.external_broadcasts", l2.stats.external_broadcasts);
-            counters.add("l2.external_requests", l2.stats.external_requests);
-            counters.add("l2.filtered", l2.stats.filtered);
-            counters.add("l2.fanout", l2.stats.forwarded_to_l1);
-        }
-        let m = k.component_as::<TokenMem>(layout.mem(c)).unwrap();
-        counters.add("mem.data_responses", m.stats.data_responses);
-        counters.add("mem.writebacks", m.stats.writebacks);
-        counters.add("mem.arb_activations", m.stats.arb_activations);
-        if m.stats.recreations > 0 {
-            counters.add("mem.recreations", m.stats.recreations);
-        }
-    }
-
-    export_fault_counters(&mut counters, &faults);
-
-    if opts.audit && outcome == RunOutcome::Idle {
-        audit_tokens(&k, cfg, &layout, &faults);
-    }
-    let mut result = finish(&k, outcome, runtime, Some(&traffic), counters, diagnostic);
-    result.series = series;
-    result.profile = profiler.map(|p| p.borrow().report());
-    result
-}
-
 /// Exports fault counters into the run's counter registry: the aggregate
 /// `net.fault.{dropped,jittered,reordered}` keys, a per-class breakout
 /// (`net.fault.dropped.<class>` etc., written only for classes actually
 /// hit), and the total tokens destroyed in flight. Only fault-injecting
 /// runs carry a handle, so a no-op plan leaves the counter listing
 /// bit-identical to a fault-free run.
-fn export_fault_counters(counters: &mut Stats, faults: &Option<FaultHandle>) {
+fn export_fault_counters(counters: &mut Stats, faults: Option<&FaultHandle>) {
     let Some(h) = faults else {
         return;
     };
@@ -703,308 +506,6 @@ fn export_fault_counters(counters: &mut Stats, faults: &Option<FaultHandle>) {
         counters.add("net.fault.lost_tokens", lost);
         counters.add("net.fault.lost_owners", lost_owners);
     }
-}
-
-/// Token conservation at quiescence: every touched block holds exactly
-/// `T` tokens and exactly one owner token across all caches and its home
-/// memory controller (§3.1's safety invariant, checked globally).
-///
-/// Under a token-lossy fault plan the invariant is *conservation per
-/// recreation epoch*: held tokens plus tokens the interconnect recorded
-/// as destroyed **under the block's current serial** must equal `T`
-/// (tokens lost under superseded serials were reminted wholesale by a
-/// recreation and do not count). A recreation can never be mid-flight
-/// here — its pending ack or drain wake would have kept the kernel from
-/// going idle — and that is asserted too.
-fn audit_tokens(
-    k: &Kernel<TokenMsg>,
-    cfg: &SystemConfig,
-    layout: &Layout,
-    faults: &Option<FaultHandle>,
-) {
-    let mut tokens: HashMap<Block, (u32, u32)> = HashMap::new();
-    let mut fold = |census: Vec<(Block, u32, bool)>| {
-        for (b, t, o) in census {
-            let e = tokens.entry(b).or_insert((0, 0));
-            e.0 += t;
-            e.1 += o as u32;
-        }
-    };
-    for node in layout.all_caches() {
-        match layout.unit(node) {
-            Unit::L1D(_) | Unit::L1I(_) => {
-                fold(k.component_as::<TokenL1>(node).unwrap().token_census())
-            }
-            Unit::L2Bank(..) => fold(k.component_as::<TokenL2>(node).unwrap().token_census()),
-            _ => unreachable!(),
-        }
-    }
-    for c in layout.cmp_ids() {
-        let m = k.component_as::<TokenMem>(layout.mem(c)).unwrap();
-        assert!(
-            !m.recreation_in_progress(),
-            "kernel idle with a token recreation in progress at {c:?}"
-        );
-        fold(m.explicit_census());
-    }
-    for (b, (mut t, mut o)) in tokens {
-        if let Some(h) = faults {
-            let home = k
-                .component_as::<TokenMem>(layout.mem(cfg.home_of(b)))
-                .unwrap();
-            let lost = h.borrow().lost(b.0, home.serial_of(b));
-            t += lost.count;
-            o += lost.owners;
-        }
-        assert_eq!(
-            t, cfg.tokens_per_block,
-            "token conservation violated for {b:?}: {t} tokens"
-        );
-        assert_eq!(o, 1, "owner token count for {b:?} is {o}");
-    }
-}
-
-// ---- DirectoryCMP ----------------------------------------------------------------
-
-fn run_directory(
-    cfg: &Rc<SystemConfig>,
-    wl: Rc<RefCell<dyn Workload>>,
-    opts: &RunOptions,
-    zero_cycle: bool,
-    trace: Option<TraceHandle>,
-) -> RunResult {
-    let mut cfg2 = (**cfg).clone();
-    if zero_cycle {
-        cfg2.dir_access_latency = Dur::ZERO;
-    }
-    let cfg = Rc::new(cfg2);
-    let layout = cfg.layout();
-    let (profiler, trace) = profiled_trace(opts, &trace);
-    let mut net = Network::with_faults(&cfg, opts.faults, opts.seed);
-    if let Some(t) = &trace {
-        net.set_trace(t.clone());
-    }
-    let traffic = net.traffic_handle();
-    let faults = net.fault_handle();
-    let mut k: Kernel<DirMsg> = Kernel::new(Box::new(net));
-    if let Some(p) = &profiler {
-        k.set_profiler(p.clone());
-    }
-    let sampler = opts.telemetry.sample_period.map(|period| {
-        let s = Rc::new(RefCell::new(DirSampler::new(&cfg, period, faults.clone())));
-        k.set_monitor(period, s.clone());
-        s
-    });
-    for p in layout.proc_ids() {
-        let id = k.add_component(Sequencer::<DirMsg>::new(
-            p,
-            layout.l1d(p),
-            layout.l1i(p),
-            wl.clone(),
-        ));
-        assert_eq!(id, layout.proc(p));
-    }
-    for p in layout.proc_ids() {
-        let me = layout.l1d(p);
-        assert_eq!(k.add_component(DirL1::new(cfg.clone(), me, p)), me);
-    }
-    for p in layout.proc_ids() {
-        let me = layout.l1i(p);
-        assert_eq!(k.add_component(DirL1::new(cfg.clone(), me, p)), me);
-    }
-    for c in layout.cmp_ids() {
-        for b in 0..layout.banks_per_cmp {
-            let me = layout.l2(c, b);
-            assert_eq!(k.add_component(DirL2::new(cfg.clone(), me, c, b)), me);
-        }
-    }
-    for c in layout.cmp_ids() {
-        let me = layout.mem(c);
-        assert_eq!(k.add_component(DirHome::new(cfg.clone(), me, c)), me);
-    }
-    if let Some(t) = &trace {
-        for p in layout.proc_ids() {
-            k.component_as_mut::<Sequencer<DirMsg>>(layout.proc(p))
-                .unwrap()
-                .set_trace(t.clone());
-            for node in [layout.l1d(p), layout.l1i(p)] {
-                k.component_as_mut::<DirL1>(node)
-                    .unwrap()
-                    .set_trace(t.clone());
-            }
-        }
-    }
-
-    let (outcome, runtime, mut diagnostic) = drive(&mut k, &layout, opts);
-    append_flight_dump(&mut diagnostic, &trace);
-    let series = sampler.map(|s| s.borrow().series().clone());
-    append_series_tail(&mut diagnostic, series.as_ref());
-
-    let mut counters = k.stats().clone();
-    let mut lat = LatencyBreakdown::new();
-    for p in layout.proc_ids() {
-        for node in [layout.l1d(p), layout.l1i(p)] {
-            let l1 = k.component_as::<DirL1>(node).unwrap();
-            counters.add("l1.hits", l1.stats.hits);
-            counters.add("l1.misses", l1.stats.misses);
-            counters.add("l1.writebacks", l1.stats.writebacks);
-            lat.merge(&l1.stats.lat);
-        }
-    }
-    counters.add("l1.miss_latency_ps_sum", lat.total().sum() as u64);
-    lat.export_into(&mut counters);
-    for c in layout.cmp_ids() {
-        for b in 0..layout.banks_per_cmp {
-            let l2 = k.component_as::<DirL2>(layout.l2(c, b)).unwrap();
-            counters.add("l2.local_requests", l2.stats.local_requests);
-            counters.add("l2.remote_requests", l2.stats.remote_requests);
-            counters.add("l2.local_satisfied", l2.stats.local_satisfied);
-            counters.add("l2.evictions", l2.stats.evictions);
-        }
-        let h = k.component_as::<DirHome>(layout.mem(c)).unwrap();
-        counters.add("home.requests", h.stats.requests);
-        counters.add("home.forwarded", h.stats.forwarded);
-        counters.add("home.from_memory", h.stats.from_memory);
-        counters.add("home.writebacks", h.stats.writebacks);
-    }
-
-    export_fault_counters(&mut counters, &faults);
-
-    if opts.audit && outcome == RunOutcome::Idle {
-        audit_directory(&k, &layout);
-    }
-    let mut result = finish(&k, outcome, runtime, Some(&traffic), counters, diagnostic);
-    result.series = series;
-    result.profile = profiler.map(|p| p.borrow().report());
-    result
-}
-
-/// Directory consistency at quiescence: per block, at most one L1 in M/E
-/// globally, and M/E implies no other L1 holds the block at all (the
-/// single-writer / multiple-reader invariant).
-fn audit_directory(k: &Kernel<DirMsg>, layout: &Layout) {
-    let mut holders: HashMap<Block, (u32, u32)> = HashMap::new(); // (excl, shared)
-    for p in layout.proc_ids() {
-        for node in [layout.l1d(p), layout.l1i(p)] {
-            let l1 = k.component_as::<DirL1>(node).unwrap();
-            for (b, s) in l1.lines() {
-                let e = holders.entry(b).or_insert((0, 0));
-                match s {
-                    L1State::M | L1State::E => e.0 += 1,
-                    L1State::S => e.1 += 1,
-                }
-            }
-        }
-    }
-    for (b, (excl, shared)) in holders {
-        let dump = |b: Block| {
-            for p in layout.proc_ids() {
-                for node in [layout.l1d(p), layout.l1i(p)] {
-                    let l1 = k.component_as::<DirL1>(node).unwrap();
-                    for (lb, s) in l1.lines() {
-                        if lb == b {
-                            eprintln!("  {:?} {node:?}: {s:?}", layout.unit(node));
-                        }
-                    }
-                }
-            }
-            for c in layout.cmp_ids() {
-                for bnk in 0..layout.banks_per_cmp {
-                    let l2 = k.component_as::<DirL2>(layout.l2(c, bnk)).unwrap();
-                    if let Some(e) = l2.debug_entry(b) {
-                        eprintln!("  L2 {c:?}/{bnk}: {e}");
-                    }
-                }
-                let h = k.component_as::<DirHome>(layout.mem(c)).unwrap();
-                eprintln!("  home {c:?}: {:?}", h.state(b));
-            }
-        };
-        if excl > 1 || (excl >= 1 && shared > 0) {
-            eprintln!("audit violation for {b:?}:");
-            dump(b);
-        }
-        assert!(excl <= 1, "{b:?}: {excl} exclusive L1 copies");
-        assert!(
-            excl == 0 || shared == 0,
-            "{b:?}: exclusive copy coexists with {shared} shared copies"
-        );
-    }
-    // Chip-level: at most one chip with E rights per block.
-    let mut chips: HashMap<Block, u32> = HashMap::new();
-    for c in layout.cmp_ids() {
-        for bnk in 0..layout.banks_per_cmp {
-            let l2 = k.component_as::<DirL2>(layout.l2(c, bnk)).unwrap();
-            for (b, r) in l2.rights() {
-                if r == ChipRights::E {
-                    *chips.entry(b).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    for (b, n) in chips {
-        assert!(n <= 1, "{b:?}: {n} chips with exclusive rights");
-    }
-}
-
-// ---- PerfectL2 --------------------------------------------------------------------
-
-fn run_perfect(
-    cfg: &Rc<SystemConfig>,
-    wl: Rc<RefCell<dyn Workload>>,
-    opts: &RunOptions,
-    trace: Option<TraceHandle>,
-) -> RunResult {
-    let layout = cfg.layout();
-    let (profiler, trace) = profiled_trace(opts, &trace);
-    let mut k: Kernel<TokenMsg> = Kernel::new(Box::new(InstantTransport { latency: Dur::ZERO }));
-    let magic = NodeId(layout.procs());
-    if let Some(p) = &profiler {
-        k.set_profiler(p.clone());
-    }
-    let sampler = opts.telemetry.sample_period.map(|period| {
-        let s = Rc::new(RefCell::new(PerfectSampler::new(period, magic)));
-        k.set_monitor(period, s.clone());
-        s
-    });
-    let mut seqs = Vec::new();
-    for p in layout.proc_ids() {
-        let id = k.add_component(Sequencer::<TokenMsg>::new(p, magic, magic, wl.clone()));
-        seqs.push(id);
-    }
-    let id = k.add_component(PerfectL2::<TokenMsg>::new(cfg.clone(), seqs.clone()));
-    assert_eq!(id, magic);
-    if let Some(t) = &trace {
-        for &s in &seqs {
-            k.component_as_mut::<Sequencer<TokenMsg>>(s)
-                .unwrap()
-                .set_trace(t.clone());
-        }
-    }
-
-    for &s in &seqs {
-        k.wake(s, Dur::ZERO, 0);
-    }
-    let outcome = k.run_watched(opts.max_events, opts.horizon, opts.stall_window);
-    let mut diagnostic = diagnose(&k, &layout, outcome);
-    append_flight_dump(&mut diagnostic, &trace);
-    let series = sampler.map(|s| s.borrow().series().clone());
-    append_series_tail(&mut diagnostic, series.as_ref());
-    let mut runtime = Dur::ZERO;
-    for &s in &seqs {
-        let seq = k.component_as::<Sequencer<TokenMsg>>(s).unwrap();
-        match seq.done_at {
-            Some(t) => runtime = runtime.max(t.since(Time::ZERO)),
-            None => assert_ne!(outcome, RunOutcome::Idle, "PerfectL2 deadlock"),
-        }
-    }
-    let mut counters = k.stats().clone();
-    let m = k.component_as::<PerfectL2<TokenMsg>>(magic).unwrap();
-    counters.add("l1.hits", m.stats.hits);
-    counters.add("l1.misses", m.stats.misses);
-    let mut result = finish(&k, outcome, runtime, None, counters, diagnostic);
-    result.series = series;
-    result.profile = profiler.map(|p| p.borrow().report());
-    result
 }
 
 #[cfg(test)]

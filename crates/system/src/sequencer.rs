@@ -7,7 +7,6 @@
 //! is unaffected; absolute runtimes scale, which is why all results are
 //! reported normalized, as in the paper.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::rc::Rc;
@@ -62,9 +61,9 @@ impl<M: CpuPort + 'static> Sequencer<M> {
         }
     }
 
-    /// Installs the run's trace sink (no sink ⇒ zero tracing work).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+    /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
+    pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
+        self.trace = trace.cloned();
     }
 
     fn advance(&mut self, completed: Option<Completed>, ctx: &mut Ctx<'_, M>) {
@@ -147,12 +146,6 @@ impl<M: CpuPort + 'static> Component<M> for Sequencer<M> {
         self.advance(None, ctx);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn kind(&self) -> &'static str {
         "seq"
     }

@@ -73,6 +73,27 @@ fn telemetry_is_invisible_on_every_protocol() {
             profile.attributed_ns() > 0,
             "{protocol}: profiler attributed no host time"
         );
+        // The handler categories are part of the profile's contract:
+        // consumers map these exact names to controller kinds. Timing
+        // every event makes every kind show up.
+        let mut every = base_opts(123).with_profiling();
+        every.telemetry.profile_stride = 1;
+        let profile = run(&every).profile.expect("profiling was on");
+        let mut handlers: Vec<&str> = profile
+            .entries
+            .iter()
+            .map(|e| e.category.as_str())
+            .filter(|c| c.starts_with("handler."))
+            .collect();
+        handlers.sort_unstable();
+        let want: &[&str] = match protocol {
+            Protocol::Token(_) => &["handler.l1", "handler.l2", "handler.mem", "handler.seq"],
+            Protocol::Directory | Protocol::DirectoryZero => {
+                &["handler.home", "handler.l1", "handler.l2", "handler.seq"]
+            }
+            Protocol::PerfectL2 => &["handler.perfect_l2", "handler.seq"],
+        };
+        assert_eq!(handlers, want, "{protocol}: handler categories");
     }
 }
 
@@ -159,6 +180,75 @@ fn time_series_replays_bit_identically() {
         let b = run().series.expect("sampling was on");
         assert_eq!(a, b, "{name}: series did not replay bit-identically");
         assert!(!a.is_empty(), "{name}: no samples taken");
+    }
+}
+
+/// FNV-1a over every gauge and every rate (as IEEE bits) of every
+/// sample of a series.
+fn series_digest(series: &tokencmp::TimeSeries) -> u64 {
+    let mut s = String::new();
+    for sample in &series.samples {
+        s.push_str(&format!("at={}", sample.at_ps));
+        for (k, v) in &sample.gauges {
+            s.push_str(&format!(" {k}={v}"));
+        }
+        for (k, v) in &sample.rates {
+            s.push_str(&format!(" {k}={:016x}", v.to_bits()));
+        }
+        s.push('\n');
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Every gauge and rate each protocol's sampler emits is pinned, on a
+/// token-lossy TokenCMP-dst1 run (which drives the recreation gauges
+/// and the fault rate), a DirectoryCMP run and a PerfectL2 run. Unlike
+/// the replay test above, this catches a change that alters what a
+/// sampler reports, not only one that makes it nondeterministic.
+#[test]
+fn sampled_series_are_pinned_on_every_harness() {
+    let cfg = table3_system();
+    let cases = [
+        (
+            Protocol::Token(Variant::Dst1),
+            FaultPlan::none().dropping_tokens(0.10),
+            (3491usize, 0x0f08_0ac1_9546_6144u64),
+        ),
+        (
+            Protocol::Directory,
+            FaultPlan::none(),
+            (110, 0xc11b_f568_830c_a369),
+        ),
+        (
+            Protocol::PerfectL2,
+            FaultPlan::none(),
+            (25, 0xe078_c288_2000_ecad),
+        ),
+    ];
+    for (protocol, plan, want) in cases {
+        let w = LockingWorkload::new(16, 8, 5, 13);
+        let opts = base_opts(42)
+            .with_sampling(Dur::from_ns(20))
+            .with_faults(plan);
+        let series = run_workload(&cfg, protocol, w, &opts)
+            .0
+            .series
+            .expect("sampling was on");
+        if plan.drops_tokens() {
+            let recreated = series.samples.last().unwrap().gauges["recreate.completed"];
+            assert!(recreated > 0, "{protocol}: the lossy run never recreated");
+        }
+        let got = (series.samples.len(), series_digest(&series));
+        assert_eq!(
+            got, want,
+            "{protocol}: series (samples, digest) ({}, 0x{:016x}) != golden",
+            got.0, got.1
+        );
     }
 }
 

@@ -211,6 +211,17 @@ fn run_multi_hop_dst1(
     fabric: Fabric,
     opts: &tokencmp::system::RunOptions,
 ) -> tokencmp::system::RunResult {
+    let proto = tokencmp::Protocol::Token(tokencmp::Variant::Dst1);
+    run_multi_hop(proto, fabric, opts)
+}
+
+/// `protocol` running locking on an 8-chip multi-hop `fabric` (2 cores
+/// and banks per chip).
+fn run_multi_hop(
+    proto: tokencmp::Protocol,
+    fabric: Fabric,
+    opts: &tokencmp::system::RunOptions,
+) -> tokencmp::system::RunResult {
     let mut cfg = SystemConfig {
         cmps: 8,
         procs_per_cmp: 2,
@@ -221,7 +232,6 @@ fn run_multi_hop_dst1(
     cfg.tokens_per_block = (cfg.layout().caches() + 1).next_power_of_two();
     cfg.validate().expect("8-chip multi-hop config");
     let wl = tokencmp::LockingWorkload::new(16, 4, 6, 0xA11CE);
-    let proto = tokencmp::Protocol::Token(tokencmp::Variant::Dst1);
     tokencmp::run_workload(&cfg, proto, wl, opts).0
 }
 
@@ -334,33 +344,118 @@ fn multi_hop_persistent_gauges_are_pinned_under_reordering() {
     );
 }
 
-/// The watchdog diagnostic of a token run cut off by its event budget
-/// while distributed persistent broadcasts are in flight: the in-flight
-/// census counts every pending copy of every broadcast.
+/// The watchdog diagnostic of a run cut off by its event budget, on
+/// every harness: a token run while distributed persistent broadcasts
+/// are in flight (the in-flight census counts every pending copy of
+/// every broadcast, and the L1s add their pending-miss lines), a
+/// DirectoryCMP run and a PerfectL2 run.
 #[test]
 fn event_limit_diagnostic_is_pinned() {
+    use tokencmp::{Protocol, Variant};
     let opts = tokencmp::system::RunOptions {
         max_events: 1_000,
         ..tokencmp::system::RunOptions::default()
     };
-    let res = run_multi_hop_dst1(Fabric::Mesh { cols: 4 }, &opts);
-    assert_eq!(res.outcome, tokencmp::RunOutcome::EventLimit);
-    let diag = res
-        .diagnostic
-        .expect("an event-limited run carries a snapshot");
-    let census: Vec<&str> = diag.lines().filter(|l| l.contains("in flight")).collect();
-    assert_eq!(
-        census,
-        [
-            "  in flight: 5 wakeups",
-            "  in flight: 4 \u{d7} Response Data",
-            "  in flight: 32 \u{d7} Request",
-            "  in flight: 527 \u{d7} Persistent",
-        ]
-    );
-    let (got, want) = (fnv1a(&diag), 0xe1c5_1183_f3fe_9ffe);
-    assert_eq!(
-        got, want,
-        "diagnostic digest 0x{got:016x} != golden 0x{want:016x}:\n{diag}"
-    );
+    let table: [(Protocol, &[&str], u64); 3] = [
+        (
+            Protocol::Token(Variant::Dst1),
+            &[
+                "  in flight: 5 wakeups",
+                "  in flight: 4 \u{d7} Response Data",
+                "  in flight: 32 \u{d7} Request",
+                "  in flight: 527 \u{d7} Persistent",
+            ],
+            0xe1c5_1183_f3fe_9ffe,
+        ),
+        (
+            Protocol::Directory,
+            &[
+                "  in flight: 3 wakeups",
+                "  in flight: 2 \u{d7} Response Data",
+                "  in flight: 1 \u{d7} Request",
+                "  in flight: 3 \u{d7} Inv/Fwd/Acks/Tokens",
+                "  in flight: 1 \u{d7} Unblock",
+            ],
+            0x0ced_822c_07ad_3591,
+        ),
+        (
+            Protocol::PerfectL2,
+            &[
+                "  in flight: 3 wakeups",
+                "  in flight: 11 \u{d7} Response Data",
+                "  in flight: 2 \u{d7} Request",
+            ],
+            0x60b2_4b10_4e29_b69b,
+        ),
+    ];
+    for (proto, want_census, want) in table {
+        let res = run_multi_hop(proto, Fabric::Mesh { cols: 4 }, &opts);
+        assert_eq!(res.outcome, tokencmp::RunOutcome::EventLimit, "{proto}");
+        let diag = res
+            .diagnostic
+            .expect("an event-limited run carries a snapshot");
+        let census: Vec<&str> = diag.lines().filter(|l| l.contains("in flight")).collect();
+        assert_eq!(census, want_census, "{proto}");
+        let got = fnv1a(&diag);
+        assert_eq!(
+            got, want,
+            "{proto}: diagnostic digest 0x{got:016x} != golden 0x{want:016x}:\n{diag}"
+        );
+    }
+}
+
+/// Fingerprints, counters included, of two faulty runs on the Table 3
+/// system: a DirectoryCMP run under jitter and reordering, and a
+/// TokenCMP-dst1 run that loses tokens and recreates them. Together
+/// they pin the situational keys no clean run writes: the
+/// `net.fault.*` family, `l1.recreation_requests` and
+/// `mem.recreations`.
+#[test]
+fn faulty_runs_reproduce_pinned_fingerprints() {
+    use tokencmp::{Dur, FaultPlan, Protocol, Variant};
+    let benign = FaultPlan::none()
+        .jittering(0.2, Dur::from_ns(20))
+        .reordering(0.1, Dur::from_ns(40));
+    let lossy = FaultPlan::none().dropping_tokens(0.10);
+    let cases = [
+        (
+            Protocol::Directory,
+            benign,
+            &["net.fault.jittered.", "net.fault.reordered."][..],
+            0xeec5_eeda_c19c_ef27,
+        ),
+        (
+            Protocol::Token(Variant::Dst1),
+            lossy,
+            &[
+                "net.fault.dropped.",
+                "net.fault.lost_tokens",
+                "l1.recreation_requests",
+                "mem.recreations",
+            ][..],
+            0x5bef_a9d5_1640_7643,
+        ),
+    ];
+    let cfg = SystemConfig::default();
+    for (proto, plan, keys, want) in cases {
+        let opts = tokencmp::system::RunOptions {
+            seed: 9,
+            ..tokencmp::system::RunOptions::default()
+        }
+        .with_faults(plan);
+        let wl = tokencmp::LockingWorkload::new(16, 8, 5, 31);
+        let (res, _) = tokencmp::run_workload(&cfg, proto, wl, &opts);
+        assert_eq!(res.outcome, tokencmp::RunOutcome::Idle, "{proto}");
+        for key in keys {
+            assert!(
+                res.counters.counter_prefix_sum(key) > 0,
+                "{proto}: the pinned run must write {key}*"
+            );
+        }
+        let got = fingerprint(&res);
+        assert_eq!(
+            got, want,
+            "{proto}: faulty-run fingerprint 0x{got:016x} != golden 0x{want:016x}"
+        );
+    }
 }

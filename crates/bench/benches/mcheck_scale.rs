@@ -1,10 +1,9 @@
 //! Model-checking state throughput of `check_parallel` across worker
 //! counts and reduction knobs.
 //!
-//! Measures states/sec for each model configuration, records the
+//! Measures states/sec for each model configuration and records the
 //! results into the committed trajectory `BENCH_mcheck.json` (see
-//! `tokencmp_bench::mcheck`), and exports the per-configuration scaling
-//! table to `target/sweep/mcheck_scaling.json` for the CI artifact.
+//! `tokencmp_bench::mcheck`).
 //!
 //! The `seq` row of each configuration is `check_parallel` on one worker
 //! with both reductions off: the pool runs every batch inline at one
@@ -12,16 +11,16 @@
 //! for what the row meant in older runs). A `par/w1` row would measure
 //! the same run twice, so it is not recorded.
 //!
-//! Modes:
+//! Modes (`tokencmp_bench::trajectory::Invocation`):
 //! * default — all five fast configurations plus the flagship
 //!   `small_recovery/Distributed` (~1.4M states, a ~12s `seq` check and
 //!   a ~7s reduced one);
 //!   merges into `BENCH_mcheck.json` under `TOKENCMP_BENCH_RUN`
 //!   (default `dev`) and runs the speedup gate on the fresh run.
 //! * `TOKENCMP_BENCH_SMOKE=1` — two small configurations, two worker
-//!   counts, results to a scratch file in the temp dir so CI exercises
-//!   the measure→merge→validate path without touching the committed
-//!   trajectory.
+//!   counts, results merged into `target/sweep/BENCH_mcheck.smoke.json`
+//!   (the CI artifact) so CI exercises the measure→merge→gate path
+//!   without touching the committed trajectory.
 //! * `--validate [path]` — no measurement: schema-validate the file
 //!   (default: the committed trajectory) and re-run the gate on every
 //!   recorded run.
@@ -30,17 +29,13 @@
 //! state-for-state identical to the one-worker `seq` row — the bench
 //! doubles as a determinism check on whatever host it runs on.
 
-use std::path::PathBuf;
-
 use tokencmp::mcheck::{
     check_parallel, CheckOptions, DirModel, DirModelParams, Model, SubstrateMode, TokenModel,
     TokenModelParams,
 };
-use tokencmp::sweep::json::Value;
 use tokencmp_bench::banner;
-use tokencmp_bench::mcheck::{
-    append, check_speedup, trajectory_path, validate_file, McheckBenchEntry,
-};
+use tokencmp_bench::mcheck::{check_speedup, McheckBenchEntry};
+use tokencmp_bench::trajectory::Invocation;
 
 /// The `seq` row: one worker, reductions off.
 fn seq_entry<M>(run: &str, config: &str, model: &M) -> McheckBenchEntry
@@ -143,92 +138,25 @@ fn print_table(rows: &[McheckBenchEntry]) {
     }
 }
 
-/// The scaling-table artifact CI uploads: one object per measured row,
-/// with its wall-time split and the speedup against the same
-/// configuration's `seq` rate.
-fn export_scaling_table(rows: &[McheckBenchEntry]) {
-    let mut arr = Vec::new();
-    let seq_rate = |config: &str| {
-        rows.iter()
-            .find(|e| e.config == config && e.bench == "seq")
-            .map(|e| e.states_per_sec)
-    };
-    for e in rows {
-        let mut obj = std::collections::BTreeMap::from([
-            ("config".to_string(), Value::Str(e.config.clone())),
-            ("bench".to_string(), Value::Str(e.bench.clone())),
-            ("states".to_string(), Value::Int(e.states)),
-            ("transitions".to_string(), Value::Int(e.transitions)),
-            ("states_per_sec".to_string(), Value::Float(e.states_per_sec)),
-            ("workers".to_string(), Value::Int(e.workers)),
-            ("host_cores".to_string(), Value::Int(e.host_cores)),
-        ]);
-        for (k, ns) in e.phases() {
-            if let Some(ns) = ns {
-                obj.insert(k.to_string(), Value::Int(ns));
-            }
-        }
-        if let Some(base) = seq_rate(&e.config) {
-            obj.insert(
-                "speedup_vs_seq".to_string(),
-                Value::Float(e.states_per_sec / base),
-            );
-        }
-        arr.push(Value::Obj(obj));
-    }
-    match tokencmp::sweep::write_value("mcheck_scaling", &Value::Arr(arr)) {
-        Ok(path) => println!("[sweep] wrote {}", path.display()),
-        Err(e) => eprintln!("[sweep] export mcheck_scaling failed: {e}"),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--bench")
-        .collect();
-    if args.first().map(String::as_str) == Some("--validate") {
-        let path = args
-            .get(1)
-            .map(PathBuf::from)
-            .unwrap_or_else(trajectory_path);
-        match validate_file(&path) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("BENCH_mcheck.json validation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
+    let inv = Invocation::<McheckBenchEntry>::start();
     banner(
         "mcheck_scale",
         "parallel explorer states/sec trajectory (infrastructure, not a paper figure)",
     );
-    let smoke = std::env::var("TOKENCMP_BENCH_SMOKE").is_ok();
-    let run = std::env::var("TOKENCMP_BENCH_RUN")
-        .unwrap_or_else(|_| if smoke { "smoke" } else { "dev" }.into());
-    let path = if smoke {
-        let p =
-            std::env::temp_dir().join(format!("BENCH_mcheck.smoke.{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    } else {
-        trajectory_path()
-    };
+    let (run, smoke) = (&inv.run, inv.smoke);
     let workers: &[usize] = if smoke { &[2] } else { &[1, 2, 4] };
 
     let mut rows = Vec::new();
     measure_config(
-        &run,
+        run,
         "small/SafetyOnly",
         &TokenModel::new(TokenModelParams::small(SubstrateMode::SafetyOnly)),
         workers,
         &mut rows,
     );
     measure_config(
-        &run,
+        run,
         "dir/small",
         &DirModel::new(DirModelParams::small()),
         workers,
@@ -236,21 +164,21 @@ fn main() {
     );
     if !smoke {
         measure_config(
-            &run,
+            run,
             "small/Distributed",
             &TokenModel::new(TokenModelParams::small(SubstrateMode::Distributed)),
             workers,
             &mut rows,
         );
         measure_config(
-            &run,
+            run,
             "small/Arbiter",
             &TokenModel::new(TokenModelParams::small(SubstrateMode::Arbiter)),
             workers,
             &mut rows,
         );
         measure_config(
-            &run,
+            run,
             "small_recovery/SafetyOnly",
             &TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly)),
             workers,
@@ -263,26 +191,14 @@ fn main() {
             TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::Distributed));
         let config = "small_recovery/Distributed";
         eprintln!("  measuring {config} (flagship, ~20s) ...");
-        rows.push(seq_entry(&run, config, &flagship));
+        rows.push(seq_entry(run, config, &flagship));
         let w = *workers.last().expect("worker list is never empty");
-        rows.push(par_entry(&run, config, &flagship, w, true, true));
+        rows.push(par_entry(run, config, &flagship, w, true, true));
     }
 
     print_table(&rows);
-    export_scaling_table(&rows);
-
-    match append(&path, rows.clone()) {
-        Ok(all) => println!(
-            "\nwrote {} ({} entries, run `{run}`)",
-            path.display(),
-            all.len()
-        ),
-        Err(e) => {
-            eprintln!("failed to write trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
-    match check_speedup(&rows, &run) {
+    inv.record(rows.clone());
+    match check_speedup(&rows, run) {
         Ok(report) => print!("{report}"),
         Err(e) => {
             eprintln!("{e}");

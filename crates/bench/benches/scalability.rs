@@ -10,15 +10,23 @@
 //!    employed)." We sweep 2 / 4 / 8 chips and report inter-CMP request
 //!    bytes per L1 miss for TokenCMP (grows with chip count) versus
 //!    DirectoryCMP (constant).
+//!
+//! It then measures the scale-out grid into the committed trajectory
+//! `BENCH_scale.json` (see `tokencmp_bench::scale`): per point, a timed
+//! run and the per-layer profile of a separate profiled run. Modes
+//! (`tokencmp_bench::trajectory::Invocation`): `TOKENCMP_BENCH_SMOKE=1`
+//! measures only a CI-sized grid, into
+//! `target/sweep/BENCH_scale.smoke.json`; `--validate [path]` checks the
+//! file's schema and its 1024-core gate.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use tokencmp::{
     run_workload, Fabric, LockingWorkload, MsgClass, Protocol, RunOptions, RunOutcome,
     SystemConfig, Tier, Variant,
 };
-use tokencmp_bench::scale::{self, ScaleBenchEntry};
+use tokencmp_bench::scale::ScaleBenchEntry;
+use tokencmp_bench::trajectory::Invocation;
 use tokencmp_bench::{banner, BenchGrid};
 
 /// One scale-out grid point: fabric, chip count, cores and banks per
@@ -64,7 +72,9 @@ fn scale_grid(smoke: bool) -> Vec<ScalePoint> {
 }
 
 /// Runs one grid point (TokenCMP-dst1, locking with one lock per four
-/// cores) and records it as a trajectory entry.
+/// cores) and records it as a trajectory entry. A separate profiled run
+/// of the same point attaches the host-time attribution, kept out of the
+/// timed run so the recorded rates never carry profiling overhead.
 fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
     let mut cfg = SystemConfig {
         cmps: p.cmps,
@@ -76,14 +86,10 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
     cfg.tokens_per_block = (cfg.layout().caches() + 1).next_power_of_two();
     cfg.validate().expect("scale-out grid config");
     let procs = cfg.layout().procs();
-    let w = LockingWorkload::new(procs, (procs / 4).max(2), p.acquires, 7);
+    let workload = || LockingWorkload::new(procs, (procs / 4).max(2), p.acquires, 7);
+    let protocol = Protocol::Token(Variant::Dst1);
     let start = Instant::now();
-    let (res, _) = run_workload(
-        &cfg,
-        Protocol::Token(Variant::Dst1),
-        w,
-        &RunOptions::default(),
-    );
+    let (res, _) = run_workload(&cfg, protocol, workload(), &RunOptions::default());
     let elapsed = start.elapsed();
     assert_eq!(
         res.outcome,
@@ -93,7 +99,7 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
         p.cmps,
         p.procs_per_cmp
     );
-    ScaleBenchEntry::measured(
+    let mut entry = ScaleBenchEntry::measured(
         run,
         p.fabric.name(),
         p.cmps as u64,
@@ -101,31 +107,26 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
         res.events,
         res.runtime.as_ps(),
         elapsed,
-    )
+    );
+    let opts = RunOptions::default().with_profiling();
+    let (profiled, _) = run_workload(&cfg, protocol, workload(), &opts);
+    entry.shared.profile = profiled
+        .profile
+        .expect("profiled run returns an attribution report")
+        .category_ns();
+    entry
 }
 
 /// Measures the scale-out grid and merges it into the trajectory file.
-fn run_scale_study(smoke: bool) {
-    let run = std::env::var("TOKENCMP_BENCH_RUN")
-        .unwrap_or_else(|_| if smoke { "smoke" } else { "dev" }.into());
-    // Smoke results land in a scratch file: CI exercises the full
-    // measure→merge→validate path without rewriting the committed
-    // trajectory with noisy, tiny-system numbers.
-    let path = if smoke {
-        let p = std::env::temp_dir().join(format!("BENCH_scale.smoke.{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    } else {
-        scale::trajectory_path()
-    };
+fn run_scale_study(inv: &Invocation<ScaleBenchEntry>) {
     println!("\nscale-out trajectory (TokenCMP-dst1, one lock per four cores):");
     println!(
         "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14} {:>12}",
         "fabric", "chips", "cores", "events", "runtime (ps)", "events/sec", "wall (s)"
     );
     let mut fresh = Vec::new();
-    for p in scale_grid(smoke) {
-        let e = run_scale_point(&run, &p);
+    for p in scale_grid(inv.smoke) {
+        let e = run_scale_point(&inv.run, &p);
         println!(
             "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14.3e} {:>12.1}",
             e.fabric,
@@ -138,39 +139,11 @@ fn run_scale_study(smoke: bool) {
         );
         fresh.push(e);
     }
-    match scale::append(&path, fresh) {
-        Ok(all) => println!(
-            "wrote {} ({} entries, run `{run}`)",
-            path.display(),
-            all.len()
-        ),
-        Err(e) => {
-            eprintln!("failed to write trajectory: {e}");
-            std::process::exit(1);
-        }
-    }
+    inv.record(fresh);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--bench")
-        .collect();
-    if args.first().map(String::as_str) == Some("--validate") {
-        let path = args
-            .get(1)
-            .map(PathBuf::from)
-            .unwrap_or_else(scale::trajectory_path);
-        match scale::validate_file(&path) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("BENCH_scale.json validation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
+    let inv = Invocation::<ScaleBenchEntry>::start();
     banner(
         "Scalability & hierarchy ablations",
         "HPCA 2005 paper, §4 (TokenB unsuitability) and §8 (CMP-count scaling)",
@@ -179,8 +152,8 @@ fn main() {
     // Smoke mode measures only the (trimmed) scale-out grid — the three
     // paper studies below are full-size runs that CI exercises through
     // the committed trajectory, not by re-measuring.
-    if std::env::var("TOKENCMP_BENCH_SMOKE").is_ok() {
-        run_scale_study(true);
+    if inv.smoke {
+        run_scale_study(&inv);
         return;
     }
 
@@ -362,5 +335,5 @@ fn main() {
     );
 
     // --- 4. scale-out trajectory ---------------------------------------------------
-    run_scale_study(false);
+    run_scale_study(&inv);
 }

@@ -17,6 +17,7 @@
 pub mod kernel;
 pub mod mcheck;
 pub mod scale;
+pub mod trajectory;
 
 use std::path::PathBuf;
 

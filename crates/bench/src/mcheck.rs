@@ -1,8 +1,9 @@
-//! The model-checking states/sec trajectory (`BENCH_mcheck.json`).
+//! The model-checking states/sec trajectory (`BENCH_mcheck.json`): its
+//! entry type, field checks and speedup gate. The file format, shared
+//! with the kernel and scale trajectories, is [`crate::trajectory`]'s.
 //!
-//! Companion to [`crate::kernel`]: a *committed* trajectory file at the
-//! repository root recording what the parallel explorer is worth on
-//! each model configuration, run over run. Each record is one checker
+//! The file records what the parallel explorer is worth on each model
+//! configuration, run over run. Each record is one checker
 //! invocation on one configuration — the sequential baseline (`seq`) or
 //! a parallel run named by its knobs (`par/w4`, `par/w4+sym+por`) — so
 //! diffs show the state-throughput history next to the kernel one.
@@ -16,21 +17,19 @@
 //! search"). The gate's denominator is therefore faster in runs without
 //! a `par/w1` row, so the gate is stricter there, not looser.
 //!
-//! Schema (`tokencmp-mcheck-bench-v1`):
+//! Schema (`tokencmp-mcheck-bench-v1`), one entry:
 //!
 //! ```json
-//! {
-//!   "schema": "tokencmp-mcheck-bench-v1",
-//!   "entries": [
-//!     {"run": "pr9", "config": "small_recovery/Distributed",
-//!      "bench": "par/w4+sym+por", "states": 1437255,
-//!      "transitions": 7222739, "elapsed_ns": 35630000000,
-//!      "states_per_sec": 40338.6, "workers": 4, "host_cores": 4,
-//!      "expand_ns": 30210000000, "merge_ns": 4120000000,
-//!      "progress_ns": 1180000000}
-//!   ]
-//! }
+//! {"run": "pr9", "config": "small_recovery/Distributed",
+//!  "bench": "par/w4+sym+por", "states": 1437255,
+//!  "transitions": 7222739, "elapsed_ns": 35630000000,
+//!  "states_per_sec": 40338.6, "workers": 4, "host_cores": 4,
+//!  "expand_ns": 30210000000, "merge_ns": 4120000000,
+//!  "progress_ns": 1180000000}
 //! ```
+//!
+//! `host_cores` is optional in the other trajectories; here it is
+//! required, because the gate reads it.
 //!
 //! `expand_ns`, `merge_ns` and `progress_ns` split the wall time into
 //! the explorer's frontier expansion, its sequential merges and the
@@ -46,17 +45,13 @@
 //! level-synchronous explorer cannot beat its own one-worker run without
 //! real parallelism under it.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use tokencmp::mcheck::ExploreReport;
-use tokencmp::sweep::json::{parse, Value};
+use tokencmp::sweep::json::Value;
 
-/// Schema tag every trajectory file must carry.
-pub const SCHEMA: &str = "tokencmp-mcheck-bench-v1";
+use crate::trajectory::{Entry, Fields, Obj, Shared};
 
 /// Workers/cores floor above which the 2x speedup gate applies.
 pub const GATE_MIN_CORES: u64 = 4;
@@ -64,8 +59,8 @@ pub const GATE_MIN_CORES: u64 = 4;
 /// One checker invocation on one model configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct McheckBenchEntry {
-    /// Trajectory label for the invocation (`TOKENCMP_BENCH_RUN`).
-    pub run: String,
+    /// Run label, host core count (required here) and profile.
+    pub shared: Shared,
     /// Model configuration (`small/SafetyOnly`, `small_recovery/Distributed`,
     /// `dir/small`, ...).
     pub config: String,
@@ -82,9 +77,6 @@ pub struct McheckBenchEntry {
     pub states_per_sec: f64,
     /// Worker threads used (1 for `seq`).
     pub workers: u64,
-    /// `available_parallelism` on the measuring host — the gate reads
-    /// this, so 1-core CI entries are self-describing.
-    pub host_cores: u64,
     /// Wall time in frontier expansion (absent before run `pr18`).
     pub expand_ns: Option<u64>,
     /// Wall time in the sequential merges (absent before run `pr18`).
@@ -100,7 +92,7 @@ impl McheckBenchEntry {
         let ns = |s: f64| Duration::from_secs_f64(s).as_nanos() as u64;
         let elapsed = r.seconds.max(1e-9);
         McheckBenchEntry {
-            run: run.to_string(),
+            shared: Shared::measured(run),
             config: config.to_string(),
             bench,
             states: r.states as u64,
@@ -108,9 +100,6 @@ impl McheckBenchEntry {
             elapsed_ns: ns(elapsed),
             states_per_sec: r.states as f64 / elapsed,
             workers: r.workers as u64,
-            host_cores: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
             expand_ns: Some(ns(r.expand_s)),
             merge_ns: Some(ns(r.merge_s)),
             progress_ns: Some(ns(r.progress_s)),
@@ -137,15 +126,23 @@ impl McheckBenchEntry {
         }
         name
     }
+}
 
-    /// The replacement key: re-running a bench overwrites the same cell.
-    fn key(&self) -> (&str, &str, &str) {
-        (&self.run, &self.config, &self.bench)
+impl Entry for McheckBenchEntry {
+    const SCHEMA: &'static str = "tokencmp-mcheck-bench-v1";
+    const NAME: &'static str = "BENCH_mcheck";
+
+    fn shared(&self) -> &Shared {
+        &self.shared
     }
 
-    fn to_value(&self) -> Value {
-        let mut obj = BTreeMap::from([
-            ("run".into(), Value::Str(self.run.clone())),
+    /// Re-running a bench overwrites the same cell.
+    fn key(&self) -> impl PartialEq + '_ {
+        (self.config.as_str(), self.bench.as_str())
+    }
+
+    fn write(&self, obj: &mut Obj) {
+        obj.extend([
             ("config".into(), Value::Str(self.config.clone())),
             ("bench".into(), Value::Str(self.bench.clone())),
             ("states".into(), Value::Int(self.states)),
@@ -153,151 +150,58 @@ impl McheckBenchEntry {
             ("elapsed_ns".into(), Value::Int(self.elapsed_ns)),
             ("states_per_sec".into(), Value::Float(self.states_per_sec)),
             ("workers".into(), Value::Int(self.workers)),
-            ("host_cores".into(), Value::Int(self.host_cores)),
         ]);
         for (k, ns) in self.phases() {
             if let Some(ns) = ns {
                 obj.insert(k.into(), Value::Int(ns));
             }
         }
-        Value::Obj(obj)
     }
 
-    fn from_value(v: &Value, idx: usize) -> Result<McheckBenchEntry, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a string"))
-        };
-        let int_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not an integer"))
-        };
-        let bench = str_field("bench")?;
+    fn read(shared: Shared, f: &Fields<'_>) -> Result<McheckBenchEntry, String> {
+        let bench = f.str("bench")?;
         if bench != "seq" && !bench.starts_with("par/w") {
-            return Err(format!(
-                "entry {idx}: bench `{bench}` is neither `seq` nor `par/w...`"
-            ));
+            return Err(f.err(format!("bench `{bench}` is neither `seq` nor `par/w...`")));
         }
-        let rate = v
-            .get("states_per_sec")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("entry {idx}: `states_per_sec` missing or not a number"))?;
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(format!(
-                "entry {idx}: `states_per_sec` = {rate} is not a positive rate"
-            ));
-        }
-        let workers = int_field("workers")?;
+        let states_per_sec = f.rate("states_per_sec")?;
+        let workers = f.int("workers")?;
         if workers == 0 {
-            return Err(format!("entry {idx}: `workers` must be >= 1"));
+            return Err(f.err("`workers` must be >= 1"));
         }
-        let host_cores = int_field("host_cores")?;
-        if host_cores == 0 {
-            return Err(format!("entry {idx}: `host_cores` must be >= 1"));
-        }
-        let phase = |k: &str| match v.get(k) {
-            None => Ok(None),
-            Some(_) => int_field(k).map(Some),
-        };
+        // Optional in the shared fields, required here: the gate reads it.
+        f.int("host_cores")?;
         let entry = McheckBenchEntry {
-            run: str_field("run")?,
-            config: str_field("config")?,
+            shared,
+            config: f.str("config")?,
             bench,
-            states: int_field("states")?,
-            transitions: int_field("transitions")?,
-            elapsed_ns: int_field("elapsed_ns")?,
-            states_per_sec: rate,
+            states: f.int("states")?,
+            transitions: f.int("transitions")?,
+            elapsed_ns: f.int("elapsed_ns")?,
+            states_per_sec,
             workers,
-            host_cores,
-            expand_ns: phase("expand_ns")?,
-            merge_ns: phase("merge_ns")?,
-            progress_ns: phase("progress_ns")?,
+            expand_ns: f.opt_int("expand_ns")?,
+            merge_ns: f.opt_int("merge_ns")?,
+            progress_ns: f.opt_int("progress_ns")?,
         };
         let phases: u64 = entry.phases().iter().filter_map(|&(_, ns)| ns).sum();
         if phases > entry.elapsed_ns {
-            return Err(format!(
-                "entry {idx}: phases sum to {phases} ns, more than `elapsed_ns` = {}",
+            return Err(f.err(format!(
+                "phases sum to {phases} ns, more than `elapsed_ns` = {}",
                 entry.elapsed_ns
-            ));
+            )));
         }
         Ok(entry)
     }
-}
 
-/// The committed trajectory file: `<repo root>/BENCH_mcheck.json`.
-pub fn trajectory_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels under the repo root")
-        .join("BENCH_mcheck.json")
-}
-
-/// Parses and schema-validates a trajectory file's text.
-pub fn parse_trajectory(text: &str) -> Result<Vec<McheckBenchEntry>, String> {
-    let root = parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    match root.get("schema").and_then(Value::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("schema `{s}` != expected `{SCHEMA}`")),
-        None => return Err("missing `schema` tag".into()),
+    /// The speedup gate on every recorded run label.
+    fn gate(entries: &[Self]) -> Result<String, String> {
+        let mut runs: Vec<&str> = entries.iter().map(|e| e.shared.run.as_str()).collect();
+        runs.sort_unstable();
+        runs.dedup();
+        runs.into_iter()
+            .map(|run| check_speedup(entries, run))
+            .collect()
     }
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("missing `entries` array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, v)| McheckBenchEntry::from_value(v, i))
-        .collect()
-}
-
-/// Loads a trajectory file; a missing file is an empty trajectory.
-pub fn load(path: &Path) -> Result<Vec<McheckBenchEntry>, String> {
-    match fs::read_to_string(path) {
-        Ok(text) => parse_trajectory(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
-}
-
-/// Merges fresh measurements into an existing trajectory with the same
-/// replace-in-place / append semantics as the kernel trajectory.
-pub fn merge(
-    mut existing: Vec<McheckBenchEntry>,
-    fresh: Vec<McheckBenchEntry>,
-) -> Vec<McheckBenchEntry> {
-    for entry in fresh {
-        match existing.iter_mut().find(|e| e.key() == entry.key()) {
-            Some(slot) => *slot = entry,
-            None => existing.push(entry),
-        }
-    }
-    existing
-}
-
-/// Renders a trajectory: valid JSON, one entry per line.
-pub fn render(entries: &[McheckBenchEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "\"schema\": {},", Value::Str(SCHEMA.into()));
-    out.push_str("\"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(out, "{}{sep}", e.to_value());
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Loads, merges, and writes back the trajectory at `path`.
-pub fn append(path: &Path, fresh: Vec<McheckBenchEntry>) -> Result<Vec<McheckBenchEntry>, String> {
-    let merged = merge(load(path)?, fresh);
-    fs::write(path, render(&merged)).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(merged)
 }
 
 /// The speedup gate for one run: for every config measured both
@@ -310,7 +214,7 @@ pub fn check_speedup(entries: &[McheckBenchEntry], run: &str) -> Result<String, 
     let mut report = String::new();
     let mut configs: Vec<&str> = entries
         .iter()
-        .filter(|e| e.run == run)
+        .filter(|e| e.shared.run == run)
         .map(|e| e.config.as_str())
         .collect();
     configs.sort_unstable();
@@ -322,7 +226,7 @@ pub fn check_speedup(entries: &[McheckBenchEntry], run: &str) -> Result<String, 
         let of_config = || {
             entries
                 .iter()
-                .filter(|e| e.run == run && e.config == config)
+                .filter(|e| e.shared.run == run && e.config == config)
         };
         let Some(seq) = of_config().find(|e| e.bench == "seq") else {
             let _ = writeln!(report, "{config}: no sequential baseline — skipped");
@@ -332,7 +236,7 @@ pub fn check_speedup(entries: &[McheckBenchEntry], run: &str) -> Result<String, 
             .filter(|e| {
                 e.bench.starts_with("par/")
                     && e.workers >= GATE_MIN_CORES
-                    && e.host_cores >= GATE_MIN_CORES
+                    && e.shared.host_cores.is_some_and(|c| c >= GATE_MIN_CORES)
             })
             .max_by(|a, b| a.states_per_sec.total_cmp(&b.states_per_sec));
         match eligible {
@@ -348,7 +252,10 @@ pub fn check_speedup(entries: &[McheckBenchEntry], run: &str) -> Result<String, 
                     return Err(format!(
                         "run `{run}` {config}: {} {:.2e} st/s is below 2x seq \
                          {:.2e} st/s ({ratio:.2}x) on a {}-core host",
-                        par.bench, par.states_per_sec, seq.states_per_sec, par.host_cores
+                        par.bench,
+                        par.states_per_sec,
+                        seq.states_per_sec,
+                        par.shared.host_cores.unwrap_or(0)
                     ));
                 }
             }
@@ -364,27 +271,14 @@ pub fn check_speedup(entries: &[McheckBenchEntry], run: &str) -> Result<String, 
     Ok(report)
 }
 
-/// CI entry point: schema-validate `path` and run the speedup gate on
-/// every recorded run label.
-pub fn validate_file(path: &Path) -> Result<String, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = parse_trajectory(&text)?;
-    if entries.is_empty() {
-        return Err("trajectory is empty".into());
-    }
-    let mut runs: Vec<&str> = entries.iter().map(|e| e.run.as_str()).collect();
-    runs.sort_unstable();
-    runs.dedup();
-    let mut report = format!("{}: {} entries, schema ok\n", path.display(), entries.len());
-    for run in runs {
-        report.push_str(&check_speedup(&entries, run)?);
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::{merge, render};
+
+    fn parse_trajectory(text: &str) -> Result<Vec<McheckBenchEntry>, String> {
+        crate::trajectory::parse_trajectory(text)
+    }
 
     fn entry(
         config: &str,
@@ -394,7 +288,11 @@ mod tests {
         host_cores: u64,
     ) -> McheckBenchEntry {
         McheckBenchEntry {
-            run: "pr9".into(),
+            shared: Shared {
+                run: "pr9".into(),
+                host_cores: Some(host_cores),
+                ..Shared::default()
+            },
             config: config.into(),
             bench: bench.into(),
             states: 100_000,
@@ -402,7 +300,6 @@ mod tests {
             elapsed_ns: (1e14 / sps) as u64,
             states_per_sec: sps,
             workers,
-            host_cores,
             expand_ns: None,
             merge_ns: None,
             progress_ns: None,
@@ -444,6 +341,11 @@ mod tests {
         zero.workers = 0;
         let err = parse_trajectory(&render(&[zero])).unwrap_err();
         assert!(err.contains("workers"), "{err}");
+        // The gate reads `host_cores`, so this trajectory requires it.
+        let mut coreless = entry("c", "seq", 1e5, 1, 1);
+        coreless.shared.host_cores = None;
+        let err = parse_trajectory(&render(&[coreless])).unwrap_err();
+        assert!(err.contains("host_cores"), "{err}");
     }
 
     #[test]

@@ -1,42 +1,37 @@
-//! The scale-out trajectory (`BENCH_scale.json`).
+//! The scale-out trajectory (`BENCH_scale.json`): its entry type, field
+//! checks and gate. The file format, shared with the kernel and
+//! model-checker trajectories, is [`crate::trajectory`]'s.
 //!
-//! Like `BENCH_kernel.json` (see [`crate::kernel`]), this is a
-//! *committed* trajectory file at the repository root: each entry
-//! records one full protocol run at a `(fabric, cmps, cores_per_cmp)`
-//! point of the scale-out grid — simulated runtime, events processed,
-//! and host events/sec — so the cost of growing the system from the
-//! paper's 4-CMP × 4-core Table 3 machine to 64 CMPs × 16 cores stays
-//! reviewable in diffs as the simulator evolves.
+//! Each entry records one full protocol run at a
+//! `(fabric, cmps, cores_per_cmp)` point of the scale-out grid —
+//! simulated runtime, events processed and host events/sec — so the cost
+//! of growing the system from the paper's 4-CMP × 4-core Table 3 machine
+//! to 64 CMPs × 16 cores stays reviewable in diffs as the simulator
+//! evolves. From run `pr20` on, each entry also records the host's core
+//! count and the per-layer `profile` of a profiled companion run of the
+//! same point, so a ratio between two points can be explained from the
+//! file.
 //!
-//! Schema (`tokencmp-scale-bench-v1`):
+//! Schema (`tokencmp-scale-bench-v1`), one entry:
 //!
 //! ```json
-//! {
-//!   "schema": "tokencmp-scale-bench-v1",
-//!   "entries": [
-//!     {"run": "pr10", "fabric": "mesh", "cmps": 64, "cores_per_cmp": 16,
-//!      "cores": 1024, "events": 16548472, "runtime_ps": 233641125,
-//!      "elapsed_ns": 49577621919, "events_per_sec": 333790.1,
-//!      "ns_per_event": 2995.9}
-//!   ]
-//! }
+//! {"run": "pr20", "fabric": "mesh", "cmps": 64, "cores_per_cmp": 16,
+//!  "cores": 1024, "events": 16548472, "runtime_ps": 233641125,
+//!  "elapsed_ns": 9040349091, "events_per_sec": 1830512.5,
+//!  "ns_per_event": 546.3, "host_cores": 2,
+//!  "profile": {"handler.l1": 1700000000, "sched.pop": 880000000}}
 //! ```
 //!
-//! The validation gate (run by the CI `scale` job) checks the schema
-//! and requires the trajectory to contain at least one completed
-//! 1024-core-or-larger mesh point: the file must keep proving that the
-//! multi-hop fabric actually carries a 64-CMP × 16-core workload.
+//! The gate (run by the CI `scale` job) requires the trajectory to
+//! contain at least one completed 1024-core-or-larger mesh point: the
+//! file must keep proving that the multi-hop fabric actually carries a
+//! 64-CMP × 16-core workload.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tokencmp::sweep::json::{parse, Value};
+use tokencmp::sweep::json::Value;
 
-/// Schema tag every trajectory file must carry.
-pub const SCHEMA: &str = "tokencmp-scale-bench-v1";
+use crate::trajectory::{Entry, Fields, Obj, Shared};
 
 /// Fabric names a trajectory entry may carry ([`tokencmp::Fabric`]
 /// `name()` values).
@@ -47,11 +42,11 @@ pub const FABRICS: [&str; 3] = ["flat", "ring", "mesh"];
 pub const GATE_CORES: u64 = 1024;
 
 /// One measurement: a full protocol run at one scale-out grid point in
-/// one bench invocation (`run` labels the invocation, e.g. a PR number).
+/// one bench invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleBenchEntry {
-    /// Trajectory label for the invocation (`TOKENCMP_BENCH_RUN`).
-    pub run: String,
+    /// Run label, host core count and profile.
+    pub shared: Shared,
     /// Inter-CMP fabric name (`flat` / `ring` / `mesh`).
     pub fabric: String,
     /// Chip count.
@@ -86,7 +81,7 @@ impl ScaleBenchEntry {
     ) -> ScaleBenchEntry {
         let ns = elapsed.as_nanos() as u64;
         ScaleBenchEntry {
-            run: run.to_string(),
+            shared: Shared::measured(run),
             fabric: fabric.to_string(),
             cmps,
             cores_per_cmp,
@@ -98,15 +93,23 @@ impl ScaleBenchEntry {
             ns_per_event: ns as f64 / events as f64,
         }
     }
+}
 
-    /// The replacement key: re-running a grid point overwrites its cell.
-    fn key(&self) -> (&str, &str, u64, u64) {
-        (&self.run, &self.fabric, self.cmps, self.cores_per_cmp)
+impl Entry for ScaleBenchEntry {
+    const SCHEMA: &'static str = "tokencmp-scale-bench-v1";
+    const NAME: &'static str = "BENCH_scale";
+
+    fn shared(&self) -> &Shared {
+        &self.shared
     }
 
-    fn to_value(&self) -> Value {
-        Value::Obj(BTreeMap::from([
-            ("run".into(), Value::Str(self.run.clone())),
+    /// Re-running a grid point overwrites its cell.
+    fn key(&self) -> impl PartialEq + '_ {
+        (self.fabric.as_str(), self.cmps, self.cores_per_cmp)
+    }
+
+    fn write(&self, obj: &mut Obj) {
+        obj.extend([
             ("fabric".into(), Value::Str(self.fabric.clone())),
             ("cmps".into(), Value::Int(self.cmps)),
             ("cores_per_cmp".into(), Value::Int(self.cores_per_cmp)),
@@ -116,135 +119,41 @@ impl ScaleBenchEntry {
             ("elapsed_ns".into(), Value::Int(self.elapsed_ns)),
             ("events_per_sec".into(), Value::Float(self.events_per_sec)),
             ("ns_per_event".into(), Value::Float(self.ns_per_event)),
-        ]))
+        ]);
     }
 
-    fn from_value(v: &Value, idx: usize) -> Result<ScaleBenchEntry, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a string"))
-        };
-        let int_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not an integer"))
-        };
-        let rate_field = |k: &str| {
-            let x = v
-                .get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("entry {idx}: `{k}` missing or not a number"))?;
-            if x.is_finite() && x > 0.0 {
-                Ok(x)
-            } else {
-                Err(format!("entry {idx}: `{k}` = {x} is not a positive rate"))
-            }
-        };
-        let fabric = str_field("fabric")?;
+    fn read(shared: Shared, f: &Fields<'_>) -> Result<ScaleBenchEntry, String> {
+        let fabric = f.str("fabric")?;
         if !FABRICS.contains(&fabric.as_str()) {
-            return Err(format!("entry {idx}: unknown fabric `{fabric}`"));
+            return Err(f.err(format!("unknown fabric `{fabric}`")));
         }
         let entry = ScaleBenchEntry {
-            run: str_field("run")?,
+            shared,
             fabric,
-            cmps: int_field("cmps")?,
-            cores_per_cmp: int_field("cores_per_cmp")?,
-            cores: int_field("cores")?,
-            events: int_field("events")?,
-            runtime_ps: int_field("runtime_ps")?,
-            elapsed_ns: int_field("elapsed_ns")?,
-            events_per_sec: rate_field("events_per_sec")?,
-            ns_per_event: rate_field("ns_per_event")?,
+            cmps: f.int("cmps")?,
+            cores_per_cmp: f.int("cores_per_cmp")?,
+            cores: f.int("cores")?,
+            events: f.int("events")?,
+            runtime_ps: f.int("runtime_ps")?,
+            elapsed_ns: f.int("elapsed_ns")?,
+            events_per_sec: f.rate("events_per_sec")?,
+            ns_per_event: f.rate("ns_per_event")?,
         };
         if entry.cores != entry.cmps * entry.cores_per_cmp {
-            return Err(format!(
-                "entry {idx}: cores ({}) != cmps ({}) × cores_per_cmp ({})",
+            return Err(f.err(format!(
+                "cores ({}) != cmps ({}) × cores_per_cmp ({})",
                 entry.cores, entry.cmps, entry.cores_per_cmp
-            ));
+            )));
         }
         if entry.runtime_ps == 0 || entry.events == 0 {
-            return Err(format!(
-                "entry {idx}: a completed run has nonzero events and runtime"
-            ));
+            return Err(f.err("a completed run has nonzero events and runtime"));
         }
         Ok(entry)
     }
-}
 
-/// The committed trajectory file: `<repo root>/BENCH_scale.json`.
-pub fn trajectory_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels under the repo root")
-        .join("BENCH_scale.json")
-}
-
-/// Parses and schema-validates a trajectory file's text.
-pub fn parse_trajectory(text: &str) -> Result<Vec<ScaleBenchEntry>, String> {
-    let root = parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    match root.get("schema").and_then(Value::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("schema `{s}` != expected `{SCHEMA}`")),
-        None => return Err("missing `schema` tag".into()),
+    fn gate(entries: &[Self]) -> Result<String, String> {
+        check_gate(entries)
     }
-    let entries = root
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("missing `entries` array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, v)| ScaleBenchEntry::from_value(v, i))
-        .collect()
-}
-
-/// Loads a trajectory file; a missing file is an empty trajectory.
-pub fn load(path: &Path) -> Result<Vec<ScaleBenchEntry>, String> {
-    match fs::read_to_string(path) {
-        Ok(text) => parse_trajectory(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
-}
-
-/// Merges fresh measurements into an existing trajectory: same-key
-/// entries replace in place, new keys append in measurement order.
-pub fn merge(
-    mut existing: Vec<ScaleBenchEntry>,
-    fresh: Vec<ScaleBenchEntry>,
-) -> Vec<ScaleBenchEntry> {
-    for entry in fresh {
-        match existing.iter_mut().find(|e| e.key() == entry.key()) {
-            Some(slot) => *slot = entry,
-            None => existing.push(entry),
-        }
-    }
-    existing
-}
-
-/// Renders a trajectory: valid JSON, one entry per line so appending a
-/// run produces a line-per-record diff.
-pub fn render(entries: &[ScaleBenchEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "\"schema\": {},", Value::Str(SCHEMA.into()));
-    out.push_str("\"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let sep = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(out, "{}{sep}", e.to_value());
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Loads, merges, and writes back the trajectory at `path`.
-pub fn append(path: &Path, fresh: Vec<ScaleBenchEntry>) -> Result<Vec<ScaleBenchEntry>, String> {
-    let merged = merge(load(path)?, fresh);
-    fs::write(path, render(&merged)).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(merged)
 }
 
 /// The scale-out gate: the trajectory must contain at least one
@@ -259,8 +168,8 @@ pub fn check_gate(entries: &[ScaleBenchEntry]) -> Result<String, String> {
             format!("no completed mesh point with >= {GATE_CORES} cores in the trajectory")
         })?;
     Ok(format!(
-        "gate: run `{}` mesh {}x{} = {} cores, {} events in {} ps sim time ({:.2e} ev/s host) — ok",
-        best.run,
+        "gate: run `{}` mesh {}x{} = {} cores, {} events in {} ps sim time ({:.2e} ev/s host) — ok\n",
+        best.shared.run,
         best.cmps,
         best.cores_per_cmp,
         best.cores,
@@ -270,21 +179,14 @@ pub fn check_gate(entries: &[ScaleBenchEntry]) -> Result<String, String> {
     ))
 }
 
-/// CI entry point: schema-validate `path` and apply the scale-out gate.
-pub fn validate_file(path: &Path) -> Result<String, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries = parse_trajectory(&text)?;
-    if entries.is_empty() {
-        return Err("trajectory is empty".into());
-    }
-    let mut report = format!("{}: {} entries, schema ok\n", path.display(), entries.len());
-    let _ = writeln!(report, "{}", check_gate(&entries)?);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::{merge, render};
+
+    fn parse_trajectory(text: &str) -> Result<Vec<ScaleBenchEntry>, String> {
+        crate::trajectory::parse_trajectory(text)
+    }
 
     fn entry(run: &str, fabric: &str, cmps: u64, cpc: u64) -> ScaleBenchEntry {
         ScaleBenchEntry::measured(
@@ -348,7 +250,7 @@ mod tests {
         let merged = merge(old, fresh);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged[1].events, 2_000_000, "replacement kept its slot");
-        assert_eq!(merged[2].run, "pr11");
+        assert_eq!(merged[2].shared.run, "pr11");
     }
 
     #[test]

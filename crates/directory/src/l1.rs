@@ -111,6 +111,12 @@ impl DirL1 {
         self.miss.is_some()
     }
 
+    /// The number of resident lines; unlike [`DirL1::lines`], valid at
+    /// any time, writebacks in flight included.
+    pub fn line_count(&self) -> usize {
+        self.lines.len()
+    }
+
     /// Resident lines and their states (for quiescence audits).
     pub fn lines(&self) -> Vec<(Block, L1State)> {
         debug_assert!(self.wb_buffer.is_empty(), "writeback in flight at audit");

@@ -189,6 +189,11 @@ impl DirL2 {
         }
     }
 
+    /// The number of resident blocks.
+    pub fn line_count(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Chip rights per resident block (for quiescence audits).
     pub fn rights(&self) -> Vec<(Block, ChipRights)> {
         self.entries.iter().map(|(&b, e)| (b, e.rights)).collect()

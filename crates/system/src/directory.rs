@@ -96,8 +96,8 @@ impl System for DirNodes {
     /// L1 and L2 occupancy; the miss total.
     fn sample(&self, _at: Time, _ages: &mut StarvationAges, reading: &mut Reading) {
         let Reading { gauges, totals } = reading;
-        let l1_lines = total(&self.l1s, |c| c.lines().len() as u64);
-        let l2_lines = total(&self.l2s, |c| c.rights().len() as u64);
+        let l1_lines = total(&self.l1s, |c| c.line_count() as u64);
+        let l2_lines = total(&self.l2s, |c| c.line_count() as u64);
         gauges.insert(keys::OCC_L1_LINES.into(), l1_lines);
         gauges.insert(keys::OCC_L2_LINES.into(), l2_lines);
         totals.insert("misses", total(&self.l1s, |c| c.stats.misses));

@@ -47,8 +47,13 @@ pub struct PerfectL2<M> {
 }
 
 impl<M: CpuPort + 'static> PerfectL2<M> {
-    /// Creates the model; `seqs[i]` must be processor `i`'s sequencer.
+    /// Creates the model; `seqs[i]` must be processor `i`'s sequencer,
+    /// at node id `i` (as in PerfectL2's node set), so that a message's
+    /// source is its processor.
     pub fn new(cfg: Rc<SystemConfig>, seqs: Vec<NodeId>) -> PerfectL2<M> {
+        for (p, seq) in seqs.iter().enumerate() {
+            assert_eq!(seq.index(), p, "processor {p}'s sequencer is not node {p}");
+        }
         let n = seqs.len();
         PerfectL2 {
             l1d: (0..n)
@@ -66,10 +71,11 @@ impl<M: CpuPort + 'static> PerfectL2<M> {
     }
 
     fn proc_of(&self, src: NodeId) -> usize {
-        self.seqs
-            .iter()
-            .position(|&n| n == src)
-            .expect("message from unknown sequencer")
+        assert!(
+            src.index() < self.seqs.len(),
+            "message from unknown sequencer {src:?}"
+        );
+        src.index()
     }
 
     /// Miss latency: L1 + on-chip interconnect both ways + L2 bank.
@@ -235,5 +241,29 @@ impl System for PerfectNodes {
     fn harvest(&self, counters: &mut Stats) {
         counters.add("l1.hits", self.l2.stats.hits);
         counters.add("l1.misses", self.l2.stats.misses);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn model(seqs: &[u32]) -> PerfectL2<TokenMsg> {
+        let seqs = seqs.iter().map(|&n| NodeId(n)).collect();
+        PerfectL2::new(Rc::new(SystemConfig::default()), seqs)
+    }
+
+    #[test]
+    #[should_panic(expected = "processor 1's sequencer is not node 1")]
+    fn sequencers_must_sit_at_their_processor_ids() {
+        model(&[0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "message from unknown sequencer")]
+    fn a_source_past_the_sequencers_fails_closed() {
+        let l2 = model(&[0, 1]);
+        assert_eq!(l2.proc_of(NodeId(1)), 1);
+        l2.proc_of(NodeId(2));
     }
 }

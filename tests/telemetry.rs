@@ -14,8 +14,9 @@ mod common;
 use common::{all_protocols, table3_system, token_variants};
 use tokencmp::trace::TIMESERIES_SCHEMA;
 use tokencmp::{
-    run_workload, BarrierWorkload, Dur, FaultPlan, LockingWorkload, MsgClass, Protocol, RunOptions,
-    RunOutcome, RunResult, Tier, Variant,
+    run_workload, BarrierWorkload, CommercialParams, CommercialWorkload, Dur, FaultPlan,
+    LockingWorkload, MsgClass, Protocol, RunOptions, RunOutcome, RunResult, SystemConfig, Tier,
+    Variant,
 };
 
 /// Everything the simulation itself produced, in comparable form.
@@ -249,6 +250,38 @@ fn sampled_series_are_pinned_on_every_harness() {
             "{protocol}: series (samples, digest) ({}, 0x{:016x}) != golden",
             got.0, got.1
         );
+    }
+}
+
+/// A DirectoryCMP sample may land while an L1 writeback is in flight;
+/// counting occupancy must not trip the quiescence audit's
+/// no-writeback assertion (which it did when the sampler counted lines
+/// through the audit's `DirL1::lines`). The commercial workloads evict
+/// dirty lines often enough to hit that window at these sampling periods.
+#[test]
+fn directory_samples_taken_during_a_writeback_count_occupancy() {
+    let cfg = SystemConfig::default();
+    for (name, mut params) in [
+        ("oltp", CommercialParams::oltp()),
+        ("apache", CommercialParams::apache()),
+    ] {
+        params.txns_per_proc = 20;
+        for period_ns in [10, 100, 1000] {
+            let w = CommercialWorkload::new(16, params, 33);
+            let opts = base_opts(9).with_sampling(Dur::from_ns(period_ns));
+            let res = run_workload(&cfg, Protocol::Directory, w, &opts).0;
+            assert_eq!(res.outcome, RunOutcome::Idle, "{name} at {period_ns} ns");
+            let series = res.series.expect("sampling was on");
+            let peak = series
+                .samples
+                .iter()
+                .map(|s| s.gauges["occ.l1.lines"])
+                .max();
+            assert!(
+                peak > Some(0),
+                "{name} at {period_ns} ns: no L1 line sampled"
+            );
+        }
     }
 }
 

@@ -177,14 +177,26 @@ impl Fields<'_> {
     }
 }
 
-/// The committed trajectory file: `<repo root>/<NAME>.json`.
-pub fn trajectory_path<E: Entry>() -> PathBuf {
-    // The bench crate's manifest dir is `<repo>/crates/bench`.
+/// The repository root: the bench crate's manifest dir is
+/// `<repo>/crates/bench`.
+fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("bench crate lives two levels under the repo root")
-        .join(format!("{}.json", E::NAME))
+}
+
+/// The committed trajectory file: `<repo root>/<NAME>.json`.
+pub fn trajectory_path<E: Entry>() -> PathBuf {
+    repo_root().join(format!("{}.json", E::NAME))
+}
+
+/// The file `--validate [path]` checks: the committed trajectory when
+/// no path is given, else `path`, a relative one taken from the
+/// repository root (`cargo bench` runs a bench in `crates/bench`, not
+/// in the directory it was called from).
+fn validate_path<E: Entry>(path: Option<&str>) -> PathBuf {
+    path.map_or_else(trajectory_path::<E>, |p| repo_root().join(p))
 }
 
 /// Parses and schema-checks a trajectory file's text.
@@ -273,8 +285,9 @@ pub fn validate_file<E: Entry>(path: &Path) -> Result<String, String> {
 /// environment.
 ///
 /// * `--validate [path]` — no measurement: [`Invocation::start`]
-///   validates `path` (default: the committed file), prints the report
-///   and exits, with status 1 if the file fails.
+///   validates `path` (default: the committed file; a relative path is
+///   taken from the repository root), prints the report and exits, with
+///   status 1 if the file fails.
 /// * `TOKENCMP_BENCH_SMOKE` set — CI-sized measurements, merged into
 ///   `<sweep dir>/<NAME>.smoke.json` (removed first) instead of the
 ///   committed file, so CI exercises the full measure → merge path and
@@ -298,7 +311,7 @@ impl<E: Entry> Invocation<E> {
             .filter(|a| a != "--bench")
             .collect();
         if args.first().map(String::as_str) == Some("--validate") {
-            let path = args.get(1).map_or_else(trajectory_path::<E>, PathBuf::from);
+            let path = validate_path::<E>(args.get(1).map(String::as_str));
             match validate_file::<E>(&path) {
                 Ok(report) => print!("{report}"),
                 Err(e) => {
@@ -413,6 +426,20 @@ mod tests {
             assert!(err.starts_with("entry 1:"), "{err}");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
+    }
+
+    #[test]
+    fn validate_paths_resolve_against_the_repository_root() {
+        let root = repo_root();
+        assert!(root.join("crates/bench/Cargo.toml").is_file(), "{root:?}");
+        assert_eq!(validate_path::<Row>(None), root.join("BENCH_test.json"));
+        assert_eq!(
+            validate_path::<Row>(Some("target/sweep/BENCH_test.smoke.json")),
+            root.join("target/sweep/BENCH_test.smoke.json")
+        );
+        let abs = std::env::temp_dir().join("BENCH_test.json");
+        assert!(abs.is_absolute());
+        assert_eq!(validate_path::<Row>(abs.to_str()), abs);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use tokencmp_core::Variant;
 use tokencmp_mcheck::{
     check_parallel, CheckOptions, DirModel, DirModelParams, Model, SubstrateMode, TokenModel,
     TokenModelParams,
@@ -137,11 +136,6 @@ pub fn family_universe(family: Family) -> BTreeSet<String> {
         Family::Directory => directory_universe().clone(),
         Family::Perfect => BTreeSet::new(),
     }
-}
-
-/// True if the variant's universe includes the arbiter kinds.
-pub fn uses_arbiter(v: Variant) -> bool {
-    v.activation() == tokencmp_core::Activation::Arbiter
 }
 
 #[cfg(test)]

@@ -203,20 +203,10 @@ impl TokenL1 {
         }
     }
 
-    /// Tokens currently held, per block (for conservation audits).
-    pub fn token_census(&self) -> Vec<(Block, u32, bool)> {
-        self.token_lines().collect()
-    }
-
-    /// Zero-allocation variant of [`token_census`](Self::token_census)
-    /// for the telemetry sampler, which visits every cache every sample.
+    /// Tokens currently held, per block, as `(block, tokens, owner)`:
+    /// read by the conservation audit and the telemetry sampler.
     pub fn token_lines(&self) -> impl Iterator<Item = (Block, u32, bool)> + '_ {
         self.lines.iter().map(|(b, l)| (b, l.tokens, l.owner))
-    }
-
-    /// True if this L1 has an outstanding miss.
-    pub fn has_outstanding_miss(&self) -> bool {
-        self.mshr.is_some()
     }
 
     /// A one-line description of the outstanding miss (if any) and the

@@ -123,13 +123,8 @@ impl TokenL2 {
         self.serials.get(&block).copied().unwrap_or(0)
     }
 
-    /// Tokens currently held, per block (for conservation audits).
-    pub fn token_census(&self) -> Vec<(Block, u32, bool)> {
-        self.token_lines().collect()
-    }
-
-    /// Zero-allocation variant of [`token_census`](Self::token_census)
-    /// for the telemetry sampler, which visits every cache every sample.
+    /// Tokens currently held, per block, as `(block, tokens, owner)`:
+    /// read by the conservation audit and the telemetry sampler.
     pub fn token_lines(&self) -> impl Iterator<Item = (Block, u32, bool)> + '_ {
         self.lines.iter().map(|(b, l)| (b, l.tokens, l.owner))
     }

@@ -177,14 +177,8 @@ impl TokenMem {
         self.serials.values().map(|&s| s as u64).sum()
     }
 
-    /// Blocks with explicit (non-default) state, for conservation audits.
-    pub fn explicit_census(&self) -> Vec<(Block, u32, bool)> {
-        self.explicit_lines().collect()
-    }
-
-    /// Zero-allocation variant of
-    /// [`explicit_census`](Self::explicit_census) for the telemetry
-    /// sampler, which visits every home controller every sample.
+    /// Blocks with explicit (non-default) state, as `(block, tokens,
+    /// owner)`: read by the conservation audit and the telemetry sampler.
     pub fn explicit_lines(&self) -> impl Iterator<Item = (Block, u32, bool)> + '_ {
         self.blocks.iter().map(|(&b, l)| (b, l.tokens, l.owner))
     }

@@ -210,7 +210,7 @@ fn l1_completes_store_when_all_tokens_arrive() {
     // The L1 now holds everything.
     let l1c = k.nodes()[l1.index()].l1();
     assert_eq!(
-        l1c.token_census(),
+        l1c.token_lines().collect::<Vec<_>>(),
         vec![(block, cfg.tokens_per_block, true)]
     );
 }
@@ -274,7 +274,7 @@ fn l1_answers_external_write_with_everything_and_fires_watch() {
     assert!(received_by(&log, layout.proc(p))
         .iter()
         .any(|m| matches!(m, TokenMsg::CpuResp(CpuResp::WatchFired { .. }))));
-    assert!(k.nodes()[l1.index()].l1().token_census().is_empty());
+    assert_eq!(k.nodes()[l1.index()].l1().token_lines().count(), 0);
 }
 
 #[test]
@@ -327,7 +327,7 @@ fn l1_keeps_single_token_on_local_read_request() {
         "single-token holder must stay silent on reads"
     );
     assert_eq!(
-        k.nodes()[l1.index()].l1().token_census(),
+        k.nodes()[l1.index()].l1().token_lines().collect::<Vec<_>>(),
         vec![(block, 1, false)]
     );
 }

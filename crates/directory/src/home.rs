@@ -407,14 +407,6 @@ impl DirHome {
 
 impl Component<DirMsg> for DirHome {
     fn on_msg(&mut self, src: NodeId, msg: DirMsg, ctx: &mut Ctx<'_, DirMsg>) {
-        crate::trace(&msg, || {
-            format!(
-                "HOME {:?} t={} <- {src:?}: {msg:?} (state {:?})",
-                self.cmp,
-                ctx.now,
-                self.state(crate::msg_block(&msg).unwrap_or(Block(u64::MAX)))
-            )
-        });
         match msg {
             DirMsg::L2Req {
                 block,

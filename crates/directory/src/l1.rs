@@ -106,11 +106,6 @@ impl DirL1 {
         self.trace = trace.cloned();
     }
 
-    /// True if a miss is outstanding.
-    pub fn has_outstanding_miss(&self) -> bool {
-        self.miss.is_some()
-    }
-
     /// The number of resident lines; unlike [`DirL1::lines`], valid at
     /// any time, writebacks in flight included.
     pub fn line_count(&self) -> usize {
@@ -452,9 +447,6 @@ impl DirL1 {
 
 impl Component<DirMsg> for DirL1 {
     fn on_msg(&mut self, _src: NodeId, msg: DirMsg, ctx: &mut Ctx<'_, DirMsg>) {
-        crate::trace(&msg, || {
-            format!("L1 {:?}/{:?} t={}: {msg:?}", self.proc, self.me, ctx.now)
-        });
         match msg {
             DirMsg::Cpu(req) => self.handle_cpu(req, ctx),
             DirMsg::GrantToL1 {

@@ -1234,9 +1234,6 @@ impl DirL2 {
 
 impl Component<DirMsg> for DirL2 {
     fn on_msg(&mut self, src: NodeId, msg: DirMsg, ctx: &mut Ctx<'_, DirMsg>) {
-        crate::trace(&msg, || {
-            format!("L2 {:?} t={} <- {src:?}: {msg:?}", self.cmp, ctx.now)
-        });
         self.dispatch(src, msg, ctx);
     }
 

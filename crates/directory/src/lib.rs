@@ -17,19 +17,6 @@
 
 use tokencmp_proto::Block;
 
-/// Message-trace hook: set `TOKENCMP_TRACE_BLOCK=<hex block>` to print
-/// every directory-protocol message touching that block (debugging aid).
-/// Parsing lives in the shared [`tokencmp_proto::trace_block`] helper;
-/// the structured successor of these prints is the [`tokencmp_trace`]
-/// ring recorder.
-pub(crate) fn trace(msg: &DirMsg, line: impl FnOnce() -> String) {
-    if let Some(t) = tokencmp_proto::trace_block_filter() {
-        if msg_block(msg) == Some(Block(t)) {
-            eprintln!("{}", line());
-        }
-    }
-}
-
 /// The block a directory message concerns.
 pub(crate) fn msg_block(m: &DirMsg) -> Option<Block> {
     use DirMsg::*;

@@ -168,11 +168,6 @@ impl LitmusWorkload {
         }
     }
 
-    /// The block carrying variable `var`.
-    pub fn block_of(&self, var: usize) -> Block {
-        self.blocks[var]
-    }
-
     /// True once every thread has committed its whole program.
     pub fn is_complete(&self) -> bool {
         self.pos

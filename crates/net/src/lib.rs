@@ -247,20 +247,6 @@ struct FaultState {
     last_arrival: HashMap<(NodeId, NodeId), Time>,
 }
 
-/// Message-trace hook for injected faults: set `TOKENCMP_TRACE_BLOCK=<hex
-/// block>` to print every fault injected into a message touching that
-/// block (companion to the directory crate's protocol-message tracer).
-/// Parsing lives in the shared [`tokencmp_proto::trace_block`] helper;
-/// the structured successor of these prints is the [`tokencmp_trace`]
-/// ring recorder.
-fn trace_fault<M: NetMsg>(msg: &M, line: impl FnOnce() -> String) {
-    if let Some(t) = tokencmp_proto::trace_block_filter() {
-        if msg.block_id() == Some(t) {
-            eprintln!("{}", line());
-        }
-    }
-}
-
 /// The single tier a route's trace events are labelled with: the
 /// dominant (most failure-prone / highest-latency) link crossed, matching
 /// the tier whose fault spec governs the route in `dispatch_faulty`.
@@ -578,9 +564,6 @@ impl Network {
                 entry.owners += p.owner as u32;
             }
             drop(counters);
-            trace_fault(msg, || {
-                format!("[fault] {now:?} DROP {src:?}->{dst:?} on {tier:?}")
-            });
             self.emit_fault(now, FaultKind::Drop, tier, msg);
             if let (Some(p), Some(trace)) = (msg.token_payload(), &self.trace) {
                 trace.borrow_mut().record(
@@ -603,12 +586,8 @@ impl Network {
             && !spec.max_jitter.is_zero()
             && state.rng.chance(spec.jitter_rate)
         {
-            let extra = Dur::from_ps(state.rng.below(spec.max_jitter.as_ps() + 1));
-            arrive += extra;
+            arrive += Dur::from_ps(state.rng.below(spec.max_jitter.as_ps() + 1));
             state.counters.borrow_mut().jittered[msg.class().index()] += 1;
-            trace_fault(msg, || {
-                format!("[fault] {now:?} JITTER +{extra:?} {src:?}->{dst:?} on {tier:?}")
-            });
             self.emit_fault(now, FaultKind::Jitter, tier, msg);
         }
         if matches!(route, Route::Intra)
@@ -620,12 +599,6 @@ impl Network {
             // messages between the same endpoints will overtake this one.
             arrive += spec.reorder_hold;
             state.counters.borrow_mut().reordered[msg.class().index()] += 1;
-            trace_fault(msg, || {
-                format!(
-                    "[fault] {now:?} HOLD +{:?} {src:?}->{dst:?} on {tier:?}",
-                    spec.reorder_hold
-                )
-            });
             self.emit_fault(now, FaultKind::Hold, tier, msg);
         }
         if !matches!(route, Route::Intra) {

@@ -20,11 +20,9 @@ pub mod config;
 pub mod cpu;
 pub mod layout;
 pub mod msg;
-pub mod trace_block;
 
 pub use addr::Block;
 pub use config::{Fabric, SystemConfig};
 pub use cpu::{AccessKind, CpuPort, CpuReq, CpuResp};
 pub use layout::{CmpId, Layout, Placement, ProcId, Unit};
 pub use msg::{MsgClass, NetMsg, TokenPayload};
-pub use trace_block::{parse_trace_block, trace_block_filter};

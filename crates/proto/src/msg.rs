@@ -144,8 +144,8 @@ pub trait NetMsg {
     }
 
     /// The raw block address this message concerns, if any; lets the
-    /// interconnect's `TOKENCMP_TRACE_BLOCK` fault tracer filter per
-    /// block without knowing the protocol's message type.
+    /// interconnect label its trace events and key its lost-token ledger
+    /// by block without knowing the protocol's message type.
     fn block_id(&self) -> Option<u64> {
         None
     }

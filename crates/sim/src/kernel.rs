@@ -7,7 +7,6 @@ use std::time::Instant;
 
 use crate::profile::{HostProfiler, ProfilerHandle};
 use crate::queue::{EventKind, EventQueue, QueuedEvent};
-use crate::stats::Stats;
 use crate::time::{Dur, Time};
 
 /// Identifies a node of a [`Kernel`]'s [`NodeSet`].
@@ -144,8 +143,8 @@ impl<M, C: Component<M>> NodeSet<M> for Vec<C> {
 /// point `at <= t` fires (multiple, if an event gap spans several
 /// periods), so sample times form a deterministic arithmetic sequence
 /// regardless of event spacing. Monitors get `&Kernel` — they can read
-/// queue depth, pending events, the typed nodes, and stats, but cannot
-/// perturb the simulation.
+/// queue depth, pending events and the typed nodes, but cannot perturb
+/// the simulation.
 pub trait KernelMonitor<M, N> {
     /// Takes one sample. `at` is the nominal sample time (the kernel's
     /// own clock still reads the previous event's time).
@@ -165,8 +164,6 @@ pub struct Ctx<'a, M> {
     pub now: Time,
     /// The id of the component handling this event.
     pub self_id: NodeId,
-    /// Shared statistics registry.
-    pub stats: &'a mut Stats,
     queue: &'a mut EventQueue<M>,
     transport: &'a mut dyn Transport<M>,
     stopped: &'a mut bool,
@@ -312,7 +309,6 @@ pub struct Kernel<M, N> {
     queue: EventQueue<M>,
     nodes: N,
     transport: Box<dyn Transport<M>>,
-    stats: Stats,
     stopped: bool,
     events_processed: u64,
     last_progress: Time,
@@ -339,7 +335,6 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
             queue: EventQueue::new(),
             nodes,
             transport,
-            stats: Stats::new(),
             stopped: false,
             events_processed: 0,
             last_progress: Time::ZERO,
@@ -417,11 +412,6 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// The shared statistics registry.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
     }
 
     /// Schedules a wakeup for `dst` at `delay` from the current time; used
@@ -507,7 +497,6 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
         let mut ctx = Ctx {
             now: self.time,
             self_id: ev.dst,
-            stats: &mut self.stats,
             queue: &mut self.queue,
             transport: self.transport.as_mut(),
             stopped: &mut self.stopped,

@@ -6,8 +6,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::time::Dur;
-
 /// A string-keyed registry of counters and gauges.
 ///
 /// Hot paths should keep local counters in component fields and fold them in
@@ -153,11 +151,6 @@ impl Histogram {
         self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Records a duration sample in picoseconds.
-    pub fn record_dur(&mut self, d: Dur) {
-        self.record(d.as_ps());
     }
 
     /// Number of samples.

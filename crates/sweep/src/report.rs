@@ -1,7 +1,7 @@
 //! Structured JSON export of sweep results, and the parser that reads
 //! them back.
 //!
-//! Each [`PointResult`](crate::PointResult) becomes one [`PointRecord`]:
+//! Each [`PointResult`] becomes one [`PointRecord`]:
 //! protocol name, seed, outcome, exact picosecond runtime, event count,
 //! the full counter snapshot, and per-tier per-class traffic. The export
 //! is a single JSON array (deterministic field order, `u64` values kept

@@ -19,10 +19,7 @@ mod token;
 pub mod workload;
 
 pub use perfect::{PerfectL2, PerfectStats};
-pub use run::{
-    parse_stall_ns, run_workload, run_workload_traced, ConformOptions, Protocol, RunOptions,
-    RunResult,
-};
+pub use run::{run_workload, run_workload_traced, ConformOptions, Protocol, RunOptions, RunResult};
 pub use sequencer::{uniform_work, Sequencer};
-pub use telemetry::{default_telemetry, parse_profile, parse_sample_ns, TelemetryOptions};
+pub use telemetry::TelemetryOptions;
 pub use workload::{Completed, ScriptedWorkload, Step, ValueStore, Workload};

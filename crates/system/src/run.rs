@@ -21,7 +21,7 @@ use tokencmp_trace::{HostProfile, ProfiledSink, TimeSeries, TraceHandle};
 use crate::directory;
 use crate::nodes::System;
 use crate::perfect::PerfectNodes;
-use crate::telemetry::{default_telemetry, Sampler, TelemetryOptions};
+use crate::telemetry::{Sampler, TelemetryOptions};
 use crate::token;
 use crate::workload::Workload;
 
@@ -94,8 +94,6 @@ pub struct RunOptions {
     pub seed: u64,
     /// Event budget (exceeded ⇒ [`RunOutcome::EventLimit`], i.e. a bug).
     pub max_events: u64,
-    /// Simulated-time horizon.
-    pub horizon: Time,
     /// Check protocol invariants at quiescence (token conservation /
     /// directory consistency). On by default; panics on violation.
     pub audit: bool,
@@ -111,15 +109,14 @@ pub struct RunOptions {
     /// and [`RunResult::diagnostic`] carries a snapshot. `None` disables
     /// the watchdog. The default (1 ms of simulated time, ~10⁴× a typical
     /// operation latency) is far above any legitimate quiet period of the
-    /// modeled workloads; the `TOKENCMP_STALL_NS` environment variable
-    /// overrides it (see [`parse_stall_ns`]).
+    /// modeled workloads; [`RunOptions::with_stall_window`] widens it
+    /// for runs whose recovery backoffs outgrow it.
     pub stall_window: Option<Dur>,
     /// Online refinement checking against the verified mcheck models.
     pub conform: ConformOptions,
     /// Time-series sampling and host-time profiling knobs. Both default
-    /// to off (the `TOKENCMP_SAMPLE_NS` / `TOKENCMP_PROFILE` environment
-    /// variables override, see [`crate::telemetry`]); a run with
-    /// telemetry off is bit-identical to a build without the subsystem.
+    /// to off; a run with telemetry off is bit-identical to a build
+    /// without the subsystem.
     pub telemetry: TelemetryOptions,
 }
 
@@ -128,52 +125,12 @@ impl Default for RunOptions {
         RunOptions {
             seed: 1,
             max_events: 2_000_000_000,
-            horizon: Time::MAX,
             audit: true,
             faults: FaultPlan::none(),
-            stall_window: default_stall_window(),
+            stall_window: Some(Dur::from_ns(1_000_000)),
             conform: ConformOptions::default(),
-            telemetry: default_telemetry(),
+            telemetry: TelemetryOptions::default(),
         }
-    }
-}
-
-/// Parses a `TOKENCMP_STALL_NS` value: the stall-watchdog window in
-/// nanoseconds of simulated time, `0` to disable the watchdog entirely.
-/// `Ok(None)` means the variable is unset (use the built-in default).
-/// Separated from [`default_stall_window`] so malformed inputs are
-/// unit-testable without exercising a panic.
-pub fn parse_stall_ns(var: Option<&str>) -> Result<Option<Option<Dur>>, String> {
-    let Some(raw) = var else {
-        return Ok(None);
-    };
-    let v = raw.trim();
-    if v.is_empty() {
-        return Err(
-            "TOKENCMP_STALL_NS is set but empty; unset it, give a window in \
-             nanoseconds, or give 0 to disable the watchdog"
-                .into(),
-        );
-    }
-    match v.parse::<u64>() {
-        Ok(0) => Ok(Some(None)),
-        Ok(ns) => Ok(Some(Some(Dur::from_ns(ns)))),
-        Err(_) => Err(format!(
-            "TOKENCMP_STALL_NS: `{raw}` is not a non-negative integer nanosecond count"
-        )),
-    }
-}
-
-/// The stall-watchdog window [`RunOptions::default`] uses: the
-/// `TOKENCMP_STALL_NS` override when set (longer windows let extreme
-/// token-loss experiments ride out long recovery backoffs; `0` disables
-/// the watchdog), else 1 ms of simulated time. Malformed values abort
-/// immediately — a typo must not silently run with the default window.
-pub fn default_stall_window() -> Option<Dur> {
-    match parse_stall_ns(std::env::var("TOKENCMP_STALL_NS").ok().as_deref()) {
-        Ok(Some(w)) => w,
-        Ok(None) => Some(Dur::from_ns(1_000_000)),
-        Err(msg) => panic!("{msg}"),
     }
 }
 
@@ -232,12 +189,11 @@ pub struct RunResult {
     /// census — populated whenever the run did *not* end cleanly
     /// (anything but [`RunOutcome::Idle`] / [`RunOutcome::Stopped`]).
     pub diagnostic: Option<String>,
-    /// The sampled time series, when [`RunOptions::with_sampling`] (or
-    /// `TOKENCMP_SAMPLE_NS`) enabled the sim-time sampler.
+    /// The sampled time series, when [`RunOptions::with_sampling`]
+    /// enabled the sim-time sampler.
     pub series: Option<TimeSeries>,
     /// The wall-clock attribution report, when
-    /// [`RunOptions::with_profiling`] (or `TOKENCMP_PROFILE`) enabled
-    /// the host-time self-profiler.
+    /// [`RunOptions::with_profiling`] enabled the host-time self-profiler.
     pub profile: Option<HostProfile>,
 }
 
@@ -391,12 +347,15 @@ fn run<S: System>(
     for p in layout.proc_ids() {
         k.wake(layout.proc(p), Dur::ZERO, 0);
     }
-    let outcome = k.run_watched(opts.max_events, opts.horizon, opts.stall_window);
+    let outcome = k.run_watched(opts.max_events, Time::MAX, opts.stall_window);
     let mut diagnostic = diagnose(&k, outcome);
-    let mut runtime = Dur::ZERO;
+    let (mut runtime, mut done) = (Dur::ZERO, 0);
     for (p, seq) in layout.proc_ids().zip(k.nodes().seqs()) {
         match seq.done_at {
-            Some(t) => runtime = runtime.max(t.since(Time::ZERO)),
+            Some(t) => {
+                runtime = runtime.max(t.since(Time::ZERO));
+                done += 1;
+            }
             None => assert_ne!(
                 outcome,
                 RunOutcome::Idle,
@@ -418,7 +377,10 @@ fn run<S: System>(
         }
     }
 
-    let mut counters = k.stats().clone();
+    let mut counters = Stats::new();
+    if done > 0 {
+        counters.add("procs.done", done);
+    }
     k.nodes().harvest(&mut counters);
     export_fault_counters(&mut counters, faults.as_ref());
     if opts.audit && outcome == RunOutcome::Idle {
@@ -505,37 +467,5 @@ fn export_fault_counters(counters: &mut Stats, faults: Option<&FaultHandle>) {
     if lost > 0 {
         counters.add("net.fault.lost_tokens", lost);
         counters.add("net.fault.lost_owners", lost_owners);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stall_ns_unset_defers_to_the_default() {
-        assert_eq!(parse_stall_ns(None), Ok(None));
-    }
-
-    #[test]
-    fn stall_ns_zero_disables_the_watchdog() {
-        assert_eq!(parse_stall_ns(Some("0")), Ok(Some(None)));
-    }
-
-    #[test]
-    fn stall_ns_parses_a_window() {
-        assert_eq!(
-            parse_stall_ns(Some(" 2500 ")),
-            Ok(Some(Some(Dur::from_ns(2_500))))
-        );
-    }
-
-    #[test]
-    fn stall_ns_rejects_empty_and_malformed_values() {
-        assert!(parse_stall_ns(Some("")).is_err());
-        assert!(parse_stall_ns(Some("  ")).is_err());
-        assert!(parse_stall_ns(Some("fast")).is_err());
-        assert!(parse_stall_ns(Some("-5")).is_err());
-        assert!(parse_stall_ns(Some("1e6")).is_err());
     }
 }

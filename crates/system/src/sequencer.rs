@@ -99,7 +99,6 @@ impl<M: CpuPort + 'static> Sequencer<M> {
             Step::Done => {
                 self.state = SeqState::Finished;
                 self.done_at = Some(ctx.now);
-                ctx.stats.bump("procs.done");
             }
         }
     }

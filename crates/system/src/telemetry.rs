@@ -1,4 +1,4 @@
-//! Run telemetry: options, env knobs, and the run's sampler.
+//! Run telemetry: options and the run's sampler.
 //!
 //! The sampler side of the two-clock telemetry model (DESIGN.md §16):
 //! a [`KernelMonitor`] installed into the kernel snapshots system state
@@ -44,64 +44,6 @@ impl Default for TelemetryOptions {
             profile: false,
             profile_stride: tokencmp_sim::HostProfiler::DEFAULT_STRIDE,
         }
-    }
-}
-
-/// Parses a `TOKENCMP_SAMPLE_NS` value: the telemetry sampling period in
-/// nanoseconds of simulated time, `0` to disable sampling. `Ok(None)`
-/// means the variable is unset (sampling stays off). Separated from
-/// [`default_telemetry`] so malformed inputs are unit-testable.
-pub fn parse_sample_ns(var: Option<&str>) -> Result<Option<Option<Dur>>, String> {
-    let Some(raw) = var else {
-        return Ok(None);
-    };
-    let v = raw.trim();
-    if v.is_empty() {
-        return Err(
-            "TOKENCMP_SAMPLE_NS is set but empty; unset it, give a period in \
-             nanoseconds, or give 0 to disable sampling"
-                .into(),
-        );
-    }
-    match v.parse::<u64>() {
-        Ok(0) => Ok(Some(None)),
-        Ok(ns) => Ok(Some(Some(Dur::from_ns(ns)))),
-        Err(_) => Err(format!(
-            "TOKENCMP_SAMPLE_NS: `{raw}` is not a non-negative integer nanosecond count"
-        )),
-    }
-}
-
-/// Parses a `TOKENCMP_PROFILE` value: `1`/`true` enables the host-time
-/// self-profiler, `0`/`false`/unset leaves it off.
-pub fn parse_profile(var: Option<&str>) -> Result<bool, String> {
-    match var.map(str::trim) {
-        None | Some("") | Some("0") | Some("false") => Ok(false),
-        Some("1") | Some("true") => Ok(true),
-        Some(other) => Err(format!(
-            "TOKENCMP_PROFILE: `{other}` is not one of 0/1/false/true"
-        )),
-    }
-}
-
-/// The telemetry options `RunOptions::default` uses: off unless the
-/// `TOKENCMP_SAMPLE_NS` / `TOKENCMP_PROFILE` environment knobs enable a
-/// facility. Malformed values abort immediately — a typo must not
-/// silently run without the telemetry it asked for.
-pub fn default_telemetry() -> TelemetryOptions {
-    let sample_period = match parse_sample_ns(std::env::var("TOKENCMP_SAMPLE_NS").ok().as_deref()) {
-        Ok(Some(p)) => p,
-        Ok(None) => None,
-        Err(msg) => panic!("{msg}"),
-    };
-    let profile = match parse_profile(std::env::var("TOKENCMP_PROFILE").ok().as_deref()) {
-        Ok(p) => p,
-        Err(msg) => panic!("{msg}"),
-    };
-    TelemetryOptions {
-        sample_period,
-        profile,
-        ..TelemetryOptions::default()
     }
 }
 
@@ -270,29 +212,6 @@ impl<S: System> KernelMonitor<S::Msg, S> for Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sample_ns_env_knob_parses() {
-        assert_eq!(parse_sample_ns(None), Ok(None));
-        assert_eq!(parse_sample_ns(Some("0")), Ok(Some(None)));
-        assert_eq!(
-            parse_sample_ns(Some(" 250 ")),
-            Ok(Some(Some(Dur::from_ns(250))))
-        );
-        assert!(parse_sample_ns(Some("")).is_err());
-        assert!(parse_sample_ns(Some("soon")).is_err());
-        assert!(parse_sample_ns(Some("-1")).is_err());
-    }
-
-    #[test]
-    fn profile_env_knob_parses() {
-        assert_eq!(parse_profile(None), Ok(false));
-        assert_eq!(parse_profile(Some("0")), Ok(false));
-        assert_eq!(parse_profile(Some("false")), Ok(false));
-        assert_eq!(parse_profile(Some("1")), Ok(true));
-        assert_eq!(parse_profile(Some("true")), Ok(true));
-        assert!(parse_profile(Some("yes")).is_err());
-    }
 
     #[test]
     fn telemetry_defaults_are_off() {

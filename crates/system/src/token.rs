@@ -106,21 +106,21 @@ impl System for TokenNodes {
     /// have kept the kernel from going idle — and that is asserted too.
     fn audit(&self, faults: Option<&FaultHandle>) {
         let mut tokens: HashMap<Block, (u32, u32)> = HashMap::new();
-        let mut fold = |census: Vec<(Block, u32, bool)>| {
+        let mut fold = |census: &mut dyn Iterator<Item = (Block, u32, bool)>| {
             for (b, t, o) in census {
                 let e = tokens.entry(b).or_insert((0, 0));
                 e.0 += t;
                 e.1 += o as u32;
             }
         };
-        self.l1s.iter().for_each(|l1| fold(l1.token_census()));
-        self.l2s.iter().for_each(|l2| fold(l2.token_census()));
+        self.l1s.iter().for_each(|l1| fold(&mut l1.token_lines()));
+        self.l2s.iter().for_each(|l2| fold(&mut l2.token_lines()));
         for (c, m) in self.layout.cmp_ids().zip(&self.mems) {
             assert!(
                 !m.recreation_in_progress(),
                 "kernel idle with a token recreation in progress at {c:?}"
             );
-            fold(m.explicit_census());
+            fold(&mut m.explicit_lines());
         }
         for (b, (mut t, mut o)) in tokens {
             if let Some(h) = faults {
@@ -147,8 +147,8 @@ impl System for TokenNodes {
         // home chip. `(holders, owner_cmp)` per block; owner at memory
         // is tracked separately.
         let mut disp: BTreeMap<u64, (u64, Option<u16>)> = BTreeMap::new();
-        // `token_lines` (not `token_census`) keeps this walk
-        // allocation-free: the sampler visits every cache every sample.
+        // The walk allocates nothing: the sampler visits every cache
+        // every sample.
         let mut fold = |census: &mut dyn Iterator<Item = (Block, u32, bool)>, cmp: CmpId| -> u64 {
             let mut lines = 0u64;
             for (b, t, o) in census {

@@ -239,8 +239,8 @@ fn seg_arg(s: Segment) -> &'static str {
 }
 
 /// Renders a human-readable timeline of the records touching `block`
-/// (all records if `block` is `None`) — the structured successor of the
-/// legacy `TOKENCMP_TRACE_BLOCK` `eprintln!` hooks.
+/// (all records if `block` is `None`), one line per event in its
+/// `Display` form.
 pub fn block_timeline(records: &[TraceRecord], block: Option<Block>) -> String {
     let mut out = String::new();
     for r in records {

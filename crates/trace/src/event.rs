@@ -54,7 +54,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Uppercase label matching the legacy `eprintln!` hooks.
+    /// Uppercase label, as `TraceEvent::Fault` displays it.
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::Drop => "DROP",
@@ -328,32 +328,6 @@ impl TraceEvent {
             | TraceEvent::EpochInval { block, .. }
             | TraceEvent::RecreationStart { block, .. }
             | TraceEvent::RecreationDone { block, .. } => Some(block),
-        }
-    }
-
-    /// Short kind label for timelines and Chrome event names.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            TraceEvent::MsgSend { .. } => "msg",
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::SeqIssue { .. } => "seq.issue",
-            TraceEvent::SeqCommit { .. } => "seq.commit",
-            TraceEvent::TokensMoved { .. } => "tokens",
-            TraceEvent::PersistentActivate { .. } => "persistent.activate",
-            TraceEvent::PersistentDeactivate { .. } => "persistent.deactivate",
-            TraceEvent::CacheFill { .. } => "cache.fill",
-            TraceEvent::CacheEvict { .. } => "cache.evict",
-            TraceEvent::TokensDelivered { .. } => "tokens.delivered",
-            TraceEvent::AccessDone { .. } => "access.done",
-            TraceEvent::TableApply { .. } => "table.apply",
-            TraceEvent::ArbRequest { .. } => "arb.request",
-            TraceEvent::ArbDone { .. } => "arb.done",
-            TraceEvent::MissCommit { .. } => "miss.commit",
-            TraceEvent::TokenLost { .. } => "tokens.lost",
-            TraceEvent::StaleDiscard { .. } => "tokens.stale",
-            TraceEvent::EpochInval { .. } => "recreate.inval",
-            TraceEvent::RecreationStart { .. } => "recreate.start",
-            TraceEvent::RecreationDone { .. } => "recreate.done",
         }
     }
 }

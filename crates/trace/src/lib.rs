@@ -18,9 +18,8 @@
 //!   intra-CMP, inter-CMP, memory, retry and persistent-wait segments
 //!   that sum exactly (in integer picoseconds) to the measured latency.
 //! * [`chrome_trace_json`] — a Chrome `trace_event` / Perfetto exporter,
-//!   and [`block_timeline`] — the textual per-block timeline that
-//!   subsumes the old `TOKENCMP_TRACE_BLOCK` `eprintln!` hooks (the env
-//!   var remains as a filter; see [`tokencmp_proto::trace_block`]).
+//!   and [`block_timeline`] — the textual per-block timeline (pair it
+//!   with [`RingRecorder::with_block_filter`] to follow one cache line).
 //!
 //! # Zero-cost when disabled
 //!

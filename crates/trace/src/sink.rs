@@ -109,20 +109,12 @@ impl RingRecorder {
     }
 
     /// Restricts recording to events about `block` (events that concern
-    /// no single block are also dropped). This is the structured
-    /// replacement for the legacy per-block `eprintln!` filter.
+    /// no single block are also dropped): the way to debug one cache
+    /// line, with [`block_timeline`](crate::block_timeline) rendering
+    /// what was kept.
     pub fn with_block_filter(mut self, block: Block) -> RingRecorder {
         self.block_filter = Some(block);
         self
-    }
-
-    /// Applies the process-wide `TOKENCMP_TRACE_BLOCK` filter, if set
-    /// (see [`tokencmp_proto::trace_block`]).
-    pub fn with_env_filter(self) -> RingRecorder {
-        match tokencmp_proto::trace_block_filter() {
-            Some(b) => self.with_block_filter(Block(b)),
-            None => self,
-        }
     }
 
     /// Wraps the recorder into the shared handle the system wiring

@@ -34,8 +34,6 @@ use crate::policy::Variant;
 pub struct L2Stats {
     /// Local transient requests received.
     pub local_requests: u64,
-    /// Local requests satisfied entirely from this bank.
-    pub local_satisfied: u64,
     /// Requests re-broadcast to other chips.
     pub external_broadcasts: u64,
     /// External transient requests received from other chips.
@@ -356,7 +354,6 @@ impl TokenL2 {
             }
         }
         if fully_satisfied {
-            self.stats.local_satisfied += 1;
             return;
         }
         if self.variant.is_flat() {

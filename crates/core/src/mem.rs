@@ -24,16 +24,12 @@ use crate::recovery::RecoveryParams;
 pub struct MemStats {
     /// Requests answered with data (DRAM reads).
     pub data_responses: u64,
-    /// Requests answered with tokens only.
-    pub token_responses: u64,
     /// Writebacks absorbed.
     pub writebacks: u64,
     /// Arbiter activations broadcast.
     pub arb_activations: u64,
     /// Token recreations completed as this home's token authority (§15).
     pub recreations: u64,
-    /// Dirty-owner data bundles salvaged from stale serials.
-    pub stale_data_salvaged: u64,
 }
 
 /// An in-flight token recreation at this home controller.
@@ -184,13 +180,9 @@ impl TokenMem {
     }
 
     fn store(&mut self, block: Block, line: MemLine) {
-        if line.tokens == self.cfg.tokens_per_block && line.owner {
-            // Back to the default state: no need for an explicit entry,
-            // but keep it so audits can see the block was touched.
-            self.blocks.insert(block, line);
-        } else {
-            self.blocks.insert(block, line);
-        }
+        // Kept even when back at the default state, so that audits can
+        // see the block was touched.
+        self.blocks.insert(block, line);
     }
 
     fn respond(
@@ -204,7 +196,6 @@ impl TokenMem {
             self.stats.data_responses += 1;
             self.cfg.memctl_latency + self.cfg.dram_latency
         } else {
-            self.stats.token_responses += 1;
             self.cfg.memctl_latency
         };
         if let Some(t) = &self.trace {
@@ -313,9 +304,6 @@ impl TokenMem {
                         serial,
                     },
                 );
-            }
-            if bundle.owner && bundle.dirty {
-                self.stats.stale_data_salvaged += 1;
             }
             return;
         }
@@ -630,9 +618,8 @@ impl Component<TokenMsg> for TokenMem {
                 self.handle_recreate_inval(src, block, serial, ctx)
             }
             TokenMsg::StaleDataReturn { .. } => {
-                // The salvaged dirty data lands in memory; in this
-                // data-less model that is pure accounting.
-                self.stats.stale_data_salvaged += 1;
+                // The salvaged dirty data lands in memory; this model
+                // carries no data, so there is nothing to do.
             }
             TokenMsg::Cpu(_) | TokenMsg::CpuResp(_) => {
                 unreachable!("memory controllers have no processor port")

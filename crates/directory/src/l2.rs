@@ -50,8 +50,6 @@ pub struct DirL2Stats {
     pub local_satisfied: u64,
     /// Chip-level evictions (recall + home writeback).
     pub evictions: u64,
-    /// Forwards/invalidations served for the home.
-    pub serves: u64,
 }
 
 #[derive(Debug)]
@@ -625,7 +623,6 @@ impl DirL2 {
         remote: NodeId,
         ctx: &mut Ctx<'_, DirMsg>,
     ) {
-        self.stats.serves += 1;
         let Some(e) = self.entries.get_mut(&block) else {
             debug_assert!(false, "forward to a chip without rights");
             return;
@@ -804,7 +801,6 @@ impl DirL2 {
     }
 
     fn handle_inv_l2(&mut self, block: Block, remote: NodeId, ctx: &mut Ctx<'_, DirMsg>) {
-        self.stats.serves += 1;
         let Some(e) = self.entries.get_mut(&block) else {
             // Silently evicted earlier; acknowledge blindly.
             ctx.send_after(self.cfg.l2_latency, remote, DirMsg::InvAckL2 { block });

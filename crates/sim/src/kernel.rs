@@ -520,36 +520,22 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
     /// Runs until a stop request, an empty queue, `max_events`, or the
     /// `horizon` time limit — whichever comes first.
     pub fn run(&mut self, max_events: u64, horizon: Time) -> RunOutcome {
-        self.run_watched(max_events, horizon, None)
+        self.run_until(max_events, horizon, None)
     }
 
-    /// [`run`](Kernel::run) with a progress watchdog: if the next pending
-    /// event lies more than `stall_window` of simulated time after the
-    /// last [`Ctx::progress`] call, the run stops with
-    /// [`RunOutcome::Stalled`] *before* processing that event.
+    /// [`run`](Kernel::run) without a time limit but with a progress
+    /// watchdog: if the next pending event lies more than `stall_window`
+    /// of simulated time after the last [`Ctx::progress`] call, the run
+    /// stops with [`RunOutcome::Stalled`] *before* processing that event.
     ///
     /// The watchdog is purely an observer — it never reorders or drops
     /// events, so enabling it cannot change simulation results, only how
     /// a non-terminating run is reported.
-    pub fn run_watched(
-        &mut self,
-        max_events: u64,
-        horizon: Time,
-        stall_window: Option<Dur>,
-    ) -> RunOutcome {
-        let outcome = self.run_watched_loop(max_events, horizon, stall_window);
-        // Fold the tail of untimed events into the profiler so the
-        // events/sampled scale covers the whole run.
-        if self.prof_skipped > 0 {
-            if let Some(p) = &self.profiler {
-                p.borrow_mut().add_skipped(self.prof_skipped);
-            }
-            self.prof_skipped = 0;
-        }
-        outcome
+    pub fn run_watched(&mut self, max_events: u64, stall_window: Option<Dur>) -> RunOutcome {
+        self.run_until(max_events, Time::MAX, stall_window)
     }
 
-    fn run_watched_loop(
+    fn run_until(
         &mut self,
         max_events: u64,
         horizon: Time,
@@ -559,20 +545,20 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
         // The window is measured from the start of this run if nothing
         // has progressed yet (relevant when resuming a stepped kernel).
         self.last_progress = self.last_progress.max(self.time);
-        loop {
+        let outcome = loop {
             if self.stopped {
-                return RunOutcome::Stopped;
+                break RunOutcome::Stopped;
             }
             if self.events_processed >= budget_end {
-                return RunOutcome::EventLimit;
+                break RunOutcome::EventLimit;
             }
             match self.queue.next_time() {
-                None => return RunOutcome::Idle,
-                Some(t) if t > horizon => return RunOutcome::TimeLimit,
+                None => break RunOutcome::Idle,
+                Some(t) if t > horizon => break RunOutcome::TimeLimit,
                 Some(t) => {
                     if let Some(w) = stall_window {
                         if t.saturating_since(self.last_progress) > w {
-                            return RunOutcome::Stalled;
+                            break RunOutcome::Stalled;
                         }
                     }
                     if self.monitor_due <= t {
@@ -581,7 +567,16 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
                     self.step();
                 }
             }
+        };
+        // Fold the tail of untimed events into the profiler so the
+        // events/sampled scale covers the whole run.
+        if self.prof_skipped > 0 {
+            if let Some(p) = &self.profiler {
+                p.borrow_mut().add_skipped(self.prof_skipped);
+            }
+            self.prof_skipped = 0;
         }
+        outcome
     }
 
     /// Runs until the queue drains or a component stops the kernel.
@@ -699,7 +694,7 @@ mod tests {
         }
         let (mut k, a) = single(Spinner);
         k.wake(a, Dur::ZERO, 0);
-        let outcome = k.run_watched(u64::MAX, Time::MAX, Some(Dur::from_ns(50)));
+        let outcome = k.run_watched(u64::MAX, Some(Dur::from_ns(50)));
         assert_eq!(outcome, RunOutcome::Stalled);
         // Stopped at the stall window, not after billions of events.
         assert!(k.now() <= Time::from_ns(51));
@@ -724,7 +719,7 @@ mod tests {
         }
         let (mut k, a) = single(Worker(0));
         k.wake(a, Dur::ZERO, 0);
-        let outcome = k.run_watched(1_000, Time::MAX, Some(Dur::from_ns(50)));
+        let outcome = k.run_watched(1_000, Some(Dur::from_ns(50)));
         assert_eq!(outcome, RunOutcome::EventLimit);
         assert!(k.last_progress() > Time::ZERO);
     }

@@ -347,7 +347,7 @@ fn run<S: System>(
     for p in layout.proc_ids() {
         k.wake(layout.proc(p), Dur::ZERO, 0);
     }
-    let outcome = k.run_watched(opts.max_events, Time::MAX, opts.stall_window);
+    let outcome = k.run_watched(opts.max_events, opts.stall_window);
     let mut diagnostic = diagnose(&k, outcome);
     let (mut runtime, mut done) = (Dur::ZERO, 0);
     for (p, seq) in layout.proc_ids().zip(k.nodes().seqs()) {

@@ -1,9 +1,9 @@
 //! Per-transaction miss-latency attribution.
 //!
 //! Every committed miss is decomposed into segments that sum *exactly*
-//! (integer picoseconds) to the end-to-end latency, so per-segment
-//! histograms explain the runtime decomposition the paper's Figure 6
-//! reports rather than merely correlating with it.
+//! (integer picoseconds) to the end-to-end latency, so the per-segment
+//! sums explain the runtime decomposition the paper's Figure 6 reports
+//! rather than merely correlating with it.
 
 use std::fmt;
 
@@ -137,16 +137,17 @@ impl fmt::Display for SegmentParts {
     }
 }
 
-/// Histograms of total miss latency and of each attribution segment.
+/// One total miss-latency histogram plus per-segment sums.
 ///
 /// Lives in each L1 controller's stats (attribution is always on — it is
 /// pure arithmetic on MSHR timestamps, so it cannot perturb simulation),
 /// merged across controllers at end of run, and exported into the run's
-/// counter registry for sweep records and bench tables.
+/// counter registry for sweep records and bench tables. Only the total's
+/// quantiles and maximum are exported, so a segment keeps just its sum.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyBreakdown {
     total: Histogram,
-    segs: [Histogram; 6],
+    segs: [u128; 6],
 }
 
 impl LatencyBreakdown {
@@ -169,7 +170,7 @@ impl LatencyBreakdown {
         );
         self.total.record(total_ps);
         for s in Segment::ALL {
-            self.segs[s.index()].record(parts.get(s));
+            self.segs[s.index()] += parts.get(s) as u128;
         }
     }
 
@@ -183,16 +184,11 @@ impl LatencyBreakdown {
         &self.total
     }
 
-    /// The histogram for segment `s`.
-    pub fn segment(&self, s: Segment) -> &Histogram {
-        &self.segs[s.index()]
-    }
-
-    /// Folds `other` into `self` (per-histogram merge).
+    /// Folds `other` into `self`: merges the totals, adds the segment sums.
     pub fn merge(&mut self, other: &LatencyBreakdown) {
         self.total.merge(&other.total);
-        for s in Segment::ALL {
-            self.segs[s.index()].merge(&other.segs[s.index()]);
+        for (sum, o) in self.segs.iter_mut().zip(other.segs) {
+            *sum += o;
         }
     }
 
@@ -219,7 +215,7 @@ impl LatencyBreakdown {
         );
         stats.add("lat.total.max_ps", self.total.max().unwrap_or(0));
         for s in Segment::ALL {
-            let sum = self.segs[s.index()].sum() as u64;
+            let sum = self.segs[s.index()] as u64;
             if s == Segment::Recovery && sum == 0 {
                 continue;
             }
@@ -274,7 +270,7 @@ mod tests {
         // segment sums account for every picosecond of total
         let seg_sum: u64 = Segment::ALL
             .iter()
-            .map(|s2| l.segment(*s2).sum() as u64)
+            .map(|s2| s.counter(&format!("lat.{}.ps_sum", s2.label())))
             .sum();
         assert_eq!(seg_sum, l.total().sum() as u64);
         assert!(s.counter("lat.total.p99_ps") >= s.counter("lat.total.p50_ps"));

@@ -8,11 +8,14 @@
 //! working set. The same holds for the persistent-request tables of the
 //! coherence nodes, kept in one shared book: their bytes track live
 //! requesters, not the 1024 processors, and each activation is stored
-//! once rather than at every node. These budgets are documented in
-//! DESIGN.md §18; the tests here hold the implementation to them.
+//! once rather than at every node. Every L1 controller is paid for
+//! 2,048 times over, so its inline size has a budget too. These budgets
+//! are documented in DESIGN.md §18; the tests here hold the
+//! implementation to them.
 
 use tokencmp::cache::SetAssoc;
-use tokencmp::core::PersistentBook;
+use tokencmp::core::{PersistentBook, TokenL1};
+use tokencmp::directory::DirL1;
 use tokencmp::proto::{Layout, ProcId};
 use tokencmp::{Block, Fabric, ReqKind, SystemConfig};
 
@@ -249,5 +252,29 @@ fn footprint_grows_and_shrinks_with_residency_pattern() {
             && full <= 4 * cfg.l2_sets * cfg.l2_ways * slot,
         "full-array resident {} B is out of the dense-cost envelope",
         full
+    );
+}
+
+/// DESIGN.md §18 inline-size budgets of one L1 controller, in bytes.
+const TOKEN_L1_BUDGET: usize = 1536;
+const DIR_L1_BUDGET: usize = 1024;
+
+#[test]
+fn l1_controllers_fit_their_node_size_budget() {
+    // The 64 × 16 system holds 2,048 L1s (an instruction and a data
+    // cache per core), and a run builds them all before the first event,
+    // so each inline byte costs 2 KiB of build time and resident memory.
+    let token = std::mem::size_of::<TokenL1>();
+    let dir = std::mem::size_of::<DirL1>();
+    println!("TokenL1 {token} B, DirL1 {dir} B");
+    assert!(
+        token <= TOKEN_L1_BUDGET,
+        "TokenL1 is {token} B, over its {TOKEN_L1_BUDGET} B budget: look first at \
+         `L1Stats`, which every L1 keeps inline"
+    );
+    assert!(
+        dir <= DIR_L1_BUDGET,
+        "DirL1 is {dir} B, over its {DIR_L1_BUDGET} B budget: look first at \
+         `DirL1Stats`, which every L1 keeps inline"
     );
 }

@@ -10,7 +10,6 @@ use std::rc::Rc;
 
 use tokencmp_proto::{Block, ProcId};
 use tokencmp_sim::NodeId;
-use tokencmp_trace::TraceEvent;
 
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
 use crate::persistent::{ActiveReq, ArbNodeTable, PersistentBook};
@@ -221,27 +220,6 @@ pub fn persistent_grant(
     }
 }
 
-/// The [`TraceEvent::TableApply`] event describing the application of a
-/// persistent-table message at `node`, or `None` if `msg` is not one.
-/// Shared by every holder's table-apply site so the refinement checker
-/// sees identical shapes regardless of which controller applied it.
-pub fn table_apply_event(msg: &TokenMsg, node: NodeId) -> Option<TraceEvent> {
-    let (block, proc, activate, arb) = match *msg {
-        TokenMsg::PersistentActivate { block, proc, .. } => (block, proc, true, false),
-        TokenMsg::PersistentDeactivate { block, proc, .. } => (block, proc, false, false),
-        TokenMsg::ArbActivate { block, proc, .. } => (block, proc, true, true),
-        TokenMsg::ArbDeactivate { block, proc, .. } => (block, proc, false, true),
-        _ => return None,
-    };
-    Some(TraceEvent::TableApply {
-        block,
-        node,
-        proc,
-        activate,
-        arb,
-    })
-}
-
 /// The persistent-request bookkeeping every coherence node carries: its
 /// view of the run's shared distributed-activation [`PersistentBook`] and
 /// its own arbiter-activated set (only one is populated in any given run,
@@ -257,6 +235,7 @@ pub struct PersistentState {
 impl PersistentState {
     /// The state of coherence node `node`, whose distributed table lives
     /// in `book`.
+    #[inline]
     pub fn new(node: NodeId, book: Rc<RefCell<PersistentBook>>) -> PersistentState {
         PersistentState {
             node,

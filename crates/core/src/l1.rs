@@ -15,11 +15,12 @@ use std::rc::Rc;
 
 use tokencmp_cache::{InsertOutcome, SetAssoc};
 use tokencmp_proto::Block;
-use tokencmp_proto::{AccessKind, CpuReq, CpuResp, Layout, ProcId, SystemConfig, Unit};
+use tokencmp_proto::{AccessKind, CpuReq, CpuResp, ProcId, SystemConfig, Unit};
 use tokencmp_sim::{Component, Ctx, Dur, Ewma, NodeId, Rng, Time};
 use tokencmp_trace::{LatencyBreakdown, Segment, SegmentParts, TraceEvent, TraceHandle};
 
-use crate::common::{persistent_grant, transient_grant, GrantRules, PersistentState, TokenLine};
+use crate::common::{persistent_grant, transient_grant, TokenLine};
+use crate::holder::Holder;
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
 use crate::persistent::PersistentBook;
 use crate::policy::{Activation, ContentionPredictor, Variant};
@@ -81,17 +82,13 @@ struct Mshr {
 
 /// A TokenCMP L1 cache controller.
 pub struct TokenL1 {
-    cfg: Rc<SystemConfig>,
-    layout: Layout,
-    me: NodeId,
+    holder: Holder,
     proc: ProcId,
     proc_node: NodeId,
     variant: Variant,
-    rules: GrantRules,
     lines: SetAssoc<TokenLine>,
     mshr: Option<Mshr>,
     watch: Option<Block>,
-    persistent: PersistentState,
     /// A persistent request held back by the wave-marking rule.
     pending_persistent: Option<(Block, ReqKind)>,
     /// Response-delay windows: blocks we will not surrender until the time.
@@ -105,10 +102,6 @@ pub struct TokenL1 {
     /// supplied tokens for a block.
     dest_pred: HashMap<Block, tokencmp_proto::CmpId>,
     epoch: u64,
-    /// Per-block recreation serials, as last announced by each block's
-    /// home memory (the token authority). Absent ⇒ serial 0, so the map
-    /// stays empty — and serial handling free — on lossless runs.
-    serials: HashMap<Block, u32>,
     /// Token-loss recovery policy; `None` (the default) on runs whose
     /// fault plan cannot drop tokens — no timer is ever armed then.
     recovery: Option<RecoveryParams>,
@@ -118,7 +111,6 @@ pub struct TokenL1 {
     persistent_epoch: Rc<Cell<u64>>,
     /// The epoch of this cache's own outstanding persistent request.
     my_epoch: u64,
-    trace: Option<TraceHandle>,
     /// Run statistics.
     pub stats: L1Stats,
 }
@@ -138,22 +130,12 @@ impl TokenL1 {
         persistent_epoch: Rc<Cell<u64>>,
         book: Rc<RefCell<PersistentBook>>,
     ) -> TokenL1 {
-        let layout = cfg.layout();
-        let rules = GrantRules {
-            total_tokens: cfg.tokens_per_block,
-            caches_per_cmp: 2 * cfg.procs_per_cmp as u32 + cfg.banks_per_cmp as u32,
-            migratory: cfg.migratory_sharing,
-        };
         TokenL1 {
             lines: SetAssoc::new(cfg.l1_sets, cfg.l1_ways, 0),
-            persistent: PersistentState::new(me, book),
             predictor: variant.uses_predictor().then(ContentionPredictor::new),
-            proc_node: layout.proc(proc),
-            layout,
-            me,
+            proc_node: cfg.layout().proc(proc),
             proc,
             variant,
-            rules,
             mshr: None,
             watch: None,
             pending_persistent: None,
@@ -163,19 +145,17 @@ impl TokenL1 {
             rng: Rng::new(seed ^ (me.0 as u64) << 32),
             dest_pred: HashMap::new(),
             epoch: 0,
-            serials: HashMap::new(),
             recovery: None,
             persistent_epoch,
             my_epoch: 0,
-            trace: None,
-            cfg,
             stats: L1Stats::default(),
+            holder: Holder::new(cfg, me, book),
         }
     }
 
     /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
     pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
-        self.trace = trace.cloned();
+        self.holder.trace = trace.cloned();
     }
 
     /// Arms token-loss recovery: once a persistent request has been
@@ -187,16 +167,12 @@ impl TokenL1 {
         self.recovery = params;
     }
 
-    /// The recreation serial this cache believes is current for `block`.
-    fn serial_of(&self, block: Block) -> u32 {
-        self.serials.get(&block).copied().unwrap_or(0)
-    }
-
     /// The tier a token supplier `src` belongs to, seen from this cache.
     fn supplier_tier(&self, src: NodeId) -> Segment {
-        if matches!(self.layout.unit(src), Unit::Mem(_)) {
+        let layout = &self.holder.layout;
+        if matches!(layout.unit(src), Unit::Mem(_)) {
             Segment::Mem
-        } else if self.layout.placement(src).cmp() == self.layout.cmp_of_proc(self.proc) {
+        } else if layout.placement(src).cmp() == layout.cmp_of_proc(self.proc) {
             Segment::Intra
         } else {
             Segment::Inter
@@ -214,20 +190,20 @@ impl TokenL1 {
     /// watchdog's diagnostic snapshot.
     pub fn pending_snapshot(&self) -> Option<String> {
         let m = self.mshr.as_ref()?;
-        let table = match self.persistent.active_for(m.block) {
+        let table = match self.holder.persistent.active_for(m.block) {
             Some(a) => format!("persistent table: active {a:?}"),
             None => "persistent table: inactive".to_string(),
         };
         Some(format!(
             "{m:?}; {table}; recreation serial {}",
-            self.serial_of(m.block)
+            self.holder.serial_of(m.block)
         ))
     }
 
     fn tokens_needed(&self, kind: ReqKind) -> u32 {
         match kind {
             ReqKind::Read => 1,
-            ReqKind::Write => self.cfg.tokens_per_block,
+            ReqKind::Write => self.holder.cfg.tokens_per_block,
         }
     }
 
@@ -236,10 +212,10 @@ impl TokenL1 {
     }
 
     fn lock(&mut self, block: Block, ctx: &mut Ctx<'_, TokenMsg>) {
-        if self.cfg.response_delay.is_zero() {
+        if self.holder.cfg.response_delay.is_zero() {
             return;
         }
-        let until = ctx.now + self.cfg.response_delay;
+        let until = ctx.now + self.holder.cfg.response_delay;
         self.locks.insert(block, until);
         debug_assert!(block.0 < TAG_LOCK);
         ctx.wake_at(until, TAG_LOCK | block.0);
@@ -253,49 +229,14 @@ impl TokenL1 {
         Dur::from_ps((base * 1.5) as u64).max(Dur::from_ns(100))
     }
 
-    fn send_tokens(
-        &mut self,
-        ctx: &mut Ctx<'_, TokenMsg>,
-        delay: Dur,
-        dst: NodeId,
-        block: Block,
-        bundle: TokenBundle,
-        writeback: bool,
-    ) {
-        debug_assert!(bundle.count >= 1);
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::TokensMoved {
-                    block,
-                    from: self.me,
-                    to: dst,
-                    count: bundle.count,
-                    owner: bundle.owner,
-                },
-            );
-        }
-        let serial = self.serial_of(block);
-        ctx.send_after(
-            delay,
-            dst,
-            TokenMsg::Tokens {
-                block,
-                bundle,
-                serial,
-                writeback,
-            },
-        );
-    }
-
     /// Sends an evicted or unwanted bundle to the local L2 bank for the
     /// block (the natural spill level; the substrate only requires that
     /// tokens are never destroyed).
     fn spill(&mut self, ctx: &mut Ctx<'_, TokenMsg>, block: Block, bundle: TokenBundle) {
-        let cmp = self.layout.cmp_of_proc(self.proc);
-        let bank = self.cfg.l2_bank_of(block);
-        let dst = self.layout.l2(cmp, bank);
-        self.send_tokens(ctx, Dur::ZERO, dst, block, bundle, true);
+        let holder = &self.holder;
+        let cmp = holder.layout.cmp_of_proc(self.proc);
+        let dst = holder.layout.l2(cmp, holder.cfg.l2_bank_of(block));
+        holder.send_tokens(ctx, Dur::ZERO, dst, block, bundle, true);
     }
 
     /// Drops the line if it ran out of tokens; fires the spin-watch.
@@ -317,10 +258,10 @@ impl TokenL1 {
     /// any and if we hold tokens (deferring inside a response-delay
     /// window).
     fn try_forward(&mut self, block: Block, ctx: &mut Ctx<'_, TokenMsg>) {
-        let Some(req) = self.persistent.active_for(block) else {
+        let Some(req) = self.holder.persistent.active_for(block) else {
             return;
         };
-        if req.requester == self.me {
+        if req.requester == self.holder.me {
             return;
         }
         if self.locked(block, ctx.now) {
@@ -330,44 +271,10 @@ impl TokenL1 {
             return;
         };
         if let Some(bundle) = persistent_grant(line, req.kind, true) {
-            self.send_tokens(ctx, Dur::ZERO, req.requester, block, bundle, false);
+            self.holder
+                .send_tokens(ctx, Dur::ZERO, req.requester, block, bundle, false);
             self.after_line_change(block, ctx);
         }
-    }
-
-    /// Discards a bundle that arrived under a stale recreation serial
-    /// (the authority recreated the block's tokens while this bundle was
-    /// in flight). A stale *dirty owner* — which the lossy tier never
-    /// drops — salvages its data back to the home memory over reliable
-    /// control traffic. Returns true when the bundle was stale.
-    fn discard_if_stale(
-        &mut self,
-        block: Block,
-        bundle: TokenBundle,
-        serial: u32,
-        ctx: &mut Ctx<'_, TokenMsg>,
-    ) -> bool {
-        let current = self.serial_of(block);
-        if serial >= current {
-            return false;
-        }
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::StaleDiscard {
-                    node: self.me,
-                    block,
-                    count: bundle.count,
-                    owner: bundle.owner,
-                    serial,
-                },
-            );
-        }
-        if bundle.owner && bundle.dirty {
-            let home = self.layout.mem(self.cfg.home_of(block));
-            ctx.send(home, TokenMsg::StaleDataReturn { block, serial });
-        }
-        true
     }
 
     fn fold_tokens(
@@ -378,24 +285,8 @@ impl TokenL1 {
         serial: u32,
         ctx: &mut Ctx<'_, TokenMsg>,
     ) {
-        if self.discard_if_stale(block, bundle, serial, ctx) {
+        if !self.holder.accept(block, bundle, serial, ctx) {
             return;
-        }
-        if serial > self.serial_of(block) {
-            // Tokens minted under a recreation we have already acked;
-            // the ack barrier guarantees the inval preceded them.
-            self.serials.insert(block, serial);
-        }
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::TokensDelivered {
-                    block,
-                    node: self.me,
-                    count: bundle.count,
-                    owner: bundle.owner,
-                },
-            );
         }
         let wanted =
             self.mshr.as_ref().is_some_and(|m| m.block == block) || self.lines.contains(block);
@@ -404,10 +295,11 @@ impl TokenL1 {
             // hand them straight to an active persistent request ("forward
             // all tokens — those present and received in the future",
             // §3.2), else pass them to the L2 so they are never lost.
-            if let Some(req) = self.persistent.active_for(block) {
-                if req.requester != self.me {
+            if let Some(req) = self.holder.persistent.active_for(block) {
+                if req.requester != self.holder.me {
                     let requester = req.requester;
-                    self.send_tokens(ctx, Dur::ZERO, requester, block, bundle, false);
+                    self.holder
+                        .send_tokens(ctx, Dur::ZERO, requester, block, bundle, false);
                     return;
                 }
             }
@@ -417,29 +309,19 @@ impl TokenL1 {
         if let Some(line) = self.lines.get_mut(block) {
             line.fold(bundle);
         } else {
-            if let Some(t) = &self.trace {
-                t.borrow_mut().record(
-                    ctx.now,
-                    TraceEvent::CacheFill {
-                        node: self.me,
-                        block,
-                        state: if bundle.owner { "O" } else { "S" },
-                    },
-                );
-            }
+            self.holder.record(ctx.now, || TraceEvent::CacheFill {
+                node: self.holder.me,
+                block,
+                state: if bundle.owner { "O" } else { "S" },
+            });
             match self.lines.insert(block, TokenLine::from_bundle(bundle)) {
                 InsertOutcome::Evicted(vblock, mut vline) => {
                     let vb = vline.take_all(true);
-                    if let Some(t) = &self.trace {
-                        t.borrow_mut().record(
-                            ctx.now,
-                            TraceEvent::CacheEvict {
-                                node: self.me,
-                                block: vblock,
-                                state: if vb.owner { "O" } else { "S" },
-                            },
-                        );
-                    }
+                    self.holder.record(ctx.now, || TraceEvent::CacheEvict {
+                        node: self.holder.me,
+                        block: vblock,
+                        state: if vb.owner { "O" } else { "S" },
+                    });
                     self.spill(ctx, vblock, vb);
                     self.after_line_change(vblock, ctx);
                 }
@@ -450,13 +332,13 @@ impl TokenL1 {
             // Learn who supplies this block: a remote cache's chip, or —
             // for memory responses — the home chip (the request reaches
             // the memory controller through its chip's L2 relay).
-            let supplier = self.layout.placement(src).cmp();
-            if supplier != self.layout.cmp_of_proc(self.proc) {
+            let supplier = self.holder.layout.placement(src).cmp();
+            if supplier != self.holder.layout.cmp_of_proc(self.proc) {
                 self.dest_pred.insert(block, supplier);
             }
         }
         // Timeout threshold learns from memory responses only (§4).
-        if matches!(self.layout.unit(src), Unit::Mem(_)) {
+        if matches!(self.holder.layout.unit(src), Unit::Mem(_)) {
             if let Some(m) = &self.mshr {
                 if m.block == block {
                     let lat = ctx.now.since(m.last_issue);
@@ -494,17 +376,12 @@ impl TokenL1 {
         );
         // The access happens *now* — the instant the substrate's token
         // guard holds (the later CpuResp::Done is just wire latency).
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::AccessDone {
-                    node: self.me,
-                    proc: self.proc,
-                    block: m.block,
-                    kind: m.access,
-                },
-            );
-        }
+        self.holder.record(ctx.now, || TraceEvent::AccessDone {
+            node: self.holder.me,
+            proc: self.proc,
+            block: m.block,
+            kind: m.access,
+        });
         if m.kind == ReqKind::Write {
             let line = self.lines.get_mut(m.block).unwrap();
             line.dirty = true;
@@ -531,18 +408,13 @@ impl TokenL1 {
             parts.add(m.supplier, total);
         }
         self.stats.lat.record(total, parts);
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::MissCommit {
-                    proc: self.proc,
-                    block: m.block,
-                    kind: m.access,
-                    total: Dur::from_ps(total),
-                    parts,
-                },
-            );
-        }
+        self.holder.record(ctx.now, || TraceEvent::MissCommit {
+            proc: self.proc,
+            block: m.block,
+            kind: m.access,
+            total: Dur::from_ps(total),
+            parts,
+        });
         ctx.send(
             self.proc_node,
             TokenMsg::CpuResp(CpuResp::Done {
@@ -561,20 +433,14 @@ impl TokenL1 {
 
     /// Emits a persistent activate/deactivate trace event, if tracing.
     fn emit_persistent(&self, block: Block, activate: bool, now: Time) {
-        if let Some(t) = &self.trace {
-            let ev = if activate {
-                TraceEvent::PersistentActivate {
-                    block,
-                    proc: self.proc,
-                }
+        let proc = self.proc;
+        self.holder.record(now, || {
+            if activate {
+                TraceEvent::PersistentActivate { block, proc }
             } else {
-                TraceEvent::PersistentDeactivate {
-                    block,
-                    proc: self.proc,
-                }
-            };
-            t.borrow_mut().record(now, ev);
-        }
+                TraceEvent::PersistentDeactivate { block, proc }
+            }
+        });
     }
 
     fn finish_persistent(&mut self, block: Block, ctx: &mut Ctx<'_, TokenMsg>) {
@@ -582,21 +448,21 @@ impl TokenL1 {
         self.emit_persistent(block, false, ctx.now);
         match self.variant.activation() {
             Activation::Distributed => {
-                self.persistent.deactivate(self.proc, epoch);
+                self.holder.persistent.deactivate(self.proc, epoch);
                 // Wave rule: mark every request that was outstanding when
                 // ours completed; we may not re-issue for this block until
                 // they all drain.
-                self.persistent.mark_peers(block);
+                self.holder.persistent.mark_peers(block);
                 let msg = TokenMsg::PersistentDeactivate {
                     block,
                     proc: self.proc,
                     epoch,
                 };
-                let others = self.layout.all_coherence_nodes();
-                ctx.send_all(others.filter(|&n| n != self.me), msg);
+                let others = self.holder.layout.all_coherence_nodes();
+                ctx.send_all(others.filter(|&n| n != self.holder.me), msg);
             }
             Activation::Arbiter => {
-                let home = self.layout.mem(self.cfg.home_of(block));
+                let home = self.holder.home(block);
                 ctx.send(
                     home,
                     TokenMsg::ArbDeactivateRequest {
@@ -616,8 +482,9 @@ impl TokenL1 {
         m.epoch = self.epoch;
         let (block, kind, epoch, attempts) = (m.block, m.kind, m.epoch, m.attempts);
         self.stats.transient_issued += 1;
+        let holder = &self.holder;
         let issue_delay = if first {
-            self.cfg.l1_latency
+            holder.cfg.l1_latency
         } else {
             Dur::ZERO
         };
@@ -631,7 +498,7 @@ impl TokenL1 {
         };
         let req = TokenMsg::Transient {
             block,
-            requester: self.me,
+            requester: holder.me,
             kind,
             external: false,
             hint,
@@ -640,15 +507,15 @@ impl TokenL1 {
             // Original TokenB: broadcast directly to every cache in the
             // system plus the block's home memory controller, ignoring
             // the hierarchy (§4 explains why this scales poorly).
-            let caches = self.layout.all_caches();
-            let home = self.layout.mem(self.cfg.home_of(block));
-            let dsts = caches.filter(|&n| n != self.me).chain([home]);
+            let caches = holder.layout.all_caches();
+            let home = holder.home(block);
+            let dsts = caches.filter(|&n| n != holder.me).chain([home]);
             ctx.send_all_after(issue_delay, dsts, req);
         } else {
-            let cmp = self.layout.cmp_of_proc(self.proc);
-            let l1s = self.layout.l1s_on(cmp);
-            let bank = self.layout.l2(cmp, self.cfg.l2_bank_of(block));
-            let dsts = l1s.filter(|&n| n != self.me).chain([bank]);
+            let cmp = holder.layout.cmp_of_proc(self.proc);
+            let l1s = holder.layout.l1s_on(cmp);
+            let bank = holder.layout.l2(cmp, holder.cfg.l2_bank_of(block));
+            let dsts = l1s.filter(|&n| n != holder.me).chain([bank]);
             ctx.send_all_after(issue_delay, dsts, req);
         }
         // Timeout with pseudo-random backoff to avoid lock-step retries.
@@ -680,7 +547,7 @@ impl TokenL1 {
         m.epoch = self.epoch;
         match self.variant.activation() {
             Activation::Distributed => {
-                if self.persistent.has_marked(block) {
+                if self.holder.persistent.has_marked(block) {
                     // Wave rule: wait for the previous wave to drain.
                     self.pending_persistent = Some((block, kind));
                     return;
@@ -698,17 +565,19 @@ impl TokenL1 {
                 let epoch = self.persistent_epoch.get() + 1;
                 self.persistent_epoch.set(epoch);
                 self.my_epoch = epoch;
-                self.persistent
-                    .activate(self.proc, block, self.me, kind, epoch);
+                let me = self.holder.me;
+                self.holder
+                    .persistent
+                    .activate(self.proc, block, me, kind, epoch);
                 let msg = TokenMsg::PersistentActivate {
                     block,
                     proc: self.proc,
-                    requester: self.me,
+                    requester: self.holder.me,
                     kind,
                     epoch,
                 };
-                let others = self.layout.all_coherence_nodes();
-                ctx.send_all(others.filter(|&n| n != self.me), msg);
+                let others = self.holder.layout.all_coherence_nodes();
+                ctx.send_all(others.filter(|&n| n != self.holder.me), msg);
                 self.arm_recovery_timer(ctx);
                 // We may already hold enough tokens (e.g. a racing
                 // response arrived just before escalation).
@@ -728,13 +597,13 @@ impl TokenL1 {
                 let epoch = self.persistent_epoch.get() + 1;
                 self.persistent_epoch.set(epoch);
                 self.my_epoch = epoch;
-                let home = self.layout.mem(self.cfg.home_of(block));
+                let home = self.holder.home(block);
                 ctx.send(
                     home,
                     TokenMsg::ArbRequest {
                         block,
                         proc: self.proc,
-                        requester: self.me,
+                        requester: self.holder.me,
                         kind,
                         epoch,
                     },
@@ -766,23 +635,18 @@ impl TokenL1 {
                     }
                 });
                 if hit {
-                    if let Some(t) = &self.trace {
-                        t.borrow_mut().record(
-                            ctx.now,
-                            TraceEvent::AccessDone {
-                                node: self.me,
-                                proc: self.proc,
-                                block,
-                                kind,
-                            },
-                        );
-                    }
+                    self.holder.record(ctx.now, || TraceEvent::AccessDone {
+                        node: self.holder.me,
+                        proc: self.proc,
+                        block,
+                        kind,
+                    });
                     if rkind == ReqKind::Write {
                         self.lock(block, ctx);
                     }
                     self.stats.hits += 1;
                     ctx.send_after(
-                        self.cfg.l1_latency,
+                        self.holder.cfg.l1_latency,
                         self.proc_node,
                         TokenMsg::CpuResp(CpuResp::Done { kind, block }),
                     );
@@ -838,14 +702,14 @@ impl TokenL1 {
         external: bool,
         ctx: &mut Ctx<'_, TokenMsg>,
     ) {
-        if requester == self.me {
+        if requester == self.holder.me {
             return;
         }
         // Persistent requests have absolute priority: while one is active
         // for this block, tokens are reserved for its initiator (otherwise
         // transient readers could siphon tokens off an almost-complete
         // persistent write forever).
-        if self.persistent.active_for(block).is_some() {
+        if self.holder.persistent.active_for(block).is_some() {
             return;
         }
         if self.locked(block, ctx.now) {
@@ -861,77 +725,23 @@ impl TokenL1 {
         let Some(line) = self.lines.get_mut(block) else {
             return; // a cache only responds when it has tokens
         };
-        if let Some(bundle) = transient_grant(line, kind, external, &self.rules) {
-            self.send_tokens(ctx, self.cfg.l1_latency, requester, block, bundle, false);
+        let holder = &self.holder;
+        if let Some(bundle) = transient_grant(line, kind, external, &holder.rules) {
+            let delay = holder.cfg.l1_latency;
+            holder.send_tokens(ctx, delay, requester, block, bundle, false);
             self.after_line_change(block, ctx);
         }
     }
 
-    /// Handles a recreation invalidate from `block`'s home memory: adopt
-    /// the new serial, destroy any tokens still held under the old one
-    /// (salvaging a dirty owner's data back to memory first), and ack.
-    /// After the ack this cache can never use old-serial tokens again —
-    /// `discard_if_stale` drops them at receipt — which is the safety
-    /// barrier the authority's recreation relies on.
-    fn handle_recreate_inval(
-        &mut self,
-        src: NodeId,
-        block: Block,
-        serial: u32,
-        ctx: &mut Ctx<'_, TokenMsg>,
-    ) {
-        if serial <= self.serial_of(block) {
-            // A reordered ghost of an inval we already acked.
-            return;
-        }
-        self.serials.insert(block, serial);
-        let (mut discarded, mut owner, mut had_dirty_owner) = (0, false, false);
-        if let Some(line) = self.lines.get_mut(block) {
-            let b = line.take_all(true);
-            discarded = b.count;
-            owner = b.owner;
-            had_dirty_owner = b.owner && b.dirty;
-        }
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::EpochInval {
-                    node: self.me,
-                    block,
-                    serial,
-                    discarded,
-                    owner,
-                },
-            );
-        }
-        if had_dirty_owner {
-            ctx.send(src, TokenMsg::StaleDataReturn { block, serial });
-        }
-        ctx.send(
-            src,
-            TokenMsg::RecreateAck {
-                block,
-                serial,
-                had_dirty_owner,
-            },
-        );
-        self.after_line_change(block, ctx);
-    }
-
     fn handle_persistent_table(&mut self, msg: &TokenMsg, ctx: &mut Ctx<'_, TokenMsg>) {
-        let Some(block) = self.persistent.apply(msg) else {
+        let Some(block) = self.holder.apply_table(msg, ctx.now) else {
             return;
         };
-        if let Some(t) = &self.trace {
-            if let Some(ev) = crate::common::table_apply_event(msg, self.me) {
-                t.borrow_mut().record(ctx.now, ev);
-            }
-        }
         // A held-back persistent request may now be issuable.
         if let TokenMsg::PersistentDeactivate { .. } | TokenMsg::ArbDeactivate { .. } = msg {
             if let Some((pblock, _)) = self.pending_persistent {
                 if pblock == block
-                    && !self.persistent.has_marked(block)
+                    && !self.holder.persistent.has_marked(block)
                     && self.mshr.as_ref().is_some_and(|m| m.block == block)
                 {
                     self.pending_persistent = None;
@@ -965,7 +775,12 @@ impl Component<TokenMsg> for TokenL1 {
             | TokenMsg::ArbActivate { .. }
             | TokenMsg::ArbDeactivate { .. } => self.handle_persistent_table(&msg, ctx),
             TokenMsg::RecreateInval { block, serial } => {
-                self.handle_recreate_inval(src, block, serial, ctx)
+                if self
+                    .holder
+                    .recreate_inval(src, block, serial, &mut self.lines, ctx)
+                {
+                    self.after_line_change(block, ctx);
+                }
             }
             TokenMsg::CpuResp(_) => unreachable!("L1 does not receive CPU responses"),
             TokenMsg::ArbRequest { .. } | TokenMsg::ArbDeactivateRequest { .. } => {
@@ -1017,17 +832,10 @@ impl Component<TokenMsg> for TokenL1 {
             m.recovery_at.get_or_insert(ctx.now);
             m.recovery_attempts += 1;
             let block = m.block;
-            let serial = self.serial_of(block);
+            let serial = self.holder.serial_of(block);
             self.stats.recreation_requests += 1;
-            let home = self.layout.mem(self.cfg.home_of(block));
-            ctx.send(
-                home,
-                TokenMsg::RecreateRequest {
-                    block,
-                    requester: self.me,
-                    serial,
-                },
-            );
+            let home = self.holder.home(block);
+            ctx.send(home, TokenMsg::RecreateRequest { block, serial });
             self.arm_recovery_timer(ctx);
             return;
         }
@@ -1058,7 +866,7 @@ impl Component<TokenMsg> for TokenL1 {
 impl std::fmt::Debug for TokenL1 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TokenL1")
-            .field("me", &self.me)
+            .field("me", &self.holder.me)
             .field("proc", &self.proc)
             .field("variant", &self.variant)
             .field("lines", &self.lines.len())

@@ -20,11 +20,10 @@ use std::rc::Rc;
 use tokencmp_cache::{InsertOutcome, SetAssoc};
 use tokencmp_proto::{Block, CmpId, Layout, SystemConfig, Unit};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId};
-use tokencmp_trace::{TraceEvent, TraceHandle};
+use tokencmp_trace::TraceHandle;
 
-use crate::common::{
-    persistent_grant, storage_grant, transient_grant, GrantRules, PersistentState, TokenLine,
-};
+use crate::common::{persistent_grant, storage_grant, transient_grant, TokenLine};
+use crate::holder::Holder;
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
 use crate::persistent::PersistentBook;
 use crate::policy::Variant;
@@ -46,23 +45,15 @@ pub struct L2Stats {
 
 /// A TokenCMP shared-L2 bank.
 pub struct TokenL2 {
-    cfg: Rc<SystemConfig>,
-    layout: Layout,
-    me: NodeId,
+    holder: Holder,
     cmp: CmpId,
     bank: u16,
-    rules: GrantRules,
     lines: SetAssoc<TokenLine>,
-    persistent: PersistentState,
     variant: Variant,
     /// Approximate directory of local L1 sharers (dst1-filt only):
     /// bit `i` set means local L1 `i` (in [`Layout::l1s_on`] order) may
     /// hold tokens.
     filter: Option<HashMap<Block, u64>>,
-    /// Per-block recreation serials announced by the home memories;
-    /// absent ⇒ serial 0 (the map stays empty on lossless runs).
-    serials: HashMap<Block, u32>,
-    trace: Option<TraceHandle>,
     /// Run statistics.
     pub stats: L2Stats,
 }
@@ -78,19 +69,12 @@ impl TokenL2 {
         variant: Variant,
         book: Rc<RefCell<PersistentBook>>,
     ) -> TokenL2 {
-        let layout = cfg.layout();
-        let rules = GrantRules {
-            total_tokens: cfg.tokens_per_block,
-            caches_per_cmp: 2 * cfg.procs_per_cmp as u32 + cfg.banks_per_cmp as u32,
-            migratory: cfg.migratory_sharing,
-        };
         // Bank-select bits are below the set-index bits.
         let shift = (cfg.banks_per_cmp as u64)
             .next_power_of_two()
             .trailing_zeros();
         TokenL2 {
             lines: SetAssoc::new(cfg.l2_sets, cfg.l2_ways, shift),
-            persistent: PersistentState::new(me, book),
             variant,
             filter: variant.uses_filter().then(|| {
                 assert!(
@@ -99,26 +83,16 @@ impl TokenL2 {
                 );
                 HashMap::new()
             }),
-            serials: HashMap::new(),
-            layout,
-            me,
+            holder: Holder::new(cfg, me, book),
             cmp,
             bank,
-            rules,
-            cfg,
-            trace: None,
             stats: L2Stats::default(),
         }
     }
 
     /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
     pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
-        self.trace = trace.cloned();
-    }
-
-    /// The recreation serial this bank believes is current for `block`.
-    fn serial_of(&self, block: Block) -> u32 {
-        self.serials.get(&block).copied().unwrap_or(0)
+        self.holder.trace = trace.cloned();
     }
 
     /// Tokens currently held, per block, as `(block, tokens, owner)`:
@@ -131,7 +105,7 @@ impl TokenL2 {
         let Some(f) = &mut self.filter else {
             return;
         };
-        if let Some(idx) = local_l1_index(&self.layout, self.cmp, l1) {
+        if let Some(idx) = local_l1_index(&self.holder.layout, self.cmp, l1) {
             *f.entry(block).or_insert(0) |= 1u64 << idx;
         }
     }
@@ -140,7 +114,7 @@ impl TokenL2 {
         let Some(f) = &mut self.filter else {
             return;
         };
-        let Some(idx) = local_l1_index(&self.layout, self.cmp, l1) else {
+        let Some(idx) = local_l1_index(&self.holder.layout, self.cmp, l1) else {
             return;
         };
         if let Some(mask) = f.get_mut(&block) {
@@ -151,45 +125,11 @@ impl TokenL2 {
         }
     }
 
-    fn send_tokens(
-        &mut self,
-        ctx: &mut Ctx<'_, TokenMsg>,
-        delay: Dur,
-        dst: NodeId,
-        block: Block,
-        bundle: TokenBundle,
-        writeback: bool,
-    ) {
-        debug_assert!(bundle.count >= 1);
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::TokensMoved {
-                    block,
-                    from: self.me,
-                    to: dst,
-                    count: bundle.count,
-                    owner: bundle.owner,
-                },
-            );
-        }
-        let serial = self.serial_of(block);
-        ctx.send_after(
-            delay,
-            dst,
-            TokenMsg::Tokens {
-                block,
-                bundle,
-                serial,
-                writeback,
-            },
-        );
-    }
-
     /// Evictions spill to the block's home memory controller.
     fn spill_to_home(&mut self, ctx: &mut Ctx<'_, TokenMsg>, block: Block, bundle: TokenBundle) {
-        let home = self.layout.mem(self.cfg.home_of(block));
-        self.send_tokens(ctx, Dur::ZERO, home, block, bundle, true);
+        let home = self.holder.home(block);
+        self.holder
+            .send_tokens(ctx, Dur::ZERO, home, block, bundle, true);
     }
 
     fn drop_if_empty(&mut self, block: Block) {
@@ -199,18 +139,19 @@ impl TokenL2 {
     }
 
     fn try_forward(&mut self, block: Block, ctx: &mut Ctx<'_, TokenMsg>) {
-        let Some(req) = self.persistent.active_for(block) else {
+        let Some(req) = self.holder.persistent.active_for(block) else {
             return;
         };
         debug_assert!(
-            req.requester != self.me,
+            req.requester != self.holder.me,
             "L2 never issues persistent requests"
         );
         let Some(line) = self.lines.get_mut(block) else {
             return;
         };
         if let Some(bundle) = persistent_grant(line, req.kind, true) {
-            self.send_tokens(ctx, Dur::ZERO, req.requester, block, bundle, false);
+            self.holder
+                .send_tokens(ctx, Dur::ZERO, req.requester, block, bundle, false);
             self.drop_if_empty(block);
         }
     }
@@ -223,46 +164,11 @@ impl TokenL2 {
         serial: u32,
         ctx: &mut Ctx<'_, TokenMsg>,
     ) {
-        let current = self.serial_of(block);
-        if serial < current {
-            // Stale tokens from before a recreation: destroy them on
-            // receipt (the authority already reminted the full set). A
-            // stale dirty owner — never dropped by the lossy tier —
-            // salvages its data back to the home memory first.
-            if let Some(t) = &self.trace {
-                t.borrow_mut().record(
-                    ctx.now,
-                    TraceEvent::StaleDiscard {
-                        node: self.me,
-                        block,
-                        count: bundle.count,
-                        owner: bundle.owner,
-                        serial,
-                    },
-                );
-            }
-            if bundle.owner && bundle.dirty {
-                let home = self.layout.mem(self.cfg.home_of(block));
-                ctx.send(home, TokenMsg::StaleDataReturn { block, serial });
-            }
+        if !self.holder.accept(block, bundle, serial, ctx) {
             return;
         }
-        if serial > current {
-            self.serials.insert(block, serial);
-        }
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::TokensDelivered {
-                    block,
-                    node: self.me,
-                    count: bundle.count,
-                    owner: bundle.owner,
-                },
-            );
-        }
         // A writeback from a local L1 clears its (approximate) sharer bit.
-        if matches!(self.layout.unit(src), Unit::L1D(_) | Unit::L1I(_)) {
+        if matches!(self.holder.layout.unit(src), Unit::L1D(_) | Unit::L1I(_)) {
             self.clear_sharer(block, src);
         }
         if let Some(line) = self.lines.get_mut(block) {
@@ -279,53 +185,6 @@ impl TokenL2 {
         self.try_forward(block, ctx);
     }
 
-    /// Handles a recreation invalidate from `block`'s home memory: adopt
-    /// the new serial, destroy tokens held under the old one (salvaging
-    /// a dirty owner's data over reliable control traffic), and ack.
-    fn handle_recreate_inval(
-        &mut self,
-        src: NodeId,
-        block: Block,
-        serial: u32,
-        ctx: &mut Ctx<'_, TokenMsg>,
-    ) {
-        if serial <= self.serial_of(block) {
-            return;
-        }
-        self.serials.insert(block, serial);
-        let (mut discarded, mut owner, mut had_dirty_owner) = (0, false, false);
-        if let Some(line) = self.lines.get_mut(block) {
-            let b = line.take_all(true);
-            discarded = b.count;
-            owner = b.owner;
-            had_dirty_owner = b.owner && b.dirty;
-        }
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::EpochInval {
-                    node: self.me,
-                    block,
-                    serial,
-                    discarded,
-                    owner,
-                },
-            );
-        }
-        if had_dirty_owner {
-            ctx.send(src, TokenMsg::StaleDataReturn { block, serial });
-        }
-        ctx.send(
-            src,
-            TokenMsg::RecreateAck {
-                block,
-                serial,
-                had_dirty_owner,
-            },
-        );
-        self.drop_if_empty(block);
-    }
-
     /// A transient request from a *local* L1: answer what we can; if the
     /// request may still be unsatisfied, broadcast it off chip.
     fn handle_local_transient(
@@ -340,16 +199,18 @@ impl TokenL2 {
         self.mark_sharer(block, requester);
         let mut fully_satisfied = false;
         // Tokens are reserved while a persistent request is active.
-        let reserved = self.persistent.active_for(block).is_some();
+        let holder = &self.holder;
+        let reserved = holder.persistent.active_for(block).is_some();
         if let Some(line) = self.lines.get_mut(block).filter(|_| !reserved) {
-            let had_all = line.tokens == self.rules.total_tokens && line.owner;
-            let grant = storage_grant(line, kind, &self.rules, true);
+            let had_all = line.tokens == holder.rules.total_tokens && line.owner;
+            let grant = storage_grant(line, kind, &holder.rules, true);
             match kind {
                 ReqKind::Read => fully_satisfied = grant.is_some(),
                 ReqKind::Write => fully_satisfied = had_all,
             }
             if let Some(bundle) = grant {
-                self.send_tokens(ctx, self.cfg.l2_latency, requester, block, bundle, false);
+                let delay = holder.cfg.l2_latency;
+                holder.send_tokens(ctx, delay, requester, block, bundle, false);
                 self.drop_if_empty(block);
             }
         }
@@ -377,7 +238,8 @@ impl TokenL2 {
         // narrows the first attempt to {prediction, home}; the requester's
         // retry broadcasts fully, and safety never depends on who a
         // transient request reaches.
-        let home = self.cfg.home_of(block);
+        let layout = &self.holder.layout;
+        let home = self.holder.cfg.home_of(block);
         let targets: Vec<CmpId> = match hint {
             Some(h) => {
                 let mut t = vec![];
@@ -389,11 +251,11 @@ impl TokenL2 {
                 }
                 t
             }
-            None => self.layout.cmp_ids().filter(|&c| c != self.cmp).collect(),
+            None => layout.cmp_ids().filter(|&c| c != self.cmp).collect(),
         };
-        let banks = targets.into_iter().map(|c| self.layout.l2(c, self.bank));
-        let mem = (home == self.cmp).then(|| self.layout.mem(self.cmp));
-        ctx.send_all_after(self.cfg.l2_latency, banks.chain(mem), req);
+        let banks = targets.into_iter().map(|c| layout.l2(c, self.bank));
+        let mem = (home == self.cmp).then(|| layout.mem(self.cmp));
+        ctx.send_all_after(self.holder.cfg.l2_latency, banks.chain(mem), req);
     }
 
     /// A transient request arriving from another chip: answer per the
@@ -406,10 +268,12 @@ impl TokenL2 {
         ctx: &mut Ctx<'_, TokenMsg>,
     ) {
         self.stats.external_requests += 1;
-        let reserved = self.persistent.active_for(block).is_some();
+        let delay = self.holder.cfg.l2_latency;
+        let holder = &self.holder;
+        let reserved = holder.persistent.active_for(block).is_some();
         if let Some(line) = self.lines.get_mut(block).filter(|_| !reserved) {
-            if let Some(bundle) = transient_grant(line, kind, true, &self.rules) {
-                self.send_tokens(ctx, self.cfg.l2_latency, requester, block, bundle, false);
+            if let Some(bundle) = transient_grant(line, kind, true, &holder.rules) {
+                holder.send_tokens(ctx, delay, requester, block, bundle, false);
                 self.drop_if_empty(block);
             }
         }
@@ -422,13 +286,14 @@ impl TokenL2 {
         };
         // The home chip relays external requests to its memory controller
         // over the dedicated memory link, ahead of the local L1s.
-        let mem = (self.cfg.home_of(block) == self.cmp).then(|| self.layout.mem(self.cmp));
+        let layout = &self.holder.layout;
+        let mem = (self.holder.cfg.home_of(block) == self.cmp).then(|| layout.mem(self.cmp));
         let mask = self
             .filter
             .as_ref()
             .map(|f| f.get(&block).copied().unwrap_or(0));
         let stats = &mut self.stats;
-        let l1s = self.layout.l1s_on(self.cmp).enumerate();
+        let l1s = layout.l1s_on(self.cmp).enumerate();
         let wanted = l1s.filter_map(|(idx, l1)| {
             if mask.is_none_or(|m| m & (1u64 << idx) != 0) {
                 stats.forwarded_to_l1 += 1;
@@ -438,7 +303,7 @@ impl TokenL2 {
                 None
             }
         });
-        ctx.send_all_after(self.cfg.l2_latency, mem.into_iter().chain(wanted), req);
+        ctx.send_all_after(delay, mem.into_iter().chain(wanted), req);
     }
 }
 
@@ -476,18 +341,18 @@ impl Component<TokenMsg> for TokenL2 {
                 ..
             } => self.fold_tokens(src, block, bundle, serial, ctx),
             TokenMsg::RecreateInval { block, serial } => {
-                self.handle_recreate_inval(src, block, serial, ctx)
+                if self
+                    .holder
+                    .recreate_inval(src, block, serial, &mut self.lines, ctx)
+                {
+                    self.drop_if_empty(block);
+                }
             }
             TokenMsg::PersistentActivate { .. }
             | TokenMsg::PersistentDeactivate { .. }
             | TokenMsg::ArbActivate { .. }
             | TokenMsg::ArbDeactivate { .. } => {
-                if let Some(block) = self.persistent.apply(&msg) {
-                    if let Some(t) = &self.trace {
-                        if let Some(ev) = crate::common::table_apply_event(&msg, self.me) {
-                            t.borrow_mut().record(ctx.now, ev);
-                        }
-                    }
+                if let Some(block) = self.holder.apply_table(&msg, ctx.now) {
                     self.try_forward(block, ctx);
                 }
             }
@@ -517,7 +382,7 @@ impl Component<TokenMsg> for TokenL2 {
 impl std::fmt::Debug for TokenL2 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TokenL2")
-            .field("me", &self.me)
+            .field("me", &self.holder.me)
             .field("cmp", &self.cmp)
             .field("bank", &self.bank)
             .field("lines", &self.lines.len())

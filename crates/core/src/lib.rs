@@ -28,11 +28,17 @@
 //!
 //! The controllers ([`TokenL1`], [`TokenL2`], [`TokenMem`]) are
 //! [`Component`]s of the discrete-event kernel in `tokencmp-sim`; the
-//! `tokencmp-system` crate assembles them into a full 4×4 M-CMP.
+//! `tokencmp-system` crate assembles them into a full 4×4 M-CMP. Each
+//! embeds one token-holder core (the crate-private `holder` module),
+//! which keeps what every holder keeps alike and is the one place the
+//! token-loss recreation serial rule (DESIGN.md §15) is written: stamp
+//! every bundle sent, destroy stale bundles on arrival, adopt a newer
+//! serial, apply and acknowledge a recreation invalidate.
 //!
 //! [`Component`]: tokencmp_sim::Component
 
 pub mod common;
+mod holder;
 pub mod l1;
 pub mod l2;
 pub mod mem;

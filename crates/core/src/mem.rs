@@ -10,11 +10,12 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use tokencmp_proto::{Block, CmpId, Layout, SystemConfig};
+use tokencmp_proto::{Block, CmpId, SystemConfig};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId};
 use tokencmp_trace::{TraceEvent, TraceHandle};
 
-use crate::common::{persistent_grant, storage_grant, GrantRules, PersistentState, TokenLine};
+use crate::common::{persistent_grant, storage_grant, PersistentState, TokenLine};
+use crate::holder::Holder;
 use crate::msg::{ReqKind, TokenBundle, TokenMsg};
 use crate::persistent::{ActiveReq, Arbiter, PersistentBook};
 use crate::recovery::RecoveryParams;
@@ -53,25 +54,19 @@ pub struct MemLine {
 
 /// A TokenCMP memory controller (one per chip; home for an address slice).
 pub struct TokenMem {
-    cfg: Rc<SystemConfig>,
-    layout: Layout,
-    me: NodeId,
+    /// Its serials are those of the home blocks: a memory controller acks
+    /// another home's invalidate without adopting its serial.
+    holder: Holder,
     cmp: CmpId,
-    rules: GrantRules,
     /// Explicit token state; absent blocks implicitly hold all `T` tokens.
     blocks: HashMap<Block, MemLine>,
-    persistent: PersistentState,
     arbiter: Arbiter,
-    /// Current recreation serial per home block (absent ⇒ 0; the map
-    /// stays empty on lossless runs).
-    serials: HashMap<Block, u32>,
     /// Recreations in progress (two-phase: inval/ack barrier, then a
     /// drain window, then the remint).
     recreating: HashMap<Block, Recreation>,
     /// Token-loss recovery policy (the drain window); `None` on runs
     /// whose fault plan cannot drop tokens.
     recovery: Option<RecoveryParams>,
-    trace: Option<TraceHandle>,
     /// Run statistics.
     pub stats: MemStats,
 }
@@ -85,32 +80,20 @@ impl TokenMem {
         cmp: CmpId,
         book: Rc<RefCell<PersistentBook>>,
     ) -> TokenMem {
-        let layout = cfg.layout();
-        let rules = GrantRules {
-            total_tokens: cfg.tokens_per_block,
-            caches_per_cmp: 2 * cfg.procs_per_cmp as u32 + cfg.banks_per_cmp as u32,
-            migratory: cfg.migratory_sharing,
-        };
         TokenMem {
-            persistent: PersistentState::new(me, book),
+            holder: Holder::new(cfg, me, book),
             blocks: HashMap::new(),
             arbiter: Arbiter::new(),
-            serials: HashMap::new(),
             recreating: HashMap::new(),
             recovery: None,
-            layout,
-            me,
             cmp,
-            rules,
-            cfg,
-            trace: None,
             stats: MemStats::default(),
         }
     }
 
     /// Installs the run's trace sink, if any (none ⇒ zero tracing work).
     pub fn set_trace(&mut self, trace: Option<&TraceHandle>) {
-        self.trace = trace.cloned();
+        self.holder.trace = trace.cloned();
     }
 
     /// Arms this controller as a token-recreation authority (§15). The
@@ -123,7 +106,7 @@ impl TokenMem {
     /// The current recreation serial for `block` (0 unless this home has
     /// recreated the block's tokens), for epoch-aware conservation audits.
     pub fn serial_of(&self, block: Block) -> u32 {
-        self.serials.get(&block).copied().unwrap_or(0)
+        self.holder.serial_of(block)
     }
 
     /// True while a recreation for `block` is between its inval broadcast
@@ -136,9 +119,9 @@ impl TokenMem {
     /// tokens at their *home* controller and none anywhere else.
     pub fn line(&self, block: Block) -> MemLine {
         self.blocks.get(&block).copied().unwrap_or_else(|| {
-            if self.cfg.home_of(block) == self.cmp {
+            if self.holder.cfg.home_of(block) == self.cmp {
                 MemLine {
-                    tokens: self.cfg.tokens_per_block,
+                    tokens: self.holder.cfg.tokens_per_block,
                     owner: true,
                 }
             } else {
@@ -153,7 +136,7 @@ impl TokenMem {
     /// The persistent-request tables kept at this controller, read by
     /// the telemetry sampler for occupancy and starvation-age gauges.
     pub fn persistent(&self) -> &PersistentState {
-        &self.persistent
+        &self.holder.persistent
     }
 
     /// The home arbiter (arbiter-based activation state), read by the
@@ -170,7 +153,7 @@ impl TokenMem {
     /// Sum of per-block recreation serials — a monotone measure of how
     /// much token-recreation churn this home has performed.
     pub fn serial_sum(&self) -> u64 {
-        self.serials.values().map(|&s| s as u64).sum()
+        self.holder.serial_sum()
     }
 
     /// Blocks with explicit (non-default) state, as `(block, tokens,
@@ -192,35 +175,15 @@ impl TokenMem {
         block: Block,
         bundle: TokenBundle,
     ) {
+        let cfg = &self.holder.cfg;
         let delay = if bundle.data {
             self.stats.data_responses += 1;
-            self.cfg.memctl_latency + self.cfg.dram_latency
+            cfg.memctl_latency + cfg.dram_latency
         } else {
-            self.cfg.memctl_latency
+            cfg.memctl_latency
         };
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::TokensMoved {
-                    block,
-                    from: self.me,
-                    to: dst,
-                    count: bundle.count,
-                    owner: bundle.owner,
-                },
-            );
-        }
-        let serial = self.serial_of(block);
-        ctx.send_after(
-            delay,
-            dst,
-            TokenMsg::Tokens {
-                block,
-                bundle,
-                serial,
-                writeback: false,
-            },
-        );
+        self.holder
+            .send_tokens(ctx, delay, dst, block, bundle, false);
     }
 
     fn grant_with<F>(&mut self, block: Block, f: F) -> Option<TokenBundle>
@@ -251,7 +214,7 @@ impl TokenMem {
     }
 
     fn try_forward(&mut self, block: Block, ctx: &mut Ctx<'_, TokenMsg>) {
-        let Some(req) = self.persistent.active_for(block) else {
+        let Some(req) = self.holder.persistent.active_for(block) else {
             return;
         };
         if let Some(bundle) =
@@ -269,10 +232,10 @@ impl TokenMem {
         ctx: &mut Ctx<'_, TokenMsg>,
     ) {
         // Tokens are reserved while a persistent request is active.
-        if self.persistent.active_for(block).is_some() {
+        if self.holder.persistent.active_for(block).is_some() {
             return;
         }
-        let rules = self.rules;
+        let rules = self.holder.rules;
         if let Some(bundle) = self.grant_with(block, |line, valid| {
             storage_grant(line, kind, &rules, valid)
         }) {
@@ -287,70 +250,40 @@ impl TokenMem {
         serial: u32,
         ctx: &mut Ctx<'_, TokenMsg>,
     ) {
-        let current = self.serial_of(block);
-        if serial < current {
-            // Stale tokens from before a recreation this home performed:
-            // destroy them (the full set was or will be reminted). We are
-            // the block's home, so a stale dirty owner salvages its data
-            // right here.
-            if let Some(t) = &self.trace {
-                t.borrow_mut().record(
-                    ctx.now,
-                    TraceEvent::StaleDiscard {
-                        node: self.me,
-                        block,
-                        count: bundle.count,
-                        owner: bundle.owner,
-                        serial,
-                    },
-                );
-            }
-            return;
-        }
         debug_assert!(
-            serial == current,
+            serial <= self.serial_of(block),
             "tokens under a serial this authority never minted"
         );
+        // Stale tokens from before a recreation this home performed are
+        // destroyed (the full set was or will be reminted).
+        if !self.holder.accept(block, bundle, serial, ctx) {
+            return;
+        }
         debug_assert!(
             !self.recreating.contains_key(&block),
             "current-serial tokens cannot exist before the remint"
         );
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::TokensDelivered {
-                    block,
-                    node: self.me,
-                    count: bundle.count,
-                    owner: bundle.owner,
-                },
-            );
-        }
         self.stats.writebacks += 1;
         let mut ml = self.line(block);
         ml.tokens += bundle.count;
         if bundle.owner {
             ml.owner = true; // dirty data updates memory on arrival
         }
-        debug_assert!(ml.tokens <= self.cfg.tokens_per_block, "token inflation");
+        debug_assert!(
+            ml.tokens <= self.holder.cfg.tokens_per_block,
+            "token inflation"
+        );
         self.store(block, ml);
         self.try_forward(block, ctx);
     }
 
     fn broadcast_arb(&mut self, msg: TokenMsg, ctx: &mut Ctx<'_, TokenMsg>) {
-        let others = self.layout.all_coherence_nodes();
-        ctx.send_all_after(
-            self.cfg.memctl_latency,
-            others.filter(|&n| n != self.me),
-            msg,
-        );
+        let me = self.holder.me;
+        let others = self.holder.layout.all_coherence_nodes();
+        let delay = self.holder.cfg.memctl_latency;
+        ctx.send_all_after(delay, others.filter(|&n| n != me), msg);
         // Apply to our own table as well.
-        if let Some(block) = self.persistent.apply(&msg) {
-            if let Some(t) = &self.trace {
-                if let Some(ev) = crate::common::table_apply_event(&msg, self.me) {
-                    t.borrow_mut().record(ctx.now, ev);
-                }
-            }
+        if let Some(block) = self.holder.apply_table(&msg, ctx.now) {
             self.try_forward(block, ctx);
         }
     }
@@ -363,19 +296,13 @@ impl TokenMem {
         ctx: &mut Ctx<'_, TokenMsg>,
     ) {
         debug_assert_eq!(
-            self.cfg.home_of(block),
+            self.holder.cfg.home_of(block),
             self.cmp,
             "arbiter request routed to the wrong home"
         );
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::ArbRequest {
-                    block,
-                    proc: req.proc,
-                },
-            );
-        }
+        let proc = req.proc;
+        self.holder
+            .record(ctx.now, || TraceEvent::ArbRequest { block, proc });
         if let Some((b, r, e)) = self.arbiter.enqueue(block, req, epoch) {
             self.stats.arb_activations += 1;
             self.broadcast_arb(
@@ -402,10 +329,8 @@ impl TokenMem {
         // activate the next one (the indirection the paper's Figure 2
         // shows hurting under contention). A request satisfied before
         // activation is withdrawn from the queue instead.
-        if let Some(t) = &self.trace {
-            t.borrow_mut()
-                .record(ctx.now, TraceEvent::ArbDone { block, proc });
-        }
+        self.holder
+            .record(ctx.now, || TraceEvent::ArbDone { block, proc });
         let next = self.arbiter.complete(block, proc, epoch);
         self.broadcast_arb(TokenMsg::ArbDeactivate { block, proc, epoch }, ctx);
         if let Some((b, r, e)) = next {
@@ -429,7 +354,7 @@ impl TokenMem {
     /// waits for every ack plus a drain window (phase two, [`Self::on_wake`]).
     fn handle_recreate_request(&mut self, block: Block, serial: u32, ctx: &mut Ctx<'_, TokenMsg>) {
         debug_assert_eq!(
-            self.cfg.home_of(block),
+            self.holder.cfg.home_of(block),
             self.cmp,
             "recreation request routed to the wrong home"
         );
@@ -444,32 +369,27 @@ impl TokenMem {
             return;
         }
         debug_assert!(serial == current, "requester ahead of the authority");
-        let new_serial = current + 1;
-        self.serials.insert(block, new_serial);
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::RecreationStart {
-                    block,
-                    serial: new_serial,
-                },
-            );
-        }
+        let serial = self.holder.bump_serial(block);
+        let holder = &self.holder;
+        holder.record(ctx.now, || TraceEvent::RecreationStart { block, serial });
         // Our own holdings are old-serial too: destroy them now (the
         // remint restores the full set, and memory's data stays ours).
         let ml = self.line(block);
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::EpochInval {
-                    node: self.me,
-                    block,
-                    serial: new_serial,
-                    discarded: ml.tokens,
-                    owner: ml.owner,
-                },
-            );
-        }
+        holder.record(ctx.now, || TraceEvent::EpochInval {
+            node: holder.me,
+            block,
+            serial,
+            discarded: ml.tokens,
+            owner: ml.owner,
+        });
+        let msg = TokenMsg::RecreateInval { block, serial };
+        let me = holder.me;
+        let others = holder
+            .layout
+            .all_coherence_nodes()
+            .filter(move |&n| n != me);
+        let awaiting = others.clone().count() as u32;
+        ctx.send_all_after(holder.cfg.memctl_latency, others, msg);
         self.store(
             block,
             MemLine {
@@ -477,85 +397,26 @@ impl TokenMem {
                 owner: false,
             },
         );
-        let msg = TokenMsg::RecreateInval {
-            block,
-            serial: new_serial,
-        };
-        let me = self.me;
-        let others = self.layout.all_coherence_nodes().filter(move |&n| n != me);
-        let awaiting = others.clone().count() as u32;
-        ctx.send_all_after(self.cfg.memctl_latency, others, msg);
-        self.recreating.insert(
-            block,
-            Recreation {
-                serial: new_serial,
-                awaiting,
-            },
-        );
+        self.recreating
+            .insert(block, Recreation { serial, awaiting });
     }
 
     /// A coherence node acked the invalidate: it has adopted the new
     /// serial and will discard any old-serial tokens at receipt. Once all
     /// acks are in, wait out the drain window before reminting.
-    fn handle_recreate_ack(
-        &mut self,
-        block: Block,
-        serial: u32,
-        had_dirty_owner: bool,
-        ctx: &mut Ctx<'_, TokenMsg>,
-    ) {
+    fn handle_recreate_ack(&mut self, block: Block, serial: u32, ctx: &mut Ctx<'_, TokenMsg>) {
         let Some(rec) = self.recreating.get_mut(&block) else {
             return;
         };
         if rec.serial != serial {
             return;
         }
-        // A `had_dirty_owner` ack travels alongside a StaleDataReturn,
-        // which is where the salvage is counted.
-        let _ = had_dirty_owner;
         rec.awaiting -= 1;
         if rec.awaiting == 0 {
             let drain = self.recovery.map(|r| r.drain).unwrap_or(Dur::ZERO);
             debug_assert!(block.0 < u64::MAX, "block id fits the wake tag");
             ctx.wake_in(drain, block.0);
         }
-    }
-
-    /// A recreation invalidate from another home's recreation. This
-    /// controller holds no tokens for foreign blocks; just ack so the
-    /// initiating authority's barrier completes.
-    fn handle_recreate_inval(
-        &mut self,
-        src: NodeId,
-        block: Block,
-        serial: u32,
-        ctx: &mut Ctx<'_, TokenMsg>,
-    ) {
-        debug_assert_ne!(
-            self.cfg.home_of(block),
-            self.cmp,
-            "a home never invalidates itself over the network"
-        );
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::EpochInval {
-                    node: self.me,
-                    block,
-                    serial,
-                    discarded: 0,
-                    owner: false,
-                },
-            );
-        }
-        ctx.send(
-            src,
-            TokenMsg::RecreateAck {
-                block,
-                serial,
-                had_dirty_owner: false,
-            },
-        );
     }
 }
 
@@ -597,25 +458,24 @@ impl Component<TokenMsg> for TokenMem {
             | TokenMsg::PersistentDeactivate { .. }
             | TokenMsg::ArbActivate { .. }
             | TokenMsg::ArbDeactivate { .. } => {
-                if let Some(block) = self.persistent.apply(&msg) {
-                    if let Some(t) = &self.trace {
-                        if let Some(ev) = crate::common::table_apply_event(&msg, self.me) {
-                            t.borrow_mut().record(ctx.now, ev);
-                        }
-                    }
+                if let Some(block) = self.holder.apply_table(&msg, ctx.now) {
                     self.try_forward(block, ctx);
                 }
             }
-            TokenMsg::RecreateRequest { block, serial, .. } => {
+            TokenMsg::RecreateRequest { block, serial } => {
                 self.handle_recreate_request(block, serial, ctx)
             }
-            TokenMsg::RecreateAck {
-                block,
-                serial,
-                had_dirty_owner,
-            } => self.handle_recreate_ack(block, serial, had_dirty_owner, ctx),
+            TokenMsg::RecreateAck { block, serial } => self.handle_recreate_ack(block, serial, ctx),
             TokenMsg::RecreateInval { block, serial } => {
-                self.handle_recreate_inval(src, block, serial, ctx)
+                // Another home's recreation: this controller holds no
+                // tokens for foreign blocks, so it only acks, which
+                // completes that authority's barrier.
+                debug_assert_ne!(
+                    self.holder.cfg.home_of(block),
+                    self.cmp,
+                    "a home never invalidates itself over the network"
+                );
+                self.holder.ack_inval(src, block, serial, None, ctx);
             }
             TokenMsg::StaleDataReturn { .. } => {
                 // The salvaged dirty data lands in memory; this model
@@ -638,20 +498,14 @@ impl Component<TokenMsg> for TokenMem {
         self.store(
             block,
             MemLine {
-                tokens: self.cfg.tokens_per_block,
+                tokens: self.holder.cfg.tokens_per_block,
                 owner: true,
             },
         );
         self.stats.recreations += 1;
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record(
-                ctx.now,
-                TraceEvent::RecreationDone {
-                    block,
-                    serial: rec.serial,
-                },
-            );
-        }
+        let serial = rec.serial;
+        self.holder
+            .record(ctx.now, || TraceEvent::RecreationDone { block, serial });
         self.try_forward(block, ctx);
     }
 
@@ -663,7 +517,7 @@ impl Component<TokenMsg> for TokenMem {
 impl std::fmt::Debug for TokenMem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TokenMem")
-            .field("me", &self.me)
+            .field("me", &self.holder.me)
             .field("cmp", &self.cmp)
             .field("explicit_blocks", &self.blocks.len())
             .finish()

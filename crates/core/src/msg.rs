@@ -157,8 +157,6 @@ pub enum TokenMsg {
     RecreateRequest {
         /// Block whose tokens starved.
         block: Block,
-        /// The L1 that timed out.
-        requester: NodeId,
         /// The block serial the requester last observed; requests trailing
         /// the authority's current serial are stale and ignored.
         serial: u32,
@@ -172,15 +170,13 @@ pub enum TokenMsg {
         serial: u32,
     },
     /// Coherence node → token authority: inval for `serial` applied; my
-    /// old-serial tokens are destroyed. Reliable.
+    /// old-serial tokens are destroyed (a dirty owner's data went ahead on
+    /// a [`TokenMsg::StaleDataReturn`]). Reliable.
     RecreateAck {
         /// Block being recreated.
         block: Block,
         /// Serial being acknowledged.
         serial: u32,
-        /// True if the discarded holding included a dirty owner token —
-        /// the modified data returns separately on [`TokenMsg::StaleDataReturn`].
-        had_dirty_owner: bool,
     },
     /// Node that discarded a *stale* dirty-owner bundle → home memory:
     /// salvaged modified data going home so the recreated owner token is
@@ -427,7 +423,6 @@ mod tests {
     fn recreation_messages_are_reliable_control_traffic() {
         let req = TokenMsg::RecreateRequest {
             block: Block(7),
-            requester: NodeId(4),
             serial: 1,
         };
         let inval = TokenMsg::RecreateInval {
@@ -437,7 +432,6 @@ mod tests {
         let ack = TokenMsg::RecreateAck {
             block: Block(7),
             serial: 2,
-            had_dirty_owner: false,
         };
         let ret = TokenMsg::StaleDataReturn {
             block: Block(7),

@@ -415,6 +415,7 @@ pub struct ArbNodeTable {
 
 impl ArbNodeTable {
     /// Creates an empty table.
+    #[inline]
     pub fn new() -> ArbNodeTable {
         ArbNodeTable::default()
     }

@@ -7,7 +7,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tokencmp_core::msg::{ReqKind, TokenBundle, TokenMsg};
-use tokencmp_core::{PersistentBook, TokenL1, TokenL2, TokenMem, Variant};
+use tokencmp_core::{MemLine, PersistentBook, TokenL1, TokenL2, TokenMem, Variant};
 use tokencmp_proto::{AccessKind, Block, CpuReq, CpuResp, ProcId, SystemConfig, Unit};
 use tokencmp_sim::{Component, Ctx, Kernel, NodeId, Time};
 
@@ -48,6 +48,22 @@ impl Node {
         match self {
             Node::L1(l1) => l1,
             _ => panic!("not the L1 under test"),
+        }
+    }
+
+    fn mem(&self) -> &TokenMem {
+        match self {
+            Node::Mem(mem) => mem,
+            _ => panic!("not the memory controller under test"),
+        }
+    }
+
+    /// The tokens held by the cache under test, as `(block, tokens, owner)`.
+    fn cache_lines(&self) -> Vec<(Block, u32, bool)> {
+        match self {
+            Node::L1(l1) => l1.token_lines().collect(),
+            Node::L2(l2) => l2.token_lines().collect(),
+            _ => panic!("not the cache under test"),
         }
     }
 }
@@ -113,6 +129,25 @@ fn bundle(count: u32, owner: bool, data: bool, dirty: bool) -> TokenBundle {
 
 fn cfg() -> Rc<SystemConfig> {
     Rc::new(SystemConfig::small_test())
+}
+
+/// Delivers `msg` from `src` to `dst` and runs until the queue drains.
+fn deliver(k: &mut TestKernel, src: NodeId, dst: NodeId, msg: TokenMsg) {
+    k.inject(src, dst, msg);
+    k.run_to_completion();
+}
+
+/// How many messages the recorders have logged so far.
+fn log_len(log: &Log) -> usize {
+    log.borrow().len()
+}
+
+/// The messages logged after the first `from`, as `(receiver, msg)`.
+fn logged_since(log: &Log, from: usize) -> Vec<(NodeId, TokenMsg)> {
+    log.borrow()[from..]
+        .iter()
+        .map(|&(me, _, _, m)| (me, m))
+        .collect()
 }
 
 // ---- L1 -------------------------------------------------------------------------
@@ -710,4 +745,189 @@ fn memory_arbiter_serializes_and_hands_off() {
         })
         .collect();
     assert!(second.contains(&ProcId(1)), "handoff to the queued request");
+}
+
+// ---- token-loss recovery (§15) --------------------------------------------------
+
+/// Runs a recreation round from `block`'s home memory against the cache
+/// under test at `cache`, which holds `block`'s dirty owner token, and
+/// checks every message the cache sends: the invalidate salvages the data
+/// and acks, a repeat of it (a reordered ghost) is ignored, and bundles
+/// minted under the old serial are destroyed on arrival.
+fn check_recreation_at_cache(cfg: &SystemConfig, k: &mut TestKernel, log: &Log, cache: NodeId) {
+    let layout = cfg.layout();
+    let block = Block(0x40);
+    let home = layout.mem(cfg.home_of(block));
+    let inval = TokenMsg::RecreateInval { block, serial: 1 };
+    let from = log_len(log);
+    deliver(k, home, cache, inval);
+    let sent = logged_since(log, from);
+    assert!(
+        matches!(
+            sent[..],
+            [
+                (to_data, TokenMsg::StaleDataReturn { block: b1, serial: 1 }),
+                (to_ack, TokenMsg::RecreateAck { block: b2, serial: 1, .. }),
+            ] if to_data == home && to_ack == home && b1 == block && b2 == block
+        ),
+        "a dirty owner salvages its data to the sender, then acks: {sent:?}"
+    );
+    assert_eq!(k.nodes()[cache.index()].cache_lines(), vec![]);
+
+    let from = log_len(log);
+    deliver(k, home, cache, inval);
+    assert_eq!(
+        logged_since(log, from),
+        vec![],
+        "a ghost inval sends nothing"
+    );
+
+    // Serial-0 bundles: a dirty owner's data goes home, a clean bundle
+    // vanishes, and neither is kept.
+    let peer = layout.l2(tokencmp_proto::CmpId(1), 0);
+    let stale = |owner, dirty| TokenMsg::Tokens {
+        block,
+        bundle: bundle(3, owner, owner, dirty),
+        serial: 0,
+        writeback: false,
+    };
+    let from = log_len(log);
+    deliver(k, peer, cache, stale(true, true));
+    assert_eq!(
+        logged_since(log, from),
+        vec![(home, TokenMsg::StaleDataReturn { block, serial: 0 })]
+    );
+    let from = log_len(log);
+    deliver(k, peer, cache, stale(false, false));
+    assert_eq!(logged_since(log, from), vec![]);
+    assert_eq!(k.nodes()[cache.index()].cache_lines(), vec![]);
+}
+
+#[test]
+fn l1_recreation_salvages_a_dirty_owner_and_destroys_stale_bundles() {
+    let cfg = cfg();
+    let layout = cfg.layout();
+    let p = ProcId(0);
+    let (mut k, log, l1) = build(&cfg, Unit::L1D(p), Variant::Dst1);
+    let block = Block(0x40);
+    // Complete a store: the L1 then holds every token, dirty.
+    k.inject(
+        layout.proc(p),
+        l1,
+        TokenMsg::Cpu(CpuReq::Access {
+            kind: AccessKind::Store,
+            block,
+        }),
+    );
+    k.run(10_000, Time::from_ns(20));
+    let all = bundle(cfg.tokens_per_block, true, true, false);
+    let tokens = TokenMsg::Tokens {
+        block,
+        bundle: all,
+        serial: 0,
+        writeback: false,
+    };
+    deliver(&mut k, layout.mem(cfg.home_of(block)), l1, tokens);
+    assert_eq!(
+        k.nodes()[l1.index()].cache_lines(),
+        vec![(block, cfg.tokens_per_block, true)]
+    );
+    check_recreation_at_cache(&cfg, &mut k, &log, l1);
+}
+
+#[test]
+fn l2_recreation_salvages_a_dirty_owner_and_destroys_stale_bundles() {
+    let cfg = cfg();
+    let layout = cfg.layout();
+    let (mut k, log, l2) = build(
+        &cfg,
+        Unit::L2Bank(tokencmp_proto::CmpId(0), 0),
+        Variant::Dst1,
+    );
+    let block = Block(0x40);
+    // A local L1 writes back a dirty line with every token.
+    let writeback = TokenMsg::Tokens {
+        block,
+        bundle: bundle(cfg.tokens_per_block, true, true, true),
+        serial: 0,
+        writeback: true,
+    };
+    deliver(&mut k, layout.l1d(ProcId(0)), l2, writeback);
+    assert_eq!(
+        k.nodes()[l2.index()].cache_lines(),
+        vec![(block, cfg.tokens_per_block, true)]
+    );
+    check_recreation_at_cache(&cfg, &mut k, &log, l2);
+}
+
+#[test]
+fn memory_recreation_destroys_stale_bundles_in_place() {
+    let cfg = cfg();
+    let layout = cfg.layout();
+    let block = Block(0x44);
+    let (mut k, log, mem) = build(&cfg, Unit::Mem(cfg.home_of(block)), Variant::Dst1);
+    let requester = layout.l1d(ProcId(0));
+    let request = TokenMsg::RecreateRequest { block, serial: 0 };
+    deliver(&mut k, requester, mem, request);
+    let invals = logged_since(&log, 0)
+        .into_iter()
+        .filter(|&(_, m)| m == TokenMsg::RecreateInval { block, serial: 1 })
+        .count();
+    assert_eq!(invals, layout.all_coherence_nodes().count() - 1);
+    let home = k.nodes()[mem.index()].mem();
+    assert_eq!(home.serial_of(block), 1);
+    assert_eq!(
+        home.line(block),
+        MemLine {
+            tokens: 0,
+            owner: false
+        }
+    );
+
+    // A serial-0 dirty owner is destroyed at the home, which salvages its
+    // data in place: nothing is sent, not even to itself.
+    let from = log_len(&log);
+    let events = k.events_processed();
+    let stale = TokenMsg::Tokens {
+        block,
+        bundle: bundle(3, true, true, true),
+        serial: 0,
+        writeback: true,
+    };
+    deliver(&mut k, layout.l2(tokencmp_proto::CmpId(0), 0), mem, stale);
+    assert_eq!(logged_since(&log, from), vec![]);
+    assert_eq!(k.events_processed(), events + 1, "only the delivery ran");
+    let home = k.nodes()[mem.index()].mem();
+    assert_eq!(
+        home.line(block),
+        MemLine {
+            tokens: 0,
+            owner: false
+        }
+    );
+}
+
+#[test]
+fn memory_acks_a_foreign_recreation_without_adopting_its_serial() {
+    let cfg = cfg();
+    let layout = cfg.layout();
+    let block = Block(0x44);
+    let home = layout.mem(cfg.home_of(block));
+    let other = tokencmp_proto::CmpId(1 - cfg.home_of(block).0);
+    let (mut k, log, mem) = build(&cfg, Unit::Mem(other), Variant::Dst1);
+    deliver(
+        &mut k,
+        home,
+        mem,
+        TokenMsg::RecreateInval { block, serial: 1 },
+    );
+    let sent = logged_since(&log, 0);
+    assert!(
+        matches!(
+            sent[..],
+            [(to, TokenMsg::RecreateAck { block: b, serial: 1, .. })] if to == home && b == block
+        ),
+        "a foreign invalidate is acked: {sent:?}"
+    );
+    assert_eq!(k.nodes()[mem.index()].mem().serial_of(block), 0);
 }

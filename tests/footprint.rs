@@ -9,12 +9,12 @@
 //! coherence nodes, kept in one shared book: their bytes track live
 //! requesters, not the 1024 processors, and each activation is stored
 //! once rather than at every node. Every L1 controller is paid for
-//! 2,048 times over, so its inline size has a budget too. These budgets
-//! are documented in DESIGN.md §18; the tests here hold the
-//! implementation to them.
+//! 2,048 times over and every L2 bank 1,024 times, so the inline size of
+//! each token node has a budget too. These budgets are documented in
+//! DESIGN.md §18; the tests here hold the implementation to them.
 
 use tokencmp::cache::SetAssoc;
-use tokencmp::core::{PersistentBook, TokenL1};
+use tokencmp::core::{PersistentBook, TokenL1, TokenL2, TokenMem};
 use tokencmp::directory::DirL1;
 use tokencmp::proto::{Layout, ProcId};
 use tokencmp::{Block, Fabric, ReqKind, SystemConfig};
@@ -276,5 +276,27 @@ fn l1_controllers_fit_their_node_size_budget() {
         dir <= DIR_L1_BUDGET,
         "DirL1 is {dir} B, over its {DIR_L1_BUDGET} B budget: look first at \
          `DirL1Stats`, which every L1 keeps inline"
+    );
+}
+
+/// DESIGN.md §18 inline-size budgets of one L2 bank and one memory
+/// controller of TokenCMP, in bytes.
+const TOKEN_L2_BUDGET: usize = 448;
+const TOKEN_MEM_BUDGET: usize = 448;
+
+#[test]
+fn l2_and_memory_controllers_fit_their_node_size_budget() {
+    // Both embed the token-holder core the L1 does; nesting a shared
+    // struct can add padding, which these budgets catch.
+    let l2 = std::mem::size_of::<TokenL2>();
+    let mem = std::mem::size_of::<TokenMem>();
+    println!("TokenL2 {l2} B, TokenMem {mem} B");
+    assert!(
+        l2 <= TOKEN_L2_BUDGET,
+        "TokenL2 is {l2} B, over its {TOKEN_L2_BUDGET} B budget"
+    );
+    assert!(
+        mem <= TOKEN_MEM_BUDGET,
+        "TokenMem is {mem} B, over its {TOKEN_MEM_BUDGET} B budget"
     );
 }

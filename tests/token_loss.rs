@@ -7,11 +7,16 @@
 //! intact. With the tier disabled, every protocol must remain
 //! bit-identical to a build that never heard of recovery.
 
-use tokencmp::conform::{run_conform, ConformWork, FaultTier, Mutation};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use tokencmp::conform::{run_conform, token_lossy_plan, ConformWork, FaultTier, Mutation};
 use tokencmp::litmus::{classic_shapes, differential_check, shapes, DiffOptions};
+use tokencmp::proto::Unit;
 use tokencmp::{
-    run_workload, BarrierWorkload, Dur, FaultPlan, LockingWorkload, Protocol, RunOptions,
-    RunOutcome, RunResult, SystemConfig, Variant,
+    run_workload, run_workload_traced, BarrierWorkload, CommercialParams, CommercialWorkload, Dur,
+    FaultPlan, Layout, LockingWorkload, Protocol, RunOptions, RunOutcome, RunResult, SystemConfig,
+    Time, TraceEvent, TraceSink, Variant,
 };
 
 #[path = "common/mod.rs"]
@@ -299,4 +304,95 @@ fn per_class_fault_counters_break_out_the_aggregate() {
     // Recreation handshake and dirty-owner traffic is never droppable.
     assert_eq!(res.counters.counter("net.fault.dropped.persistent"), 0);
     assert_eq!(res.counters.counter("net.fault.dropped.unblock"), 0);
+}
+
+/// A trace sink that keeps an FNV-1a digest over every record's time and
+/// event (in `Debug` form) instead of the records, plus counts of the
+/// recovery events the pins below must reach.
+struct StreamDigest {
+    layout: Layout,
+    hash: u64,
+    records: u64,
+    /// `EpochInval` records that destroyed held tokens at an L1.
+    held_invals_l1: u64,
+    /// `EpochInval` records that destroyed held tokens at an L2 bank.
+    held_invals_l2: u64,
+    /// `StaleDiscard` records.
+    stale_discards: u64,
+}
+
+impl TraceSink for StreamDigest {
+    fn record(&mut self, at: Time, ev: TraceEvent) {
+        for b in format!("{} {ev:?}\n", at.as_ps()).bytes() {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.records += 1;
+        match ev {
+            TraceEvent::EpochInval {
+                node, discarded, ..
+            } if discarded > 0 => match self.layout.unit(node) {
+                Unit::L1D(_) | Unit::L1I(_) => self.held_invals_l1 += 1,
+                Unit::L2Bank(..) => self.held_invals_l2 += 1,
+                _ => {}
+            },
+            TraceEvent::StaleDiscard { .. } => self.stale_discards += 1,
+            _ => {}
+        }
+    }
+}
+
+/// The full trace stream of OLTP (5 transactions per processor) on the
+/// small test system under the conformance sweep's token-lossy plan.
+fn lossy_oltp_stream(variant: Variant, seed: u64) -> StreamDigest {
+    let cfg = SystemConfig::small_test();
+    let mut params = CommercialParams::oltp();
+    params.txns_per_proc = 5;
+    let w = CommercialWorkload::new(cfg.layout().procs(), params, seed);
+    let opts = RunOptions {
+        seed,
+        ..RunOptions::default()
+    }
+    .with_faults(token_lossy_plan());
+    let sink = Rc::new(RefCell::new(StreamDigest {
+        layout: cfg.layout(),
+        hash: 0xcbf2_9ce4_8422_2325,
+        records: 0,
+        held_invals_l1: 0,
+        held_invals_l2: 0,
+        stale_discards: 0,
+    }));
+    let protocol = Protocol::Token(variant);
+    let (res, _) = run_workload_traced(&cfg, protocol, w, &opts, Some(sink.clone()));
+    assert_eq!(res.outcome, RunOutcome::Idle, "{variant:?} seed {seed}");
+    Rc::try_unwrap(sink)
+        .ok()
+        .expect("the run released its sink")
+        .into_inner()
+}
+
+/// The order of every trace record of a token-lossy run, pinned: the
+/// counter fingerprints see totals, not the order in which controllers
+/// move, discard and invalidate tokens. The arb0 run reaches the
+/// invalidate of held tokens at L1s and at L2 banks; the dst1 run
+/// destroys a stale bundle.
+#[test]
+fn token_lossy_trace_streams_are_pinned() {
+    let arb0 = lossy_oltp_stream(Variant::Arb0, 1);
+    assert!(arb0.held_invals_l1 > 0 && arb0.held_invals_l2 > 0);
+    let dst1 = lossy_oltp_stream(Variant::Dst1, 2);
+    assert!(dst1.stale_discards > 0);
+    for (name, got, want) in [
+        ("arb0 seed 1", &arb0, (129_371, 0x78df_405b_e2d6_5469)),
+        ("dst1 seed 2", &dst1, (51_825, 0x047f_d5da_6fbc_1a5b)),
+    ] {
+        assert!(
+            (got.records, got.hash) == want,
+            "{name}: {} records, digest 0x{:016x}; pinned {} records, 0x{:016x}",
+            got.records,
+            got.hash,
+            want.0,
+            want.1
+        );
+    }
 }

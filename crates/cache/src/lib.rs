@@ -49,6 +49,9 @@ type Page<S> = Box<[Option<LineSlot<S>>]>;
 ///
 /// Set selection uses block-number bits above `index_shift`, so an L2 bank
 /// (which only sees blocks whose low bits select it) can skip its bank bits.
+/// Sets and sets per page are powers of two, so a block's page and its
+/// set's place in the page are a mask and two shifts, and every lookup
+/// scans the set's `ways` contiguous slots once.
 ///
 /// # Example
 ///
@@ -63,26 +66,33 @@ type Page<S> = Box<[Option<LineSlot<S>>]>;
 /// ```
 #[derive(Clone)]
 pub struct SetAssoc<S> {
-    sets: usize,
-    ways: usize,
+    /// `sets - 1`: a block's set is `(block >> index_shift) & set_mask`.
+    set_mask: u64,
     index_shift: u32,
-    /// Lazily-allocated slot pages; `pages[p]` covers slot indices
-    /// `[p * page_slots, (p + 1) * page_slots)`. `None` until a block
-    /// first maps into the page.
+    ways: u32,
+    /// Log2 of the sets per page: set `s` lives in page `s >> page_shift`.
+    page_shift: u32,
+    /// Log2 of a page's stride in slot ids (`page << slot_shift | offset`,
+    /// the form the live list stores): the smallest power of two that
+    /// holds a page's slots.
+    slot_shift: u32,
+    /// Lazily-allocated slot pages of `ways << page_shift` slots each: a
+    /// whole number of sets, so one set never straddles pages. `None`
+    /// until a block first maps into the page.
     pages: Vec<Option<Page<S>>>,
-    /// Slots per page: a whole number of sets, so one set never
-    /// straddles pages.
-    page_slots: usize,
     stamp: u64,
     occupied: usize,
-    /// Occupied slot indices, unordered. Together with the slots'
-    /// inline `live_pos` this makes [`iter`](SetAssoc::iter)
+    /// Slot ids of the occupied slots, unordered. Together with the
+    /// slots' inline `live_pos` this makes [`iter`](SetAssoc::iter)
     /// O(occupied) instead of O(sets × ways) — a census of a
     /// nearly-empty 8 MB L2 bank must not scan 32 k slots (the
     /// telemetry sampler takes censuses every sample period, and the
     /// conservation audit on every audit step).
     live: Vec<u32>,
 }
+
+/// One set's slots, contiguous within its page.
+type Set<S> = [Option<LineSlot<S>>];
 
 impl<S> SetAssoc<S> {
     /// Creates an empty array of `sets × ways` lines. No slot storage is
@@ -94,77 +104,114 @@ impl<S> SetAssoc<S> {
     pub fn new(sets: usize, ways: usize, index_shift: u32) -> SetAssoc<S> {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
-        assert!(sets * ways < u32::MAX as usize, "array too large");
         // Power-of-two sets per page (dividing `sets` exactly), sized so
         // a page holds about PAGE_SLOT_TARGET slots.
         let sets_per_page = (PAGE_SLOT_TARGET / ways).next_power_of_two().clamp(1, sets);
-        let page_slots = sets_per_page * ways;
+        let slot_shift = (sets_per_page * ways).next_power_of_two().trailing_zeros();
         let n_pages = sets / sets_per_page;
+        assert!(
+            ((n_pages as u64) << slot_shift) < u64::from(u32::MAX),
+            "array too large"
+        );
         let mut pages = Vec::with_capacity(n_pages);
         pages.resize_with(n_pages, || None);
         SetAssoc {
-            sets,
-            ways,
+            set_mask: sets as u64 - 1,
             index_shift,
+            ways: ways as u32,
+            page_shift: sets_per_page.trailing_zeros(),
+            slot_shift,
             pages,
-            page_slots,
             stamp: 0,
             occupied: 0,
             live: Vec::new(),
         }
     }
 
-    /// Shared view of slot `i` (`None` if its page was never touched or
-    /// the slot is free).
+    /// Slots per page.
     #[inline]
-    fn slot(&self, i: usize) -> Option<&LineSlot<S>> {
-        self.pages[i / self.page_slots]
-            .as_deref()
-            .and_then(|p| p[i % self.page_slots].as_ref())
+    fn page_slots(&self) -> usize {
+        (self.ways as usize) << self.page_shift
     }
 
-    /// Mutable view of slot `i`'s occupant (no page allocation).
+    /// The page holding `block`'s set, and the set's slots in that page.
     #[inline]
-    fn slot_mut(&mut self, i: usize) -> Option<&mut LineSlot<S>> {
-        self.pages[i / self.page_slots]
-            .as_deref_mut()
-            .and_then(|p| p[i % self.page_slots].as_mut())
+    fn locate(&self, block: Block) -> (usize, std::ops::Range<usize>) {
+        let set = ((block.0 >> self.index_shift) & self.set_mask) as usize;
+        let ways = self.ways as usize;
+        let start = (set & ((1 << self.page_shift) - 1)) * ways;
+        (set >> self.page_shift, start..start + ways)
     }
 
-    /// Mutable access to slot `i`'s cell, allocating its page on first
-    /// touch.
+    /// The slot id of slot `offset` of page `page`.
     #[inline]
-    fn cell_mut(&mut self, i: usize) -> &mut Option<LineSlot<S>> {
-        let (pi, off) = (i / self.page_slots, i % self.page_slots);
-        let slots = self.page_slots;
-        let page = self.pages[pi].get_or_insert_with(|| {
-            let mut v = Vec::with_capacity(slots);
-            v.resize_with(slots, || None);
-            v.into_boxed_slice()
-        });
-        &mut page[off]
+    fn slot_id(&self, page: usize, offset: usize) -> u32 {
+        ((page << self.slot_shift) | offset) as u32
     }
 
-    /// Records slot `i` as freed (swap-remove from the live list).
-    /// Callers take the slot's occupant afterwards.
+    /// The page and in-page offset of slot id `id`.
     #[inline]
-    fn mark_free(&mut self, i: usize) {
-        let p = self.slot(i).expect("freeing a free slot").live_pos as usize;
-        let last = self.live.pop().expect("live list non-empty");
-        if last as usize != i {
-            self.live[p] = last;
-            self.slot_mut(last as usize).expect("live slot").live_pos = p as u32;
-        }
+    fn unpack(&self, id: u32) -> (usize, usize) {
+        let id = id as usize;
+        (id >> self.slot_shift, id & ((1 << self.slot_shift) - 1))
+    }
+
+    /// The occupied slot with id `id`, as the live list records it.
+    #[inline]
+    fn live_slot(&self, id: u32) -> &LineSlot<S> {
+        let (page, offset) = self.unpack(id);
+        self.pages[page].as_deref().expect("live page")[offset]
+            .as_ref()
+            .expect("live slot")
+    }
+
+    /// Mutable [`live_slot`](SetAssoc::live_slot).
+    #[inline]
+    fn live_slot_mut(&mut self, id: u32) -> &mut LineSlot<S> {
+        let (page, offset) = self.unpack(id);
+        self.pages[page].as_deref_mut().expect("live page")[offset]
+            .as_mut()
+            .expect("live slot")
+    }
+
+    /// `block`'s set (`None` if its page was never touched, so the set
+    /// is empty).
+    #[inline]
+    fn set_of(&self, block: Block) -> Option<&Set<S>> {
+        let (page, ways) = self.locate(block);
+        Some(&self.pages[page].as_deref()?[ways])
+    }
+
+    /// The line holding `block`, if resident.
+    #[inline]
+    fn line(&self, block: Block) -> Option<&LineSlot<S>> {
+        self.set_of(block)?
+            .iter()
+            .flatten()
+            .find(|l| l.block == block)
+    }
+
+    /// The line holding `block`, if resident, marked most-recently-used.
+    #[inline]
+    fn touch(&mut self, block: Block) -> Option<&mut LineSlot<S>> {
+        let (page, ways) = self.locate(block);
+        let line = self.pages[page].as_deref_mut()?[ways]
+            .iter_mut()
+            .flatten()
+            .find(|l| l.block == block)?;
+        self.stamp += 1;
+        line.stamp = self.stamp;
+        Some(line)
     }
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.set_mask as usize + 1
     }
 
     /// Associativity.
     pub fn ways(&self) -> usize {
-        self.ways
+        self.ways as usize
     }
 
     /// Number of occupied lines.
@@ -182,80 +229,48 @@ impl<S> SetAssoc<S> {
     /// the live-index capacity. The footprint regression suite holds
     /// this under budget for sparse 1024-core runs.
     pub fn resident_bytes(&self) -> usize {
-        let page_bytes = self.page_slots * std::mem::size_of::<Option<LineSlot<S>>>();
+        let page_bytes = self.page_slots() * std::mem::size_of::<Option<LineSlot<S>>>();
         std::mem::size_of::<Self>()
             + self.pages.capacity() * std::mem::size_of::<Option<Page<S>>>()
             + self.pages.iter().flatten().count() * page_bytes
             + self.live.capacity() * std::mem::size_of::<u32>()
     }
 
-    #[inline]
-    fn set_of(&self, block: Block) -> usize {
-        ((block.0 >> self.index_shift) % self.sets as u64) as usize
-    }
-
-    #[inline]
-    fn set_range(&self, block: Block) -> std::ops::Range<usize> {
-        let s = self.set_of(block);
-        s * self.ways..(s + 1) * self.ways
-    }
-
-    fn find(&self, block: Block) -> Option<usize> {
-        // An untouched page can't hold the block.
-        let s = self.set_range(block).start;
-        self.pages[s / self.page_slots].as_deref()?;
-        self.set_range(block)
-            .find(|&i| matches!(self.slot(i), Some(l) if l.block == block))
-    }
-
     /// Reads a line's state without updating LRU.
     pub fn peek(&self, block: Block) -> Option<&S> {
-        self.find(block).map(|i| &self.slot(i).unwrap().state)
+        self.line(block).map(|l| &l.state)
     }
 
     /// Reads a line's state, marking it most-recently-used.
     pub fn get(&mut self, block: Block) -> Option<&S> {
-        let i = self.find(block)?;
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let slot = self.slot_mut(i).unwrap();
-        slot.stamp = stamp;
-        Some(&self.slot(i).unwrap().state)
+        self.touch(block).map(|l| &l.state)
     }
 
     /// Mutable access to a line's state, marking it most-recently-used.
     pub fn get_mut(&mut self, block: Block) -> Option<&mut S> {
-        let i = self.find(block)?;
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let slot = self.slot_mut(i).unwrap();
-        slot.stamp = stamp;
-        Some(&mut slot.state)
+        self.touch(block).map(|l| &mut l.state)
     }
 
     /// True if the block is resident (no LRU update).
     pub fn contains(&self, block: Block) -> bool {
-        self.find(block).is_some()
+        self.line(block).is_some()
     }
 
     /// The block that would be evicted if `block` were inserted now
     /// (`None` if `block` is resident or a free way exists).
     pub fn victim_of(&self, block: Block) -> Option<Block> {
-        if self.contains(block) {
-            return None;
-        }
-        let mut lru: Option<(u64, Block)> = None;
-        for i in self.set_range(block) {
-            match self.slot(i) {
-                None => return None,
-                Some(l) => {
-                    if lru.is_none_or(|(s, _)| l.stamp < s) {
-                        lru = Some((l.stamp, l.block));
-                    }
-                }
+        let mut lru: Option<&LineSlot<S>> = None;
+        // An untouched page and a free way both leave room.
+        for way in self.set_of(block)? {
+            let l = way.as_ref()?;
+            if l.block == block {
+                return None;
+            }
+            if lru.is_none_or(|v| l.stamp < v.stamp) {
+                lru = Some(l);
             }
         }
-        lru.map(|(_, b)| b)
+        lru.map(|l| l.block)
     }
 
     /// Inserts (or updates) a line, evicting the LRU line of the set if
@@ -263,43 +278,48 @@ impl<S> SetAssoc<S> {
     pub fn insert(&mut self, block: Block, state: S) -> InsertOutcome<S> {
         self.stamp += 1;
         let stamp = self.stamp;
-        if let Some(i) = self.find(block) {
-            let slot = self.slot_mut(i).unwrap();
-            slot.stamp = stamp;
-            let old = std::mem::replace(&mut slot.state, state);
-            return InsertOutcome::Replaced(old);
-        }
-        let range = self.set_range(block);
+        let (page, ways) = self.locate(block);
+        let id = self.slot_id(page, ways.start);
+        let page_slots = self.page_slots();
+        let set = &mut self.pages[page].get_or_insert_with(|| {
+            let mut v = Vec::with_capacity(page_slots);
+            v.resize_with(page_slots, || None);
+            v.into_boxed_slice()
+        })[ways];
+        // One pass: the block's own way, else the first free way, else
+        // the least recently used one.
         let mut free = None;
         let mut lru: Option<(u64, usize)> = None;
-        for i in range {
-            match self.slot(i) {
-                None => {
-                    free = Some(i);
-                    break;
+        for (w, way) in set.iter_mut().enumerate() {
+            match way {
+                Some(l) if l.block == block => {
+                    l.stamp = stamp;
+                    return InsertOutcome::Replaced(std::mem::replace(&mut l.state, state));
                 }
                 Some(l) => {
                     if lru.is_none_or(|(s, _)| l.stamp < s) {
-                        lru = Some((l.stamp, i));
+                        lru = Some((l.stamp, w));
                     }
+                }
+                None => {
+                    free.get_or_insert(w);
                 }
             }
         }
-        if let Some(i) = free {
-            let live_pos = self.live.len() as u32;
-            *self.cell_mut(i) = Some(LineSlot {
+        if let Some(w) = free {
+            set[w] = Some(LineSlot {
                 block,
                 state,
                 stamp,
-                live_pos,
+                live_pos: self.live.len() as u32,
             });
             self.occupied += 1;
-            self.live.push(i as u32);
+            self.live.push(id + w as u32);
             return InsertOutcome::Inserted;
         }
-        let (_, i) = lru.expect("ways > 0");
+        let (_, w) = lru.expect("ways > 0");
         // The victim's slot (and live-list entry) pass to the new line.
-        let slot = self.slot_mut(i).unwrap();
+        let slot = set[w].as_mut().expect("occupied way");
         let live_pos = slot.live_pos;
         let old = std::mem::replace(
             slot,
@@ -315,17 +335,28 @@ impl<S> SetAssoc<S> {
 
     /// Removes a line, returning its state.
     pub fn remove(&mut self, block: Block) -> Option<S> {
-        let i = self.find(block)?;
+        let (page, ways) = self.locate(block);
+        let id = self.slot_id(page, ways.start);
+        let set = &mut self.pages[page].as_deref_mut()?[ways];
+        let w = set
+            .iter()
+            .position(|way| way.as_ref().is_some_and(|l| l.block == block))?;
+        let line = set[w].take().expect("resident way");
         self.occupied -= 1;
-        self.mark_free(i);
-        Some(self.cell_mut(i).take().unwrap().state)
+        // Swap-remove the slot from the live list.
+        let last = self.live.pop().expect("live list non-empty");
+        if last != id + w as u32 {
+            self.live[line.live_pos as usize] = last;
+            self.live_slot_mut(last).live_pos = line.live_pos;
+        }
+        Some(line.state)
     }
 
     /// Iterates occupied lines in arbitrary order. O(occupied), not
     /// O(sets × ways): censuses of sparse arrays are cheap.
     pub fn iter(&self) -> impl Iterator<Item = (Block, &S)> {
-        self.live.iter().map(|&i| {
-            let l = self.slot(i as usize).expect("live slot");
+        self.live.iter().map(|&id| {
+            let l = self.live_slot(id);
             (l.block, &l.state)
         })
     }
@@ -344,7 +375,7 @@ impl<S> SetAssoc<S> {
 impl<S: fmt::Debug> fmt::Debug for SetAssoc<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SetAssoc")
-            .field("sets", &self.sets)
+            .field("sets", &self.sets())
             .field("ways", &self.ways)
             .field("occupied", &self.occupied)
             .field("pages", &self.pages.iter().flatten().count())
@@ -517,67 +548,115 @@ mod tests {
         let _: SetAssoc<u8> = SetAssoc::new(4, 0, 0);
     }
 
+    /// Replays `(op, block)` pairs on `sut` and on a naive per-set LRU
+    /// model in which block `n` maps to set `set_of(n)`: op 0 inserts,
+    /// 1 gets, 2 removes, 3 peeks (no LRU update) and 4 writes through
+    /// `get_mut`. Before every insert, `victim_of` must name the block the
+    /// insert then evicts, or `None` when it evicts nothing.
+    fn replay_against_model(
+        mut sut: SetAssoc<u64>,
+        set_of: impl Fn(u64) -> u64,
+        ops: &[(u8, u64)],
+    ) {
+        use std::collections::HashMap;
+        let ways = sut.ways();
+        // reference: per-set Vec<(block, state)> in LRU order (front = LRU)
+        let mut model: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+        for &(op, n) in ops {
+            let b = Block(n);
+            let entry = model.entry(set_of(n)).or_default();
+            let pos = entry.iter().position(|&(blk, _)| blk == n);
+            match op {
+                0 => {
+                    let predicted = sut.victim_of(b);
+                    let out = sut.insert(b, n + 1000);
+                    let want = if let Some(pos) = pos {
+                        let (_, old) = entry.remove(pos);
+                        InsertOutcome::Replaced(old)
+                    } else if entry.len() < ways {
+                        InsertOutcome::Inserted
+                    } else {
+                        let (vb, vs) = entry.remove(0);
+                        InsertOutcome::Evicted(Block(vb), vs)
+                    };
+                    entry.push((n, n + 1000));
+                    let evicted = match &want {
+                        InsertOutcome::Evicted(vb, _) => Some(*vb),
+                        _ => None,
+                    };
+                    prop_assert_eq!(predicted, evicted, "victim_of({n:#x})");
+                    prop_assert_eq!(out, want);
+                }
+                1 => {
+                    let got = sut.get(b).copied();
+                    let want = pos.map(|pos| {
+                        let e = entry.remove(pos);
+                        entry.push(e);
+                        e.1
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                2 => {
+                    let got = sut.remove(b);
+                    let want = pos.map(|pos| entry.remove(pos).1);
+                    prop_assert_eq!(got, want);
+                }
+                3 => {
+                    let want = pos.map(|pos| entry[pos].1);
+                    prop_assert_eq!(sut.peek(b).copied(), want);
+                    prop_assert_eq!(sut.contains(b), want.is_some());
+                }
+                _ => {
+                    let got = sut.get_mut(b).map(|s| {
+                        *s += 1;
+                        *s
+                    });
+                    let want = pos.map(|pos| {
+                        let mut e = entry.remove(pos);
+                        e.1 += 1;
+                        entry.push(e);
+                        e.1
+                    });
+                    prop_assert_eq!(got, want);
+                }
+            }
+            let model_len: usize = model.values().map(Vec::len).sum();
+            prop_assert_eq!(sut.len(), model_len);
+            // The O(occupied) live index agrees with the model's
+            // resident set after every operation.
+            let mut got: Vec<u64> = sut.iter().map(|(b, _)| b.0).collect();
+            got.sort_unstable();
+            let mut want: Vec<u64> = model.values().flatten().map(|&(blk, _)| blk).collect();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
+        }
+    }
+
     proptest! {
         /// Model-based test: the array agrees with a naive per-set LRU
-        /// model under arbitrary insert/get/remove sequences.
+        /// model under arbitrary operation sequences on one page.
         #[test]
-        fn matches_reference_model(ops in proptest::collection::vec((0u8..3, 0u64..32), 1..200)) {
-            use std::collections::HashMap;
-            const SETS: usize = 4;
-            const WAYS: usize = 2;
-            let mut sut: SetAssoc<u64> = SetAssoc::new(SETS, WAYS, 0);
-            // reference: per-set Vec<(block, state)> in LRU order (front = LRU)
-            let mut model: HashMap<usize, Vec<(u64, u64)>> = HashMap::new();
+        fn matches_reference_model(ops in proptest::collection::vec((0u8..5, 0u64..32), 1..200)) {
+            let sut: SetAssoc<u64> = SetAssoc::new(4, 2, 0);
+            replay_against_model(sut, |n| n % 4, &ops);
+        }
 
-            for (op, n) in ops {
-                let b = Block(n);
-                let set = (n % SETS as u64) as usize;
-                let entry = model.entry(set).or_default();
-                match op {
-                    0 => {
-                        let out = sut.insert(b, n + 1000);
-                        if let Some(pos) = entry.iter().position(|&(blk, _)| blk == n) {
-                            let (_, old) = entry.remove(pos);
-                            entry.push((n, n + 1000));
-                            prop_assert_eq!(out, InsertOutcome::Replaced(old));
-                        } else if entry.len() < WAYS {
-                            entry.push((n, n + 1000));
-                            prop_assert_eq!(out, InsertOutcome::Inserted);
-                        } else {
-                            let (vb, vs) = entry.remove(0);
-                            entry.push((n, n + 1000));
-                            prop_assert_eq!(out, InsertOutcome::Evicted(Block(vb), vs));
-                        }
-                    }
-                    1 => {
-                        let got = sut.get(b).copied();
-                        let want = entry.iter().position(|&(blk, _)| blk == n).map(|pos| {
-                            let e = entry.remove(pos);
-                            entry.push(e);
-                            e.1
-                        });
-                        prop_assert_eq!(got, want);
-                    }
-                    _ => {
-                        let got = sut.remove(b);
-                        let want = entry
-                            .iter()
-                            .position(|&(blk, _)| blk == n)
-                            .map(|pos| entry.remove(pos).1);
-                        prop_assert_eq!(got, want);
-                    }
-                }
-                let model_len: usize = model.values().map(Vec::len).sum();
-                prop_assert_eq!(sut.len(), model_len);
-                // The O(occupied) live index agrees with the model's
-                // resident set after every operation.
-                let mut got: Vec<u64> = sut.iter().map(|(b, _)| b.0).collect();
-                got.sort_unstable();
-                let mut want: Vec<u64> =
-                    model.values().flatten().map(|&(blk, _)| blk).collect();
-                want.sort_unstable();
-                prop_assert_eq!(got, want);
-            }
+        /// The same model on 8 pages of 512 sets × 4 ways with index
+        /// shift 2: keys reach every page, the first and last set of
+        /// each, and the two low bits the shift skips, so page, in-page
+        /// offset and slot-id arithmetic are all compared with the model.
+        #[test]
+        fn matches_reference_model_across_pages(ops in proptest::collection::vec((0u8..5, 0u64..256), 1..400)) {
+            let sut: SetAssoc<u64> = SetAssoc::new(4096, 4, 2);
+            assert_eq!(sut.pages.len(), 8);
+            // Key k: page k % 8, set 0 or 511 of it, one of 4 tags and
+            // one of 4 values of the skipped bits.
+            let block = |k: u64| {
+                let set = (k % 8) * 512 + [0, 511][(k / 8 % 2) as usize];
+                ((k / 16 % 4) << 14) | (set << 2) | (k / 64)
+            };
+            let ops: Vec<(u8, u64)> = ops.into_iter().map(|(op, k)| (op, block(k))).collect();
+            replay_against_model(sut, |n| (n >> 2) & 4095, &ops);
         }
     }
 }

@@ -13,11 +13,10 @@
 //! [`mem`](crate::mem).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use tokencmp_cache::SetAssoc;
-use tokencmp_proto::{Block, Layout, SystemConfig};
+use tokencmp_proto::{Block, IdMap, Layout, SystemConfig};
 use tokencmp_sim::{Ctx, Dur, NodeId, Time};
 use tokencmp_trace::{TraceEvent, TraceHandle};
 
@@ -38,7 +37,7 @@ pub(crate) struct Holder {
     /// block's home memory (the token authority); at a home, the serials
     /// it minted. Absent ⇒ serial 0, so the map stays empty — and serial
     /// handling free — on lossless runs. A serial never decreases.
-    serials: HashMap<Block, u32>,
+    serials: IdMap<Block, u32>,
     /// The run's trace sink, if any (none ⇒ zero tracing work).
     pub(crate) trace: Option<TraceHandle>,
 }
@@ -66,7 +65,7 @@ impl Holder {
                 migratory: cfg.migratory_sharing,
             },
             persistent: PersistentState::new(me, book),
-            serials: HashMap::new(),
+            serials: IdMap::default(),
             trace: None,
             cfg,
         }

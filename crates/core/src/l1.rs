@@ -10,12 +10,10 @@
 //! sequencer to model test-and-test-and-set loops.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use tokencmp_cache::{InsertOutcome, SetAssoc};
-use tokencmp_proto::Block;
-use tokencmp_proto::{AccessKind, CpuReq, CpuResp, ProcId, SystemConfig, Unit};
+use tokencmp_proto::{AccessKind, Block, CpuReq, CpuResp, IdMap, ProcId, SystemConfig, Unit};
 use tokencmp_sim::{Component, Ctx, Dur, Ewma, NodeId, Rng, Time};
 use tokencmp_trace::{LatencyBreakdown, Segment, SegmentParts, TraceEvent, TraceHandle};
 
@@ -92,7 +90,7 @@ pub struct TokenL1 {
     /// A persistent request held back by the wave-marking rule.
     pending_persistent: Option<(Block, ReqKind)>,
     /// Response-delay windows: blocks we will not surrender until the time.
-    locks: HashMap<Block, Time>,
+    locks: IdMap<Block, Time>,
     /// Requests deferred by a response-delay window.
     deferred: Vec<TokenMsg>,
     mem_ewma: Ewma,
@@ -100,7 +98,7 @@ pub struct TokenL1 {
     predictor: Option<ContentionPredictor>,
     /// Destination-set predictor (`dst1-dsp`): the chip that last
     /// supplied tokens for a block.
-    dest_pred: HashMap<Block, tokencmp_proto::CmpId>,
+    dest_pred: IdMap<Block, tokencmp_proto::CmpId>,
     epoch: u64,
     /// Token-loss recovery policy; `None` (the default) on runs whose
     /// fault plan cannot drop tokens — no timer is ever armed then.
@@ -139,11 +137,11 @@ impl TokenL1 {
             mshr: None,
             watch: None,
             pending_persistent: None,
-            locks: HashMap::new(),
+            locks: IdMap::default(),
             deferred: Vec::new(),
             mem_ewma: Ewma::new(0.25),
             rng: Rng::new(seed ^ (me.0 as u64) << 32),
-            dest_pred: HashMap::new(),
+            dest_pred: IdMap::default(),
             epoch: 0,
             recovery: None,
             persistent_epoch,

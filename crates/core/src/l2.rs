@@ -14,11 +14,10 @@
 //!   are never filtered (they are broadcast directly to every node).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use tokencmp_cache::{InsertOutcome, SetAssoc};
-use tokencmp_proto::{Block, CmpId, Layout, SystemConfig, Unit};
+use tokencmp_proto::{Block, CmpId, IdMap, Layout, SystemConfig, Unit};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId};
 use tokencmp_trace::TraceHandle;
 
@@ -53,7 +52,7 @@ pub struct TokenL2 {
     /// Approximate directory of local L1 sharers (dst1-filt only):
     /// bit `i` set means local L1 `i` (in [`Layout::l1s_on`] order) may
     /// hold tokens.
-    filter: Option<HashMap<Block, u64>>,
+    filter: Option<IdMap<Block, u64>>,
     /// Run statistics.
     pub stats: L2Stats,
 }
@@ -81,7 +80,7 @@ impl TokenL2 {
                     2 * cfg.procs_per_cmp as u32 <= 64,
                     "sharer-filter mask holds at most 64 local L1s"
                 );
-                HashMap::new()
+                IdMap::default()
             }),
             holder: Holder::new(cfg, me, book),
             cmp,

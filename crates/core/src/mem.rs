@@ -7,10 +7,9 @@
 //! arbiter-based persistent request scheme (§3.2).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use tokencmp_proto::{Block, CmpId, SystemConfig};
+use tokencmp_proto::{Block, CmpId, IdMap, SystemConfig};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId};
 use tokencmp_trace::{TraceEvent, TraceHandle};
 
@@ -59,11 +58,11 @@ pub struct TokenMem {
     holder: Holder,
     cmp: CmpId,
     /// Explicit token state; absent blocks implicitly hold all `T` tokens.
-    blocks: HashMap<Block, MemLine>,
+    blocks: IdMap<Block, MemLine>,
     arbiter: Arbiter,
     /// Recreations in progress (two-phase: inval/ack barrier, then a
     /// drain window, then the remint).
-    recreating: HashMap<Block, Recreation>,
+    recreating: IdMap<Block, Recreation>,
     /// Token-loss recovery policy (the drain window); `None` on runs
     /// whose fault plan cannot drop tokens.
     recovery: Option<RecoveryParams>,
@@ -82,9 +81,9 @@ impl TokenMem {
     ) -> TokenMem {
         TokenMem {
             holder: Holder::new(cfg, me, book),
-            blocks: HashMap::new(),
+            blocks: IdMap::default(),
             arbiter: Arbiter::new(),
-            recreating: HashMap::new(),
+            recreating: IdMap::default(),
             recovery: None,
             cmp,
             stats: MemStats::default(),

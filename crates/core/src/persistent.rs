@@ -39,9 +39,9 @@
 //! panics instead of wrapping (a processor would have to issue four
 //! billion persistent requests in one run).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use tokencmp_proto::{Block, Layout, ProcId};
+use tokencmp_proto::{Block, IdMap, Layout, ProcId};
 use tokencmp_sim::NodeId;
 
 use crate::msg::ReqKind;
@@ -409,8 +409,8 @@ impl PersistentBook {
 /// the distributed tables of [`PersistentBook`].
 #[derive(Clone, Debug, Default)]
 pub struct ArbNodeTable {
-    active: HashMap<Block, (ProcId, u64, ActiveReq)>,
-    deactivated_up_to: HashMap<ProcId, u64>,
+    active: IdMap<Block, (ProcId, u64, ActiveReq)>,
+    deactivated_up_to: IdMap<ProcId, u64>,
 }
 
 impl ArbNodeTable {

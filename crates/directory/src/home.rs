@@ -6,10 +6,10 @@
 //! A realistic configuration stores the directory in DRAM (80 ns per
 //! access); `DirectoryCMP-zero` sets that latency to zero.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use tokencmp_proto::{Block, CmpId, Layout, SystemConfig};
+use tokencmp_proto::{Block, CmpId, IdMap, Layout, SystemConfig};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId};
 
 use crate::msg::{ChipGrant, DirMsg, HomeResult, ReqKind};
@@ -73,7 +73,7 @@ pub struct DirHome {
     layout: Layout,
     me: NodeId,
     cmp: CmpId,
-    entries: HashMap<Block, HomeEntry>,
+    entries: IdMap<Block, HomeEntry>,
     /// Run statistics.
     pub stats: HomeStats,
 }
@@ -85,7 +85,7 @@ impl DirHome {
             layout: cfg.layout(),
             me,
             cmp,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             cfg,
             stats: HomeStats::default(),
         }

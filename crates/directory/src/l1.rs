@@ -9,11 +9,10 @@
 //! forwards/invalidations for recently-written blocks, as in all protocols
 //! of the paper.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use tokencmp_cache::{InsertOutcome, SetAssoc};
-use tokencmp_proto::{AccessKind, Block, CpuReq, CpuResp, Layout, ProcId, SystemConfig};
+use tokencmp_proto::{AccessKind, Block, CpuReq, CpuResp, IdMap, Layout, ProcId, SystemConfig};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId, Time};
 use tokencmp_trace::{LatencyBreakdown, Segment, SegmentParts, TraceEvent, TraceHandle};
 
@@ -71,9 +70,9 @@ pub struct DirL1 {
     lines: SetAssoc<L1State>,
     miss: Option<Miss>,
     /// Evicted-but-not-yet-written-back lines (data still held).
-    wb_buffer: HashMap<Block, L1State>,
+    wb_buffer: IdMap<Block, L1State>,
     watch: Option<Block>,
-    locks: HashMap<Block, Time>,
+    locks: IdMap<Block, Time>,
     deferred: Vec<DirMsg>,
     trace: Option<TraceHandle>,
     /// Run statistics.
@@ -91,9 +90,9 @@ impl DirL1 {
             me,
             proc,
             miss: None,
-            wb_buffer: HashMap::new(),
+            wb_buffer: IdMap::default(),
             watch: None,
-            locks: HashMap::new(),
+            locks: IdMap::default(),
             deferred: Vec::new(),
             trace: None,
             cfg,

@@ -20,10 +20,10 @@
 //! All data responses route through the L2 — the strictly hierarchical
 //! behaviour whose intra-CMP traffic cost Figure 7b measures.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use tokencmp_proto::{Block, CmpId, Layout, SystemConfig};
+use tokencmp_proto::{Block, CmpId, IdMap, Layout, SystemConfig};
 use tokencmp_sim::{Component, Ctx, NodeId};
 
 use crate::msg::{ChipGrant, DirMsg, GrantSource, HomeResult, L1Grant, ReqKind};
@@ -162,9 +162,9 @@ pub struct DirL2 {
     me: NodeId,
     cmp: CmpId,
     local_l1s: Vec<NodeId>,
-    entries: HashMap<Block, Entry>,
+    entries: IdMap<Block, Entry>,
     /// Per-set resident blocks, for capacity management.
-    sets: HashMap<u64, Vec<Block>>,
+    sets: IdMap<u64, Vec<Block>>,
     stamp: u64,
     /// Run statistics.
     pub stats: DirL2Stats,
@@ -179,8 +179,8 @@ impl DirL2 {
             layout,
             me,
             cmp,
-            entries: HashMap::new(),
-            sets: HashMap::new(),
+            entries: IdMap::default(),
+            sets: IdMap::default(),
             stamp: 0,
             cfg,
             stats: DirL2Stats::default(),

@@ -32,11 +32,10 @@
 //! case and reproduces the pre-fabric arithmetic bit-identically.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use tokencmp_proto::{Block, Fabric, Layout, MsgClass, NetMsg, Placement, SystemConfig, Unit};
+use tokencmp_proto::{Block, Fabric, IdMap, Layout, MsgClass, NetMsg, SystemConfig, Unit};
 use tokencmp_sim::{Delivery, Dur, NodeId, Rng, Time, Transport};
 use tokencmp_trace::{FaultKind, TraceEvent, TraceHandle, TraceTier};
 
@@ -66,6 +65,15 @@ impl Tier {
             Tier::Mem => 2,
         }
     }
+
+    /// The trace tier events on this tier are labelled with.
+    fn trace(self) -> TraceTier {
+        match self {
+            Tier::Intra => TraceTier::Intra,
+            Tier::Inter => TraceTier::Inter,
+            Tier::Mem => TraceTier::Mem,
+        }
+    }
 }
 
 /// Per-tier, per-[`MsgClass`] byte and message counts.
@@ -81,9 +89,11 @@ impl Traffic {
         Traffic::default()
     }
 
-    fn charge(&mut self, tier: Tier, class: MsgClass, bytes: u64) {
-        self.bytes[tier.index()][class.index()] += bytes;
-        self.msgs[tier.index()][class.index()] += 1;
+    /// Charges `n` messages of `bytes` each, one per link of `tier` a
+    /// message crosses.
+    fn charge(&mut self, tier: Tier, class: MsgClass, bytes: u64, n: u32) {
+        self.bytes[tier.index()][class.index()] += bytes * u64::from(n);
+        self.msgs[tier.index()][class.index()] += u64::from(n);
     }
 
     /// Bytes charged to a tier and class.
@@ -152,6 +162,132 @@ enum Route {
     /// Memory controller to memory controller: both memory links plus the
     /// global link.
     MemToMem { src_cmp: u16, dst_cmp: u16 },
+}
+
+impl Route {
+    /// The tier that governs the route — the dominant (most failure-prone
+    /// / highest-latency) link crossed, chip-to-chip for any cross-chip
+    /// route — or `None` for core-internal traffic.
+    fn tier(self) -> Option<Tier> {
+        match self {
+            Route::Local => None,
+            Route::Intra => Some(Tier::Intra),
+            Route::MemLink { .. } => Some(Tier::Mem),
+            Route::Inter { .. } | Route::InterPlusMem { .. } | Route::MemToMem { .. } => {
+                Some(Tier::Inter)
+            }
+        }
+    }
+
+    /// The single tier a route's trace events are labelled with: its
+    /// governing tier, the one whose fault spec `dispatch_faulty` applies.
+    fn trace_tier(self) -> TraceTier {
+        self.tier().map_or(TraceTier::Local, Tier::trace)
+    }
+}
+
+/// What a node is to routing: the only pair of nodes that talk
+/// core-internally is a processor's sequencer and one of its L1s, and
+/// every other route depends only on the two chips and on which end is a
+/// memory controller.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Role {
+    /// A processor sequencer.
+    Seq,
+    /// An L1 (data or instruction) cache.
+    L1,
+    /// A shared-L2 bank.
+    Bank,
+    /// An off-chip memory controller.
+    Mem,
+}
+
+/// A node's routing site: its role, the chip it sits on (or, for a
+/// memory controller, hangs off), and the processor a sequencer or L1
+/// serves. [`Network`] keeps one per node, indexed by id, so a route is
+/// two loads and [`Site::route_to`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Site {
+    role: Role,
+    cmp: u16,
+    /// The processor of a sequencer or L1; 0 for banks and memory.
+    core: u16,
+}
+
+impl Site {
+    /// The site of node `n`, from its [`Unit`].
+    fn of(layout: &Layout, n: NodeId) -> Site {
+        let (role, cmp, core) = match layout.unit(n) {
+            Unit::Proc(p) => (Role::Seq, layout.cmp_of_proc(p).0, p.0),
+            Unit::L1D(p) | Unit::L1I(p) => (Role::L1, layout.cmp_of_proc(p).0, p.0),
+            Unit::L2Bank(c, _) => (Role::Bank, c.0, 0),
+            Unit::Mem(c) => (Role::Mem, c.0, 0),
+        };
+        Site { role, cmp, core }
+    }
+
+    /// Every node's site, in id order: walks the layout's unit ranges
+    /// (sequencers, L1-D, L1-I, banks, memory controllers) rather than
+    /// decoding each id.
+    fn table(layout: &Layout) -> Vec<Site> {
+        let mut sites = Vec::with_capacity(layout.total_nodes() as usize);
+        for role in [Role::Seq, Role::L1, Role::L1] {
+            for c in layout.cmp_ids() {
+                sites.extend(layout.procs_on(c).map(|p| Site {
+                    role,
+                    cmp: c.0,
+                    core: p.0,
+                }));
+            }
+        }
+        for (role, per_cmp) in [(Role::Bank, layout.banks_per_cmp), (Role::Mem, 1)] {
+            for c in layout.cmp_ids() {
+                sites.extend((0..per_cmp).map(|_| Site {
+                    role,
+                    cmp: c.0,
+                    core: 0,
+                }));
+            }
+        }
+        sites
+    }
+
+    /// Classifies the path from this site to `to` (a pure function of the
+    /// two sites; the network's occupancy state never changes routing).
+    fn route_to(self, to: Site) -> Route {
+        let (a, b) = (self.cmp, to.cmp);
+        match (self.role, to.role) {
+            // Processor ↔ its own L1 caches: core-internal.
+            (Role::Seq, Role::L1) | (Role::L1, Role::Seq) if self.core == to.core => Route::Local,
+            // Memory controllers talk to each other only via persistent-
+            // request broadcasts; route over both memory links and the
+            // global network.
+            (Role::Mem, Role::Mem) => {
+                debug_assert_ne!(a, b, "memory controller self-message");
+                Route::MemToMem {
+                    src_cmp: a,
+                    dst_cmp: b,
+                }
+            }
+            (Role::Mem, _) | (_, Role::Mem) => {
+                let to_mem = to.role == Role::Mem;
+                if a == b {
+                    Route::MemLink { cmp: a, to_mem }
+                } else {
+                    Route::InterPlusMem {
+                        src_cmp: a,
+                        dst_cmp: b,
+                        to_mem,
+                    }
+                }
+            }
+            _ if a == b => Route::Intra,
+            _ => Route::Inter {
+                src_cmp: a,
+                dst_cmp: b,
+            },
+        }
+    }
 }
 
 // ---- Inter-CMP fabric routing ---------------------------------------------
@@ -244,90 +380,7 @@ struct FaultState {
     plan: FaultPlan,
     rng: Rng,
     counters: FaultHandle,
-    last_arrival: HashMap<(NodeId, NodeId), Time>,
-}
-
-/// The single tier a route's trace events are labelled with: the
-/// dominant (most failure-prone / highest-latency) link crossed, matching
-/// the tier whose fault spec governs the route in `dispatch_faulty`.
-fn trace_tier(route: Route) -> TraceTier {
-    match route {
-        Route::Local => TraceTier::Local,
-        Route::Intra => TraceTier::Intra,
-        Route::MemLink { .. } => TraceTier::Mem,
-        Route::Inter { .. } | Route::InterPlusMem { .. } | Route::MemToMem { .. } => {
-            TraceTier::Inter
-        }
-    }
-}
-
-/// Classifies the path between two units (pure function of the layout;
-/// the network's occupancy state never changes routing).
-fn route_between(layout: &Layout, src: NodeId, dst: NodeId) -> Route {
-    let su = layout.unit(src);
-    let du = layout.unit(dst);
-    // Processor ↔ its own L1 caches: core-internal.
-    match (su, du) {
-        (Unit::Proc(p), Unit::L1D(q) | Unit::L1I(q))
-        | (Unit::L1D(p) | Unit::L1I(p), Unit::Proc(q))
-            if p == q =>
-        {
-            return Route::Local;
-        }
-        _ => {}
-    }
-    let sp = layout.placement(src);
-    let dp = layout.placement(dst);
-    match (sp, dp) {
-        (Placement::OnChip(a), Placement::OnChip(b)) => {
-            if a == b {
-                Route::Intra
-            } else {
-                Route::Inter {
-                    src_cmp: a.0,
-                    dst_cmp: b.0,
-                }
-            }
-        }
-        (Placement::OnChip(a), Placement::OffChip(b)) => {
-            if a == b {
-                Route::MemLink {
-                    cmp: a.0,
-                    to_mem: true,
-                }
-            } else {
-                Route::InterPlusMem {
-                    src_cmp: a.0,
-                    dst_cmp: b.0,
-                    to_mem: true,
-                }
-            }
-        }
-        (Placement::OffChip(a), Placement::OnChip(b)) => {
-            if a == b {
-                Route::MemLink {
-                    cmp: a.0,
-                    to_mem: false,
-                }
-            } else {
-                Route::InterPlusMem {
-                    src_cmp: a.0,
-                    dst_cmp: b.0,
-                    to_mem: false,
-                }
-            }
-        }
-        // Memory controllers talk to each other only via persistent-
-        // request broadcasts; route over both memory links and the
-        // global network.
-        (Placement::OffChip(a), Placement::OffChip(b)) => {
-            debug_assert_ne!(a, b, "memory controller self-message");
-            Route::MemToMem {
-                src_cmp: a.0,
-                dst_cmp: b.0,
-            }
-        }
-    }
+    last_arrival: IdMap<(NodeId, NodeId), Time>,
 }
 
 /// The tier that *governs* a `src → dst` hop — the dominant (most
@@ -337,20 +390,14 @@ fn route_between(layout: &Layout, src: NodeId, dst: NodeId) -> Route {
 /// so the telemetry sampler can classify in-flight messages into the
 /// same tiers the traffic account and fault counters report.
 pub fn tier_between(layout: &Layout, src: NodeId, dst: NodeId) -> Option<Tier> {
-    match route_between(layout, src, dst) {
-        Route::Local => None,
-        Route::Intra => Some(Tier::Intra),
-        Route::MemLink { .. } => Some(Tier::Mem),
-        Route::Inter { .. } | Route::InterPlusMem { .. } | Route::MemToMem { .. } => {
-            Some(Tier::Inter)
-        }
-    }
+    Site::of(layout, src).route_to(Site::of(layout, dst)).tier()
 }
 
 /// The three-tier interconnect: computes delivery times (latency +
 /// serialization occupancy) and records per-class traffic.
 pub struct Network {
-    layout: Layout,
+    /// Every node's routing site, indexed by node id.
+    sites: Vec<Site>,
     fabric: Fabric,
     cmps: u16,
     intra_latency: Dur,
@@ -381,7 +428,7 @@ impl Network {
             Fabric::Mesh { .. } => 4,
         };
         Network {
-            layout: cfg.layout(),
+            sites: Site::table(&cfg.layout()),
             fabric: cfg.fabric,
             cmps: cfg.cmps,
             intra_latency: cfg.intra_latency,
@@ -410,17 +457,12 @@ impl Network {
     /// otherwise, like every emission site).
     fn emit_fault<M: NetMsg>(&self, now: Time, kind: FaultKind, tier: Tier, msg: &M) {
         if let Some(trace) = &self.trace {
-            let tt = match tier {
-                Tier::Intra => TraceTier::Intra,
-                Tier::Inter => TraceTier::Inter,
-                Tier::Mem => TraceTier::Mem,
-            };
             trace.borrow_mut().record(
                 now,
                 TraceEvent::Fault {
                     kind,
                     class: msg.class(),
-                    tier: tt,
+                    tier: tier.trace(),
                     block: msg.block_id().map(Block),
                 },
             );
@@ -438,7 +480,7 @@ impl Network {
                 plan,
                 rng: Rng::new(seed ^ 0xFA17_1A7E_5EED_C0DE),
                 counters: Rc::new(RefCell::new(FaultCounters::default())),
-                last_arrival: HashMap::new(),
+                last_arrival: IdMap::default(),
             }));
         }
         n
@@ -456,7 +498,7 @@ impl Network {
     }
 
     fn route(&self, src: NodeId, dst: NodeId) -> Route {
-        route_between(&self.layout, src, dst)
+        self.sites[src.0 as usize].route_to(self.sites[dst.0 as usize])
     }
 
     /// Index of the directed inter-CMP link `from → to` (`to` a fabric
@@ -526,17 +568,9 @@ impl Network {
         msg: &M,
     ) -> Delivery {
         let route = self.route(src, dst);
-        // The tier whose fault spec governs this route: the most failure-
-        // prone link crossed (chip-to-chip for any cross-chip route).
-        let tier = match route {
-            Route::Local => None, // core-internal, never faulted
-            Route::Intra => Some(Tier::Intra),
-            Route::MemLink { .. } => Some(Tier::Mem),
-            Route::Inter { .. } | Route::InterPlusMem { .. } | Route::MemToMem { .. } => {
-                Some(Tier::Inter)
-            }
-        };
-        let Some(tier) = tier else {
+        // The tier whose fault spec governs this route; core-internal
+        // traffic is never faulted.
+        let Some(tier) = route.tier() else {
             return Delivery::At(self.deliver_at(now, src, dst, msg));
         };
         let mut state = self
@@ -633,7 +667,7 @@ impl<M: NetMsg> Transport<M> for Network {
             Route::Local => now,
             Route::Intra => {
                 if size > 0 {
-                    traffic.charge(Tier::Intra, class, size);
+                    traffic.charge(Tier::Intra, class, size, 1);
                 }
                 drop(traffic);
                 now + self.intra_latency + Dur::from_bytes_at_gbps(size, self.intra_gbps)
@@ -642,11 +676,9 @@ impl<M: NetMsg> Transport<M> for Network {
                 if size > 0 {
                     // On-chip segments at both ends, plus every global
                     // link crossed (one on the flat fabric).
-                    traffic.charge(Tier::Intra, class, size);
-                    traffic.charge(Tier::Intra, class, size);
-                    for _ in 0..inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp) {
-                        traffic.charge(Tier::Inter, class, size);
-                    }
+                    let hops = inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp);
+                    traffic.charge(Tier::Intra, class, size, 2);
+                    traffic.charge(Tier::Inter, class, size, hops);
                 }
                 drop(traffic);
                 let ser = Dur::from_bytes_at_gbps(size, self.inter_gbps);
@@ -654,8 +686,8 @@ impl<M: NetMsg> Transport<M> for Network {
             }
             Route::MemLink { cmp, to_mem } => {
                 if size > 0 {
-                    traffic.charge(Tier::Intra, class, size);
-                    traffic.charge(Tier::Mem, class, size);
+                    traffic.charge(Tier::Intra, class, size, 1);
+                    traffic.charge(Tier::Mem, class, size, 1);
                 }
                 drop(traffic);
                 let ser = Dur::from_bytes_at_gbps(size, self.mem_gbps);
@@ -668,11 +700,10 @@ impl<M: NetMsg> Transport<M> for Network {
                 to_mem,
             } => {
                 if size > 0 {
-                    traffic.charge(Tier::Intra, class, size);
-                    for _ in 0..inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp) {
-                        traffic.charge(Tier::Inter, class, size);
-                    }
-                    traffic.charge(Tier::Mem, class, size);
+                    let hops = inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp);
+                    traffic.charge(Tier::Intra, class, size, 1);
+                    traffic.charge(Tier::Inter, class, size, hops);
+                    traffic.charge(Tier::Mem, class, size, 1);
                 }
                 drop(traffic);
                 let ser_inter = Dur::from_bytes_at_gbps(size, self.inter_gbps);
@@ -684,11 +715,9 @@ impl<M: NetMsg> Transport<M> for Network {
             }
             Route::MemToMem { src_cmp, dst_cmp } => {
                 if size > 0 {
-                    for _ in 0..inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp) {
-                        traffic.charge(Tier::Inter, class, size);
-                    }
-                    traffic.charge(Tier::Mem, class, size);
-                    traffic.charge(Tier::Mem, class, size);
+                    let hops = inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp);
+                    traffic.charge(Tier::Inter, class, size, hops);
+                    traffic.charge(Tier::Mem, class, size, 2);
                 }
                 drop(traffic);
                 let ser_mem = Dur::from_bytes_at_gbps(size, self.mem_gbps);
@@ -711,7 +740,7 @@ impl<M: NetMsg> Transport<M> for Network {
                     src,
                     dst,
                     class,
-                    tier: trace_tier(route),
+                    tier: route.trace_tier(),
                     bytes: msg.size_bytes(),
                     block: msg.block_id().map(Block),
                     arrive: at,
@@ -725,7 +754,8 @@ impl<M: NetMsg> Transport<M> for Network {
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("layout", &self.layout)
+            .field("fabric", &self.fabric)
+            .field("nodes", &self.sites.len())
             .field("traffic", &*self.traffic.borrow())
             .finish()
     }
@@ -800,6 +830,128 @@ mod tests {
             tier_between(&l, l.mem(CmpId(0)), l.mem(CmpId(1))),
             Some(Tier::Inter)
         );
+    }
+
+    /// The route of `src → dst` derived from the two nodes' [`Unit`]s
+    /// and [`Placement`](tokencmp_proto::Placement)s: the oracle the
+    /// site table is checked against.
+    fn route_by_unit(layout: &Layout, src: NodeId, dst: NodeId) -> Route {
+        use tokencmp_proto::Placement;
+        match (layout.unit(src), layout.unit(dst)) {
+            (Unit::Proc(p), Unit::L1D(q) | Unit::L1I(q))
+            | (Unit::L1D(p) | Unit::L1I(p), Unit::Proc(q))
+                if p == q =>
+            {
+                return Route::Local;
+            }
+            _ => {}
+        }
+        let (src_cmp, dst_cmp) = (layout.placement(src).cmp().0, layout.placement(dst).cmp().0);
+        match (layout.placement(src), layout.placement(dst)) {
+            (Placement::OnChip(_), Placement::OnChip(_)) if src_cmp == dst_cmp => Route::Intra,
+            (Placement::OnChip(_), Placement::OnChip(_)) => Route::Inter { src_cmp, dst_cmp },
+            (Placement::OffChip(_), Placement::OffChip(_)) => Route::MemToMem { src_cmp, dst_cmp },
+            (from, _) => {
+                let to_mem = matches!(from, Placement::OnChip(_));
+                if src_cmp == dst_cmp {
+                    Route::MemLink {
+                        cmp: src_cmp,
+                        to_mem,
+                    }
+                } else {
+                    Route::InterPlusMem {
+                        src_cmp,
+                        dst_cmp,
+                        to_mem,
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn site_table_routes_every_pair_as_the_unit_layout_does() {
+        let mesh = SystemConfig {
+            cmps: 64,
+            procs_per_cmp: 4,
+            banks_per_cmp: 4,
+            fabric: Fabric::Mesh { cols: 8 },
+            ..SystemConfig::default()
+        };
+        let ring = SystemConfig {
+            cmps: 8,
+            procs_per_cmp: 2,
+            banks_per_cmp: 2,
+            fabric: Fabric::Ring,
+            ..SystemConfig::default()
+        };
+        for cfg in [SystemConfig::default(), ring, mesh] {
+            let l = cfg.layout();
+            let n = Network::new(&cfg);
+            let by_unit: Vec<Site> = (0..l.total_nodes())
+                .map(|i| Site::of(&l, NodeId(i)))
+                .collect();
+            assert_eq!(n.sites, by_unit, "{l:?}");
+            // Every route kind occurs, the core-internal and memory-to-
+            // memory ones included.
+            let mut kinds = [0u32; 6];
+            for a in (0..l.total_nodes()).map(NodeId) {
+                for b in (0..l.total_nodes()).map(NodeId) {
+                    if a == b && l.all_mems().any(|m| m == a) {
+                        continue; // no memory controller messages itself
+                    }
+                    let want = route_by_unit(&l, a, b);
+                    assert_eq!(n.route(a, b), want, "{l:?}: {a:?} -> {b:?}");
+                    assert_eq!(tier_between(&l, a, b), want.tier());
+                    kinds[match want {
+                        Route::Local => 0,
+                        Route::Intra => 1,
+                        Route::Inter { .. } => 2,
+                        Route::MemLink { .. } => 3,
+                        Route::InterPlusMem { .. } => 4,
+                        Route::MemToMem { .. } => 5,
+                    }] += 1;
+                }
+            }
+            // Each processor reaches its two L1s and back.
+            assert_eq!(kinds[0], 4 * l.procs(), "{l:?}");
+            assert!(kinds.iter().all(|&k| k > 0), "{l:?}: {kinds:?}");
+        }
+    }
+
+    #[test]
+    fn multi_hop_charges_one_message_per_link() {
+        // 0 → 63 on the 8 × 8 mesh crosses 14 links: 14 inter-CMP
+        // messages and bytes, and one intra-CMP segment at each end.
+        let cfg = fabric_cfg(64, Fabric::Mesh { cols: 8 });
+        let l = cfg.layout();
+        let mut n = Network::new(&cfg);
+        let _ = Transport::<TestMsg>::deliver_at(
+            &mut n,
+            Time::ZERO,
+            l.l1d(ProcId(0)),
+            l.l1d(ProcId(63)),
+            &data(),
+        );
+        let tr = n.traffic_handle();
+        let tr = tr.borrow();
+        assert_eq!(tr.msgs(Tier::Inter, MsgClass::ResponseData), 14);
+        assert_eq!(tr.bytes(Tier::Inter, MsgClass::ResponseData), 14 * 72);
+        assert_eq!(tr.msgs(Tier::Intra, MsgClass::ResponseData), 2);
+        assert_eq!(tr.bytes(Tier::Intra, MsgClass::ResponseData), 2 * 72);
+        // Memory to memory: both memory links, plus every global hop.
+        drop(tr);
+        let _ = Transport::<TestMsg>::deliver_at(
+            &mut n,
+            Time::ZERO,
+            l.mem(CmpId(0)),
+            l.mem(CmpId(63)),
+            &ctrl(),
+        );
+        let tr = n.traffic_handle();
+        assert_eq!(tr.borrow().msgs(Tier::Inter, MsgClass::Request), 14);
+        assert_eq!(tr.borrow().bytes(Tier::Mem, MsgClass::Request), 16);
+        assert_eq!(tr.borrow().msgs(Tier::Mem, MsgClass::Request), 2);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! audit, sampler gauges and counter harvest over its typed nodes.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use tokencmp_directory::{ChipRights, DirHome, DirL1, DirL2, DirMsg, L1State};
 use tokencmp_net::FaultHandle;
-use tokencmp_proto::{Block, SystemConfig};
+use tokencmp_proto::{Block, IdMap, SystemConfig};
 use tokencmp_sim::{Dur, Stats, Time};
 use tokencmp_trace::timeseries::keys;
 use tokencmp_trace::{LatencyBreakdown, TraceHandle};
@@ -59,7 +58,7 @@ impl System for DirNodes {
     /// (the single-writer / multiple-reader invariant); per block, at
     /// most one chip with E rights.
     fn audit(&self, _faults: Option<&FaultHandle>) {
-        let mut holders: HashMap<Block, (u32, u32)> = HashMap::new(); // (excl, shared)
+        let mut holders: IdMap<Block, (u32, u32)> = IdMap::default(); // (excl, shared)
         for l1 in &self.l1s {
             for (b, s) in l1.lines() {
                 let e = holders.entry(b).or_insert((0, 0));
@@ -80,7 +79,7 @@ impl System for DirNodes {
                 "{b:?}: exclusive copy coexists with {shared} shared copies"
             );
         }
-        let mut chips: HashMap<Block, u32> = HashMap::new();
+        let mut chips: IdMap<Block, u32> = IdMap::default();
         for l2 in &self.l2s {
             for (b, r) in l2.rights() {
                 if r == ChipRights::E {

@@ -8,12 +8,11 @@
 //! the paper uses it.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use tokencmp_cache::SetAssoc;
 use tokencmp_core::TokenMsg;
-use tokencmp_proto::{Block, CpuPort, CpuReq, CpuResp, ProcId, SystemConfig};
+use tokencmp_proto::{Block, CpuPort, CpuReq, CpuResp, IdMap, ProcId, SystemConfig};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId, NodeSet, Stats, Time};
 use tokencmp_trace::TraceHandle;
 
@@ -40,7 +39,7 @@ pub struct PerfectL2<M> {
     seqs: Vec<NodeId>,
     l1d: Vec<SetAssoc<()>>,
     l1i: Vec<SetAssoc<()>>,
-    watches: HashMap<Block, Vec<ProcId>>,
+    watches: IdMap<Block, Vec<ProcId>>,
     /// Run statistics.
     pub stats: PerfectStats,
     _msg: std::marker::PhantomData<fn(M)>,
@@ -63,7 +62,7 @@ impl<M: CpuPort + 'static> PerfectL2<M> {
                 .map(|_| SetAssoc::new(cfg.l1_sets, cfg.l1_ways, 0))
                 .collect(),
             seqs,
-            watches: HashMap::new(),
+            watches: IdMap::default(),
             stats: PerfectStats::default(),
             cfg,
             _msg: std::marker::PhantomData,

@@ -3,7 +3,7 @@
 //! typed nodes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -11,7 +11,7 @@ use tokencmp_core::{
     PersistentBook, RecoveryParams, TokenL1, TokenL2, TokenMem, TokenMsg, Variant,
 };
 use tokencmp_net::FaultHandle;
-use tokencmp_proto::{Block, CmpId, SystemConfig};
+use tokencmp_proto::{Block, CmpId, IdMap, SystemConfig};
 use tokencmp_sim::{Stats, Time};
 use tokencmp_trace::timeseries::keys;
 use tokencmp_trace::{LatencyBreakdown, TraceHandle};
@@ -105,7 +105,7 @@ impl System for TokenNodes {
     /// never be mid-flight here — its pending ack or drain wake would
     /// have kept the kernel from going idle — and that is asserted too.
     fn audit(&self, faults: Option<&FaultHandle>) {
-        let mut tokens: HashMap<Block, (u32, u32)> = HashMap::new();
+        let mut tokens: IdMap<Block, (u32, u32)> = IdMap::default();
         let mut fold = |census: &mut dyn Iterator<Item = (Block, u32, bool)>| {
             for (b, t, o) in census {
                 let e = tokens.entry(b).or_insert((0, 0));

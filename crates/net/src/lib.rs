@@ -206,7 +206,7 @@ enum Role {
 /// memory controller, hangs off), and the processor a sequencer or L1
 /// serves. [`Network`] keeps one per node, indexed by id, so a route is
 /// two loads and [`Site::route_to`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy)]
 struct Site {
     role: Role,
     cmp: u16,
@@ -224,32 +224,6 @@ impl Site {
             Unit::Mem(c) => (Role::Mem, c.0, 0),
         };
         Site { role, cmp, core }
-    }
-
-    /// Every node's site, in id order: walks the layout's unit ranges
-    /// (sequencers, L1-D, L1-I, banks, memory controllers) rather than
-    /// decoding each id.
-    fn table(layout: &Layout) -> Vec<Site> {
-        let mut sites = Vec::with_capacity(layout.total_nodes() as usize);
-        for role in [Role::Seq, Role::L1, Role::L1] {
-            for c in layout.cmp_ids() {
-                sites.extend(layout.procs_on(c).map(|p| Site {
-                    role,
-                    cmp: c.0,
-                    core: p.0,
-                }));
-            }
-        }
-        for (role, per_cmp) in [(Role::Bank, layout.banks_per_cmp), (Role::Mem, 1)] {
-            for c in layout.cmp_ids() {
-                sites.extend((0..per_cmp).map(|_| Site {
-                    role,
-                    cmp: c.0,
-                    core: 0,
-                }));
-            }
-        }
-        sites
     }
 
     /// Classifies the path from this site to `to` (a pure function of the
@@ -427,8 +401,11 @@ impl Network {
             Fabric::Ring => 2,
             Fabric::Mesh { .. } => 4,
         };
+        let layout = cfg.layout();
         Network {
-            sites: Site::table(&cfg.layout()),
+            sites: (0..layout.total_nodes())
+                .map(|i| Site::of(&layout, NodeId(i)))
+                .collect(),
             fabric: cfg.fabric,
             cmps: cfg.cmps,
             intra_latency: cfg.intra_latency,
@@ -888,10 +865,6 @@ mod tests {
         for cfg in [SystemConfig::default(), ring, mesh] {
             let l = cfg.layout();
             let n = Network::new(&cfg);
-            let by_unit: Vec<Site> = (0..l.total_nodes())
-                .map(|i| Site::of(&l, NodeId(i)))
-                .collect();
-            assert_eq!(n.sites, by_unit, "{l:?}");
             // Every route kind occurs, the core-internal and memory-to-
             // memory ones included.
             let mut kinds = [0u32; 6];

@@ -39,9 +39,27 @@ fn bench_cache_array(c: &mut Criterion) {
             let mut arr: SetAssoc<u32> = SetAssoc::new(512, 4, 0);
             for (i, &blk) in blocks.iter().enumerate() {
                 arr.insert(blk, i as u32);
-                black_box(arr.get(blk));
+                black_box(arr.get_mut(blk));
             }
             black_box(arr.len())
+        });
+    });
+    // The common case of a broadcast: a probe of a cache that does not
+    // hold the block. Every set of the 512 × 4 array is full, so each
+    // probe scans all four tags of its set and misses.
+    c.bench_function("set_assoc_contains_miss_4k", |b| {
+        let mut arr: SetAssoc<u32> = SetAssoc::new(512, 4, 0);
+        for n in 0..2048u64 {
+            arr.insert(Block(n), n as u32);
+        }
+        assert_eq!(arr.len(), 2048);
+        let mut rng = Rng::new(11);
+        let absent: Vec<Block> = (0..4096)
+            .map(|_| Block(2048 + rng.below(1 << 20)))
+            .collect();
+        b.iter(|| {
+            let arr = black_box(&arr);
+            absent.iter().filter(|&&blk| arr.contains(blk)).count()
         });
     });
 }

@@ -73,8 +73,9 @@ fn scale_grid(smoke: bool) -> Vec<ScalePoint> {
 
 /// Runs one grid point (TokenCMP-dst1, locking with one lock per four
 /// cores) and records it as a trajectory entry. A separate profiled run
-/// of the same point attaches the host-time attribution, kept out of the
-/// timed run so the recorded rates never carry profiling overhead.
+/// of the same point attaches the host-time attribution and its own wall
+/// time, kept out of the timed run so the recorded rates never carry
+/// profiling overhead.
 fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
     let mut cfg = SystemConfig {
         cmps: p.cmps,
@@ -110,10 +111,11 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
     );
     let opts = RunOptions::default().with_profiling();
     let (profiled, _) = run_workload(&cfg, protocol, workload(), &opts);
-    entry.shared.profile = profiled
+    let profile = profiled
         .profile
-        .expect("profiled run returns an attribution report")
-        .category_ns();
+        .expect("profiled run returns an attribution report");
+    entry.shared.profile = profile.category_ns();
+    entry.profiled_wall_ns = Some(profile.wall_ns);
     entry
 }
 

@@ -10,7 +10,9 @@
 //! evolves. From run `pr20` on, each entry also records the host's core
 //! count and the per-layer `profile` of a profiled companion run of the
 //! same point, so a ratio between two points can be explained from the
-//! file.
+//! file. Newer entries also record that companion run's own wall time
+//! (`profiled_wall_ns`), so a profile that sums past the timed run can be
+//! told apart from a profiled run that ran longer.
 //!
 //! Schema (`tokencmp-scale-bench-v1`), one entry:
 //!
@@ -19,7 +21,8 @@
 //!  "cores": 1024, "events": 16548472, "runtime_ps": 233641125,
 //!  "elapsed_ns": 9040349091, "events_per_sec": 1830512.5,
 //!  "ns_per_event": 546.3, "host_cores": 2,
-//!  "profile": {"handler.l1": 1700000000, "sched.pop": 880000000}}
+//!  "profile": {"handler.l1": 1700000000, "sched.pop": 880000000},
+//!  "profiled_wall_ns": 9870000000}
 //! ```
 //!
 //! The gate (run by the CI `scale` job) requires the trajectory to
@@ -66,6 +69,10 @@ pub struct ScaleBenchEntry {
     pub events_per_sec: f64,
     /// `elapsed / events` in nanoseconds.
     pub ns_per_event: f64,
+    /// Wall time of the profiled companion run whose attribution is
+    /// `shared.profile`. Optional on parse (older rows lack it) and
+    /// omitted when absent.
+    pub profiled_wall_ns: Option<u64>,
 }
 
 impl ScaleBenchEntry {
@@ -91,6 +98,7 @@ impl ScaleBenchEntry {
             elapsed_ns: ns,
             events_per_sec: events as f64 / elapsed.as_secs_f64(),
             ns_per_event: ns as f64 / events as f64,
+            profiled_wall_ns: None,
         }
     }
 }
@@ -120,6 +128,9 @@ impl Entry for ScaleBenchEntry {
             ("events_per_sec".into(), Value::Float(self.events_per_sec)),
             ("ns_per_event".into(), Value::Float(self.ns_per_event)),
         ]);
+        if let Some(ns) = self.profiled_wall_ns {
+            obj.insert("profiled_wall_ns".into(), Value::Int(ns));
+        }
     }
 
     fn read(shared: Shared, f: &Fields<'_>) -> Result<ScaleBenchEntry, String> {
@@ -138,6 +149,7 @@ impl Entry for ScaleBenchEntry {
             elapsed_ns: f.int("elapsed_ns")?,
             events_per_sec: f.rate("events_per_sec")?,
             ns_per_event: f.rate("ns_per_event")?,
+            profiled_wall_ns: f.opt_int("profiled_wall_ns")?,
         };
         if entry.cores != entry.cmps * entry.cores_per_cmp {
             return Err(f.err(format!(
@@ -147,6 +159,12 @@ impl Entry for ScaleBenchEntry {
         }
         if entry.runtime_ps == 0 || entry.events == 0 {
             return Err(f.err("a completed run has nonzero events and runtime"));
+        }
+        if entry.profiled_wall_ns == Some(0) {
+            return Err(f.err("`profiled_wall_ns` must be >= 1"));
+        }
+        if entry.profiled_wall_ns.is_some() && entry.shared.profile.is_empty() {
+            return Err(f.err("`profiled_wall_ns` without a `profile`"));
         }
         Ok(entry)
     }
@@ -202,13 +220,20 @@ mod tests {
 
     #[test]
     fn render_round_trips_through_the_parser() {
+        let mut profiled = entry("pr11", "mesh", 8, 2);
+        profiled.shared.profile.insert("handler.l1".into(), 400_000);
+        profiled.profiled_wall_ns = Some(900_000_000);
         let entries = vec![
             entry("pr10", "flat", 4, 4),
             entry("pr10", "mesh", 64, 16),
             entry("pr10", "ring", 16, 4),
+            profiled,
         ];
-        let parsed = parse_trajectory(&render(&entries)).unwrap();
+        let text = render(&entries);
+        let parsed = parse_trajectory(&text).unwrap();
         assert_eq!(parsed, entries);
+        // An entry without the profiled run's wall time writes no field.
+        assert_eq!(text.matches("profiled_wall_ns").count(), 1, "{text}");
     }
 
     #[test]
@@ -239,6 +264,17 @@ mod tests {
         hollow.events = 0;
         let err = parse_trajectory(&render(&[hollow])).unwrap_err();
         assert!(err.contains("completed"), "{err}");
+        // A profiled run's wall time is positive and comes with its
+        // profile.
+        let mut instant = entry("a", "mesh", 8, 2);
+        instant.shared.profile.insert("handler.l1".into(), 1);
+        instant.profiled_wall_ns = Some(0);
+        let err = parse_trajectory(&render(&[instant])).unwrap_err();
+        assert!(err.contains("profiled_wall_ns"), "{err}");
+        let mut orphan = entry("a", "mesh", 8, 2);
+        orphan.profiled_wall_ns = Some(5);
+        let err = parse_trajectory(&render(&[orphan])).unwrap_err();
+        assert!(err.contains("without a `profile`"), "{err}");
     }
 
     #[test]

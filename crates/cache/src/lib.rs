@@ -5,13 +5,16 @@
 //! state in their own MSHR-like maps. The array is generic over the state
 //! type so the token substrate and the directory protocol share it.
 //!
-//! The backing store is paged: slot pages allocate lazily on first touch,
-//! so an idle 8 MB L2 bank in a 1024-core system costs a few hundred
-//! bytes instead of megabytes, and a simulated system's footprint scales
-//! with the *touched* working set rather than with aggregate cache
-//! capacity ([`SetAssoc::resident_bytes`] reports the actual cost).
+//! The backing store is paged: pages allocate lazily on first touch, so
+//! an idle 8 MB L2 bank in a 1024-core system costs a few hundred bytes
+//! instead of megabytes, and a simulated system's footprint scales with
+//! the *touched* working set rather than with aggregate cache capacity
+//! ([`SetAssoc::resident_bytes`] reports the actual cost). Each page
+//! keeps its tags apart from its line state, so a probe that misses
+//! reads one word per way and no line state.
 
 use std::fmt;
+use std::mem::size_of;
 
 use tokencmp_proto::Block;
 
@@ -26,9 +29,13 @@ pub enum InsertOutcome<S> {
     Evicted(Block, S),
 }
 
+/// The tag of a free way. No resident block carries it, so a tag scan
+/// needs no valid bit; [`SetAssoc::insert`] refuses `Block(EMPTY)`.
+const EMPTY: u64 = u64::MAX;
+
+/// An occupied way's line state (its block is the way's tag).
 #[derive(Debug, Clone)]
 struct LineSlot<S> {
-    block: Block,
     state: S,
     stamp: u64,
     /// This slot's position in the `live` list (swap-remove bookkeeping,
@@ -42,8 +49,33 @@ struct LineSlot<S> {
 /// pages rather than thousands.
 const PAGE_SLOT_TARGET: usize = 2048;
 
-/// A lazily-allocated page of line slots.
-type Page<S> = Box<[Option<LineSlot<S>>]>;
+/// A lazily-allocated page of `ways << page_shift` ways: way `i` is
+/// `tags[i]` and `slots[i]`, and `tags[i] == EMPTY` exactly when
+/// `slots[i]` is `None`. A set's tags are contiguous, so a probe reads
+/// `ways` words (32 B at four ways) and touches a slot only on a match.
+#[derive(Clone)]
+struct Page<S> {
+    tags: Box<[u64]>,
+    slots: Box<[Option<LineSlot<S>>]>,
+}
+
+impl<S> Page<S> {
+    fn new(ways: usize) -> Page<S> {
+        Page {
+            tags: vec![EMPTY; ways].into_boxed_slice(),
+            slots: (0..ways).map(|_| None).collect(),
+        }
+    }
+
+    /// The in-page offset of the way among `ways` tagged `block`, found
+    /// by scanning tags alone. `Block(EMPTY)` finds a free way, whose
+    /// slot is `None`, so every caller still reads it as absent.
+    #[inline]
+    fn find(&self, ways: std::ops::Range<usize>, block: Block) -> Option<usize> {
+        let w = self.tags[ways.clone()].iter().position(|&t| t == block.0)?;
+        Some(ways.start + w)
+    }
+}
 
 /// A set-associative tag/state array with true-LRU replacement.
 ///
@@ -51,7 +83,7 @@ type Page<S> = Box<[Option<LineSlot<S>>]>;
 /// (which only sees blocks whose low bits select it) can skip its bank bits.
 /// Sets and sets per page are powers of two, so a block's page and its
 /// set's place in the page are a mask and two shifts, and every lookup
-/// scans the set's `ways` contiguous slots once.
+/// scans the set's `ways` contiguous tags once.
 ///
 /// # Example
 ///
@@ -76,10 +108,11 @@ pub struct SetAssoc<S> {
     /// the form the live list stores): the smallest power of two that
     /// holds a page's slots.
     slot_shift: u32,
-    /// Lazily-allocated slot pages of `ways << page_shift` slots each: a
-    /// whole number of sets, so one set never straddles pages. `None`
-    /// until a block first maps into the page.
-    pages: Vec<Option<Page<S>>>,
+    /// Lazily-allocated pages of `ways << page_shift` ways each: a whole
+    /// number of sets, so one set never straddles pages. `None` until a
+    /// block first maps into the page; one pointer per entry keeps an
+    /// untouched array's table small.
+    pages: Vec<Option<Box<Page<S>>>>,
     stamp: u64,
     occupied: usize,
     /// Slot ids of the occupied slots, unordered. Together with the
@@ -91,11 +124,8 @@ pub struct SetAssoc<S> {
     live: Vec<u32>,
 }
 
-/// One set's slots, contiguous within its page.
-type Set<S> = [Option<LineSlot<S>>];
-
 impl<S> SetAssoc<S> {
-    /// Creates an empty array of `sets × ways` lines. No slot storage is
+    /// Creates an empty array of `sets × ways` lines. No page is
     /// allocated until lines are inserted.
     ///
     /// # Panics
@@ -156,49 +186,20 @@ impl<S> SetAssoc<S> {
         (id >> self.slot_shift, id & ((1 << self.slot_shift) - 1))
     }
 
-    /// The occupied slot with id `id`, as the live list records it.
-    #[inline]
-    fn live_slot(&self, id: u32) -> &LineSlot<S> {
-        let (page, offset) = self.unpack(id);
-        self.pages[page].as_deref().expect("live page")[offset]
-            .as_ref()
-            .expect("live slot")
-    }
-
-    /// Mutable [`live_slot`](SetAssoc::live_slot).
-    #[inline]
-    fn live_slot_mut(&mut self, id: u32) -> &mut LineSlot<S> {
-        let (page, offset) = self.unpack(id);
-        self.pages[page].as_deref_mut().expect("live page")[offset]
-            .as_mut()
-            .expect("live slot")
-    }
-
-    /// `block`'s set (`None` if its page was never touched, so the set
-    /// is empty).
-    #[inline]
-    fn set_of(&self, block: Block) -> Option<&Set<S>> {
-        let (page, ways) = self.locate(block);
-        Some(&self.pages[page].as_deref()?[ways])
-    }
-
     /// The line holding `block`, if resident.
     #[inline]
     fn line(&self, block: Block) -> Option<&LineSlot<S>> {
-        self.set_of(block)?
-            .iter()
-            .flatten()
-            .find(|l| l.block == block)
+        let (page, ways) = self.locate(block);
+        let page = self.pages[page].as_deref()?;
+        page.slots[page.find(ways, block)?].as_ref()
     }
 
     /// The line holding `block`, if resident, marked most-recently-used.
     #[inline]
     fn touch(&mut self, block: Block) -> Option<&mut LineSlot<S>> {
         let (page, ways) = self.locate(block);
-        let line = self.pages[page].as_deref_mut()?[ways]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.block == block)?;
+        let page = self.pages[page].as_deref_mut()?;
+        let line = page.slots[page.find(ways, block)?].as_mut()?;
         self.stamp += 1;
         line.stamp = self.stamp;
         Some(line)
@@ -225,25 +226,22 @@ impl<S> SetAssoc<S> {
     }
 
     /// Bytes of heap + inline storage this array currently holds:
-    /// the struct itself, the page table, every *allocated* page, and
-    /// the live-index capacity. The footprint regression suite holds
-    /// this under budget for sparse 1024-core runs.
+    /// the struct itself, the page table, every *allocated* page (its
+    /// two slice headers, its tags and its slots), and the live-index
+    /// capacity. The footprint regression suite holds this under budget
+    /// for sparse 1024-core runs.
     pub fn resident_bytes(&self) -> usize {
-        let page_bytes = self.page_slots() * std::mem::size_of::<Option<LineSlot<S>>>();
-        std::mem::size_of::<Self>()
-            + self.pages.capacity() * std::mem::size_of::<Option<Page<S>>>()
+        let way_bytes = size_of::<u64>() + size_of::<Option<LineSlot<S>>>();
+        let page_bytes = size_of::<Page<S>>() + self.page_slots() * way_bytes;
+        size_of::<Self>()
+            + self.pages.capacity() * size_of::<Option<Box<Page<S>>>>()
             + self.pages.iter().flatten().count() * page_bytes
-            + self.live.capacity() * std::mem::size_of::<u32>()
+            + self.live.capacity() * size_of::<u32>()
     }
 
     /// Reads a line's state without updating LRU.
     pub fn peek(&self, block: Block) -> Option<&S> {
         self.line(block).map(|l| &l.state)
-    }
-
-    /// Reads a line's state, marking it most-recently-used.
-    pub fn get(&mut self, block: Block) -> Option<&S> {
-        self.touch(block).map(|l| &l.state)
     }
 
     /// Mutable access to a line's state, marking it most-recently-used.
@@ -256,59 +254,40 @@ impl<S> SetAssoc<S> {
         self.line(block).is_some()
     }
 
-    /// The block that would be evicted if `block` were inserted now
-    /// (`None` if `block` is resident or a free way exists).
-    pub fn victim_of(&self, block: Block) -> Option<Block> {
-        let mut lru: Option<&LineSlot<S>> = None;
-        // An untouched page and a free way both leave room.
-        for way in self.set_of(block)? {
-            let l = way.as_ref()?;
-            if l.block == block {
-                return None;
-            }
-            if lru.is_none_or(|v| l.stamp < v.stamp) {
-                lru = Some(l);
-            }
-        }
-        lru.map(|l| l.block)
-    }
-
     /// Inserts (or updates) a line, evicting the LRU line of the set if
     /// necessary. The inserted line becomes most-recently-used.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Block(u64::MAX)`, the free-way tag.
     pub fn insert(&mut self, block: Block, state: S) -> InsertOutcome<S> {
+        assert!(
+            block.0 != EMPTY,
+            "block {EMPTY:#x} is reserved as the free-way tag"
+        );
         self.stamp += 1;
         let stamp = self.stamp;
         let (page, ways) = self.locate(block);
         let id = self.slot_id(page, ways.start);
         let page_slots = self.page_slots();
-        let set = &mut self.pages[page].get_or_insert_with(|| {
-            let mut v = Vec::with_capacity(page_slots);
-            v.resize_with(page_slots, || None);
-            v.into_boxed_slice()
-        })[ways];
-        // One pass: the block's own way, else the first free way, else
-        // the least recently used one.
+        let Page { tags, slots } =
+            &mut **self.pages[page].get_or_insert_with(|| Box::new(Page::new(page_slots)));
+        // One pass over the tags: the block's own way, else the first
+        // free way.
         let mut free = None;
-        let mut lru: Option<(u64, usize)> = None;
-        for (w, way) in set.iter_mut().enumerate() {
-            match way {
-                Some(l) if l.block == block => {
-                    l.stamp = stamp;
-                    return InsertOutcome::Replaced(std::mem::replace(&mut l.state, state));
-                }
-                Some(l) => {
-                    if lru.is_none_or(|(s, _)| l.stamp < s) {
-                        lru = Some((l.stamp, w));
-                    }
-                }
-                None => {
-                    free.get_or_insert(w);
-                }
+        for (w, &tag) in tags[ways.clone()].iter().enumerate() {
+            if tag == block.0 {
+                let l = slots[ways.start + w].as_mut().expect("tagged way");
+                l.stamp = stamp;
+                return InsertOutcome::Replaced(std::mem::replace(&mut l.state, state));
+            }
+            if tag == EMPTY {
+                free.get_or_insert(w);
             }
         }
         if let Some(w) = free {
-            set[w] = Some(LineSlot {
-                block,
+            tags[ways.start + w] = block.0;
+            slots[ways.start + w] = Some(LineSlot {
                 state,
                 stamp,
                 live_pos: self.live.len() as u32,
@@ -317,37 +296,45 @@ impl<S> SetAssoc<S> {
             self.live.push(id + w as u32);
             return InsertOutcome::Inserted;
         }
-        let (_, w) = lru.expect("ways > 0");
-        // The victim's slot (and live-list entry) pass to the new line.
-        let slot = set[w].as_mut().expect("occupied way");
+        // A full set: the least recently used way's slot (and live-list
+        // entry) pass to the new line.
+        let start = ways.start;
+        let (w, slot) = slots[ways]
+            .iter_mut()
+            .map(|s| s.as_mut().expect("full set"))
+            .enumerate()
+            .min_by_key(|(_, l)| l.stamp)
+            .expect("ways > 0");
         let live_pos = slot.live_pos;
         let old = std::mem::replace(
             slot,
             LineSlot {
-                block,
                 state,
                 stamp,
                 live_pos,
             },
         );
-        InsertOutcome::Evicted(old.block, old.state)
+        let victim = std::mem::replace(&mut tags[start + w], block.0);
+        InsertOutcome::Evicted(Block(victim), old.state)
     }
 
     /// Removes a line, returning its state.
     pub fn remove(&mut self, block: Block) -> Option<S> {
         let (page, ways) = self.locate(block);
-        let id = self.slot_id(page, ways.start);
-        let set = &mut self.pages[page].as_deref_mut()?[ways];
-        let w = set
-            .iter()
-            .position(|way| way.as_ref().is_some_and(|l| l.block == block))?;
-        let line = set[w].take().expect("resident way");
+        let p = self.pages[page].as_deref_mut()?;
+        let i = p.find(ways, block)?;
+        let line = p.slots[i].take()?;
+        p.tags[i] = EMPTY;
         self.occupied -= 1;
         // Swap-remove the slot from the live list.
         let last = self.live.pop().expect("live list non-empty");
-        if last != id + w as u32 {
+        if last != self.slot_id(page, i) {
             self.live[line.live_pos as usize] = last;
-            self.live_slot_mut(last).live_pos = line.live_pos;
+            let (page, i) = self.unpack(last);
+            let moved = self.pages[page].as_deref_mut().expect("live page").slots[i]
+                .as_mut()
+                .expect("live slot");
+            moved.live_pos = line.live_pos;
         }
         Some(line.state)
     }
@@ -356,19 +343,11 @@ impl<S> SetAssoc<S> {
     /// O(sets × ways): censuses of sparse arrays are cheap.
     pub fn iter(&self) -> impl Iterator<Item = (Block, &S)> {
         self.live.iter().map(|&id| {
-            let l = self.live_slot(id);
-            (l.block, &l.state)
+            let (page, offset) = self.unpack(id);
+            let page = self.pages[page].as_deref().expect("live page");
+            let line = page.slots[offset].as_ref().expect("live slot");
+            (Block(page.tags[offset]), &line.state)
         })
-    }
-
-    /// Mutably iterates occupied lines in arbitrary order (slot order,
-    /// skipping untouched pages).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Block, &mut S)> {
-        self.pages
-            .iter_mut()
-            .flatten()
-            .flat_map(|p| p.iter_mut())
-            .filter_map(|l| l.as_mut().map(|l| (l.block, &mut l.state)))
     }
 }
 
@@ -393,7 +372,7 @@ mod tests {
         let mut c: SetAssoc<&str> = SetAssoc::new(8, 2, 0);
         assert_eq!(c.insert(Block(3), "a"), InsertOutcome::Inserted);
         assert!(c.contains(Block(3)));
-        assert_eq!(c.get(Block(3)), Some(&"a"));
+        assert_eq!(c.get_mut(Block(3)).copied(), Some("a"));
         assert_eq!(c.peek(Block(3)), Some(&"a"));
         assert_eq!(c.remove(Block(3)), Some("a"));
         assert!(!c.contains(Block(3)));
@@ -405,7 +384,7 @@ mod tests {
         let mut c: SetAssoc<u32> = SetAssoc::new(1, 2, 0);
         c.insert(Block(1), 1);
         c.insert(Block(2), 2);
-        c.get(Block(1)); // block 2 becomes LRU
+        c.get_mut(Block(1)); // block 2 becomes LRU
         match c.insert(Block(3), 3) {
             InsertOutcome::Evicted(b, s) => {
                 assert_eq!(b, Block(2));
@@ -415,20 +394,6 @@ mod tests {
         }
         assert!(c.contains(Block(1)));
         assert!(c.contains(Block(3)));
-    }
-
-    #[test]
-    fn victim_of_predicts_eviction() {
-        let mut c: SetAssoc<u32> = SetAssoc::new(1, 2, 0);
-        assert_eq!(c.victim_of(Block(9)), None); // free ways
-        c.insert(Block(1), 1);
-        c.insert(Block(2), 2);
-        assert_eq!(c.victim_of(Block(1)), None); // resident
-        let predicted = c.victim_of(Block(3)).unwrap();
-        match c.insert(Block(3), 3) {
-            InsertOutcome::Evicted(b, _) => assert_eq!(b, predicted),
-            o => panic!("expected eviction, got {o:?}"),
-        }
     }
 
     #[test]
@@ -479,10 +444,10 @@ mod tests {
         let mut got: Vec<u64> = c.iter().map(|(b, _)| b.0).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
-        for (_, s) in c.iter_mut() {
-            *s += 100;
+        for n in 0..6 {
+            *c.get_mut(Block(n)).unwrap() += 100;
         }
-        assert!(c.iter().all(|(_, &s)| s >= 100));
+        assert!(c.iter().all(|(b, &s)| s == b.0 as u32 + 100));
     }
 
     #[test]
@@ -528,6 +493,46 @@ mod tests {
     }
 
     #[test]
+    fn one_page_resident_bytes_count_table_tags_and_slots() {
+        // One pointer per page-table entry, however large the state.
+        assert_eq!(size_of::<Option<Box<Page<[u8; 24]>>>>(), size_of::<usize>());
+        let mut c: SetAssoc<u64> = SetAssoc::new(4, 2, 0);
+        let table = size_of::<SetAssoc<u64>>() + size_of::<Option<Box<Page<u64>>>>();
+        assert_eq!(c.resident_bytes(), table);
+        c.insert(Block(0), 1);
+        // 4 sets × 2 ways: one page of 8 ways, each a tag and a slot.
+        let ways = 8;
+        let page =
+            size_of::<Page<u64>>() + ways * (size_of::<u64>() + size_of::<Option<LineSlot<u64>>>());
+        let live = c.live.capacity() * size_of::<u32>();
+        assert_eq!(c.resident_bytes(), table + page + live);
+        // A way is its tag and its slot: no larger than one slot that
+        // held the block inline, `Option<(block, state, stamp, live_pos)>`.
+        let inline = size_of::<Option<(u64, u64, u64, u32)>>();
+        assert!(size_of::<u64>() + size_of::<Option<LineSlot<u64>>>() <= inline);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved as the free-way tag")]
+    fn the_free_way_tag_is_refused_as_a_block() {
+        let mut c: SetAssoc<u8> = SetAssoc::new(4, 2, 0);
+        c.insert(Block(u64::MAX), 0);
+    }
+
+    #[test]
+    fn probes_of_the_free_way_tag_find_nothing() {
+        let mut c: SetAssoc<u8> = SetAssoc::new(1, 2, 0);
+        c.insert(Block(1), 1);
+        let free = Block(u64::MAX);
+        assert!(!c.contains(free));
+        assert_eq!(c.peek(free), None);
+        assert_eq!(c.get_mut(free), None);
+        assert_eq!(c.remove(free), None);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.iter().map(|(b, _)| b).collect::<Vec<_>>(), vec![Block(1)]);
+    }
+
+    #[test]
     fn tiny_arrays_use_a_single_page() {
         let mut c: SetAssoc<u8> = SetAssoc::new(2, 2, 0);
         c.insert(Block(0), 0);
@@ -548,11 +553,33 @@ mod tests {
         let _: SetAssoc<u8> = SetAssoc::new(4, 0, 0);
     }
 
+    /// Checks the tag array against the slots: a way's tag is `EMPTY`
+    /// exactly when its slot is, and `iter` lists exactly the tagged
+    /// blocks, each once.
+    fn check_tags<S>(sut: &SetAssoc<S>) {
+        let mut tagged = Vec::new();
+        for page in sut.pages.iter().flatten() {
+            prop_assert_eq!(page.tags.len(), sut.page_slots());
+            prop_assert_eq!(page.slots.len(), sut.page_slots());
+            for (&tag, slot) in page.tags.iter().zip(page.slots.iter()) {
+                prop_assert_eq!(tag == EMPTY, slot.is_none(), "tag {:#x}", tag);
+                if tag != EMPTY {
+                    tagged.push(tag);
+                }
+            }
+        }
+        tagged.sort_unstable();
+        let mut listed: Vec<u64> = sut.iter().map(|(b, _)| b.0).collect();
+        listed.sort_unstable();
+        prop_assert_eq!(listed, tagged);
+    }
+
     /// Replays `(op, block)` pairs on `sut` and on a naive per-set LRU
     /// model in which block `n` maps to set `set_of(n)`: op 0 inserts,
-    /// 1 gets, 2 removes, 3 peeks (no LRU update) and 4 writes through
-    /// `get_mut`. Before every insert, `victim_of` must name the block the
-    /// insert then evicts, or `None` when it evicts nothing.
+    /// 1 reads through `get_mut`, 2 removes, 3 peeks (no LRU update) and
+    /// 4 writes through `get_mut`. Every insert's outcome, an eviction's
+    /// block and state included, must be the model's, and the tag array
+    /// must agree with the slots after every operation.
     fn replay_against_model(
         mut sut: SetAssoc<u64>,
         set_of: impl Fn(u64) -> u64,
@@ -568,7 +595,6 @@ mod tests {
             let pos = entry.iter().position(|&(blk, _)| blk == n);
             match op {
                 0 => {
-                    let predicted = sut.victim_of(b);
                     let out = sut.insert(b, n + 1000);
                     let want = if let Some(pos) = pos {
                         let (_, old) = entry.remove(pos);
@@ -580,15 +606,10 @@ mod tests {
                         InsertOutcome::Evicted(Block(vb), vs)
                     };
                     entry.push((n, n + 1000));
-                    let evicted = match &want {
-                        InsertOutcome::Evicted(vb, _) => Some(*vb),
-                        _ => None,
-                    };
-                    prop_assert_eq!(predicted, evicted, "victim_of({n:#x})");
                     prop_assert_eq!(out, want);
                 }
                 1 => {
-                    let got = sut.get(b).copied();
+                    let got = sut.get_mut(b).map(|s| *s);
                     let want = pos.map(|pos| {
                         let e = entry.remove(pos);
                         entry.push(e);
@@ -629,6 +650,7 @@ mod tests {
             let mut want: Vec<u64> = model.values().flatten().map(|&(blk, _)| blk).collect();
             want.sort_unstable();
             prop_assert_eq!(got, want);
+            check_tags(&sut);
         }
     }
 

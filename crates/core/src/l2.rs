@@ -239,20 +239,19 @@ impl TokenL2 {
         // transient request reaches.
         let layout = &self.holder.layout;
         let home = self.holder.cfg.home_of(block);
-        let targets: Vec<CmpId> = match hint {
-            Some(h) => {
-                let mut t = vec![];
-                if h != self.cmp {
-                    t.push(h);
-                }
-                if home != self.cmp && home != h {
-                    t.push(home);
-                }
-                t
-            }
-            None => layout.cmp_ids().filter(|&c| c != self.cmp).collect(),
+        // `[hint, home]` without this chip or a repeat, else every other
+        // chip in id order: the order fixes the copies' sequence numbers.
+        let (predicted, broadcast) = match hint {
+            Some(h) => ([Some(h), Some(home).filter(|&c| c != h)], None),
+            None => ([None; 2], Some(layout.cmp_ids())),
         };
-        let banks = targets.into_iter().map(|c| layout.l2(c, self.bank));
+        let targets = predicted
+            .into_iter()
+            .flatten()
+            .chain(broadcast.into_iter().flatten());
+        let banks = targets
+            .filter(|&c| c != self.cmp)
+            .map(|c| layout.l2(c, self.bank));
         let mem = (home == self.cmp).then(|| layout.mem(self.cmp));
         ctx.send_all_after(self.holder.cfg.l2_latency, banks.chain(mem), req);
     }

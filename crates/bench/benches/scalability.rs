@@ -19,13 +19,13 @@
 //! `target/sweep/BENCH_scale.smoke.json`; `--validate [path]` checks the
 //! file's schema and its 1024-core gate.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tokencmp::{
     run_workload, Fabric, LockingWorkload, MsgClass, Protocol, RunOptions, RunOutcome,
     SystemConfig, Tier, Variant,
 };
-use tokencmp_bench::scale::ScaleBenchEntry;
+use tokencmp_bench::scale::{Repeats, ScaleBenchEntry};
 use tokencmp_bench::trajectory::Invocation;
 use tokencmp_bench::{banner, BenchGrid};
 
@@ -71,11 +71,18 @@ fn scale_grid(smoke: bool) -> Vec<ScalePoint> {
     }
 }
 
+/// A point's timed run repeats until at least this much wall time has
+/// passed, so a small point is timed over many runs rather than one of a
+/// few milliseconds.
+const MIN_TIMED: Duration = Duration::from_secs(1);
+
 /// Runs one grid point (TokenCMP-dst1, locking with one lock per four
-/// cores) and records it as a trajectory entry. A separate profiled run
-/// of the same point attaches the host-time attribution and its own wall
-/// time, kept out of the timed run so the recorded rates never carry
-/// profiling overhead.
+/// cores) and records it as a trajectory entry: the timed run repeats
+/// until [`MIN_TIMED`] has passed, and the entry keeps the median and
+/// quartiles of its wall times. A separate profiled run of the same
+/// point attaches the host-time attribution and its own wall time, kept
+/// out of the timed runs so the recorded rates never carry profiling
+/// overhead.
 fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
     let mut cfg = SystemConfig {
         cmps: p.cmps,
@@ -89,17 +96,24 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
     let procs = cfg.layout().procs();
     let workload = || LockingWorkload::new(procs, (procs / 4).max(2), p.acquires, 7);
     let protocol = Protocol::Token(Variant::Dst1);
-    let start = Instant::now();
-    let (res, _) = run_workload(&cfg, protocol, workload(), &RunOptions::default());
-    let elapsed = start.elapsed();
-    assert_eq!(
-        res.outcome,
-        RunOutcome::Idle,
-        "{} {}x{} did not finish",
-        p.fabric.name(),
-        p.cmps,
-        p.procs_per_cmp
-    );
+    let mut times = Vec::new();
+    let res = loop {
+        let start = Instant::now();
+        let (res, _) = run_workload(&cfg, protocol, workload(), &RunOptions::default());
+        times.push(start.elapsed());
+        assert_eq!(
+            res.outcome,
+            RunOutcome::Idle,
+            "{} {}x{} did not finish",
+            p.fabric.name(),
+            p.cmps,
+            p.procs_per_cmp
+        );
+        if times.iter().sum::<Duration>() >= MIN_TIMED {
+            break res;
+        }
+    };
+    let (elapsed, repeats) = Repeats::of(&times);
     let mut entry = ScaleBenchEntry::measured(
         run,
         p.fabric.name(),
@@ -109,6 +123,7 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
         res.runtime.as_ps(),
         elapsed,
     );
+    entry.repeats = Some(repeats);
     let opts = RunOptions::default().with_profiling();
     let (profiled, _) = run_workload(&cfg, protocol, workload(), &opts);
     let profile = profiled
@@ -123,21 +138,22 @@ fn run_scale_point(run: &str, p: &ScalePoint) -> ScaleBenchEntry {
 fn run_scale_study(inv: &Invocation<ScaleBenchEntry>) {
     println!("\nscale-out trajectory (TokenCMP-dst1, one lock per four cores):");
     println!(
-        "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14} {:>12}",
-        "fabric", "chips", "cores", "events", "runtime (ps)", "events/sec", "wall (s)"
+        "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14} {:>12} {:>5}",
+        "fabric", "chips", "cores", "events", "runtime (ps)", "events/sec", "wall (s)", "reps"
     );
     let mut fresh = Vec::new();
     for p in scale_grid(inv.smoke) {
         let e = run_scale_point(&inv.run, &p);
         println!(
-            "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14.3e} {:>12.1}",
+            "{:>7} {:>6} {:>7} {:>10} {:>14} {:>14.3e} {:>12.3} {:>5}",
             e.fabric,
             e.cmps,
             e.cores,
             e.events,
             e.runtime_ps,
             e.events_per_sec,
-            e.elapsed_ns as f64 / 1e9
+            e.elapsed_ns as f64 / 1e9,
+            e.repeats.map_or(1, |r| r.reps)
         );
         fresh.push(e);
     }

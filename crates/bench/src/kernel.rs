@@ -12,7 +12,10 @@
 //!
 //! `churn/d<depth>` is the pure-kernel hold-model microbench (pop one,
 //! push one at a random future offset, steady-state depth `<depth>`);
-//! it isolates the event queue. Runs up to `pr15` also carry
+//! it isolates the event queue. From run `pr27` on, `fan/d<depth>` rows
+//! hold the same depth in fan-outs (broadcasts of 16 copies, four to an
+//! arrival tick, each re-sent when its last copy pops), so the queue's
+//! fan-out path is measured too. Runs up to `pr15` also carry
 //! `table3/<protocol>` rows: single best-of-3 full protocol runs on the
 //! paper's Table 3 system, with a `profile`. Those rows still load, but
 //! new runs no longer measure them: they moved by ±20% between
@@ -21,7 +24,8 @@
 //! `BENCH_scale.json` point.
 //!
 //! `backend` names the event-queue implementation a row was measured
-//! on. New rows are always `heap`, the kernel's binary heap; `wheel`
+//! on. New rows are always `heap`, the kernel's heap of event heads (a
+//! binary heap up to run `pr15`, a 4-ary heap from `pr27` on); `wheel`
 //! rows are historical, measured on the calendar timing wheel the
 //! kernel carried until it was retired (DESIGN.md §14).
 
@@ -46,7 +50,8 @@ pub struct KernelBenchEntry {
     pub shared: Shared,
     /// Event-queue backend name, one of [`BACKENDS`].
     pub backend: String,
-    /// Bench name (`churn/d4096`, or a historical `table3/token-dst1`).
+    /// Bench name (`churn/d4096`, `fan/d4096`, or a historical
+    /// `table3/token-dst1`).
     pub bench: String,
     /// Events processed during the timed section.
     pub events: u64,

@@ -12,17 +12,22 @@
 //! same point, so a ratio between two points can be explained from the
 //! file. Newer entries also record that companion run's own wall time
 //! (`profiled_wall_ns`), so a profile that sums past the timed run can be
-//! told apart from a profiled run that ran longer.
+//! told apart from a profiled run that ran longer. From run `pr27` on,
+//! a point's timed run repeats until at least a second has passed:
+//! `elapsed_ns` is then the median of `reps` runs, between the quartiles
+//! `elapsed_q1_ns` and `elapsed_q3_ns`, so a small point is no longer one
+//! run of a few milliseconds.
 //!
 //! Schema (`tokencmp-scale-bench-v1`), one entry:
 //!
 //! ```json
-//! {"run": "pr20", "fabric": "mesh", "cmps": 64, "cores_per_cmp": 16,
-//!  "cores": 1024, "events": 16548472, "runtime_ps": 233641125,
-//!  "elapsed_ns": 9040349091, "events_per_sec": 1830512.5,
-//!  "ns_per_event": 546.3, "host_cores": 2,
-//!  "profile": {"handler.l1": 1700000000, "sched.pop": 880000000},
-//!  "profiled_wall_ns": 9870000000}
+//! {"run": "pr27", "fabric": "mesh", "cmps": 64, "cores_per_cmp": 4,
+//!  "cores": 256, "events": 1092983, "runtime_ps": 22444625,
+//!  "elapsed_ns": 280000000, "events_per_sec": 3903510.7,
+//!  "ns_per_event": 256.2, "host_cores": 2, "reps": 4,
+//!  "elapsed_q1_ns": 276000000, "elapsed_q3_ns": 291000000,
+//!  "profile": {"handler.l1": 150000000, "sched.pop": 120000000},
+//!  "profiled_wall_ns": 350000000}
 //! ```
 //!
 //! The gate (run by the CI `scale` job) requires the trajectory to
@@ -73,6 +78,41 @@ pub struct ScaleBenchEntry {
     /// `shared.profile`. Optional on parse (older rows lack it) and
     /// omitted when absent.
     pub profiled_wall_ns: Option<u64>,
+    /// How often the timed run was repeated, when it was: `elapsed_ns`
+    /// is then the median. Optional on parse (older rows are one run)
+    /// and omitted when absent.
+    pub repeats: Option<Repeats>,
+}
+
+/// A repeated timed run: how many runs, and the quartiles of their wall
+/// times (written as `reps`, `elapsed_q1_ns` and `elapsed_q3_ns`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Repeats {
+    /// Timed runs of the point.
+    pub reps: u64,
+    /// First quartile of their wall times.
+    pub q1_ns: u64,
+    /// Third quartile of their wall times.
+    pub q3_ns: u64,
+}
+
+impl Repeats {
+    /// The median and quartiles of `times` (at least one run), nearest
+    /// rank: the median of an even count is the upper middle run.
+    pub fn of(times: &[Duration]) -> (Duration, Repeats) {
+        let mut sorted = times.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        assert!(n > 0, "no timed run");
+        let at = |q: usize| sorted[(n * q / 4).min(n - 1)];
+        let ns = |d: Duration| d.as_nanos() as u64;
+        let repeats = Repeats {
+            reps: n as u64,
+            q1_ns: ns(at(1)),
+            q3_ns: ns(at(3)),
+        };
+        (at(2), repeats)
+    }
 }
 
 impl ScaleBenchEntry {
@@ -99,6 +139,7 @@ impl ScaleBenchEntry {
             events_per_sec: events as f64 / elapsed.as_secs_f64(),
             ns_per_event: ns as f64 / events as f64,
             profiled_wall_ns: None,
+            repeats: None,
         }
     }
 }
@@ -131,6 +172,13 @@ impl Entry for ScaleBenchEntry {
         if let Some(ns) = self.profiled_wall_ns {
             obj.insert("profiled_wall_ns".into(), Value::Int(ns));
         }
+        if let Some(r) = self.repeats {
+            obj.extend([
+                ("reps".into(), Value::Int(r.reps)),
+                ("elapsed_q1_ns".into(), Value::Int(r.q1_ns)),
+                ("elapsed_q3_ns".into(), Value::Int(r.q3_ns)),
+            ]);
+        }
     }
 
     fn read(shared: Shared, f: &Fields<'_>) -> Result<ScaleBenchEntry, String> {
@@ -138,19 +186,31 @@ impl Entry for ScaleBenchEntry {
         if !FABRICS.contains(&fabric.as_str()) {
             return Err(f.err(format!("unknown fabric `{fabric}`")));
         }
-        let entry = ScaleBenchEntry {
-            shared,
-            fabric,
-            cmps: f.int("cmps")?,
-            cores_per_cmp: f.int("cores_per_cmp")?,
-            cores: f.int("cores")?,
-            events: f.int("events")?,
-            runtime_ps: f.int("runtime_ps")?,
-            elapsed_ns: f.int("elapsed_ns")?,
-            events_per_sec: f.rate("events_per_sec")?,
-            ns_per_event: f.rate("ns_per_event")?,
-            profiled_wall_ns: f.opt_int("profiled_wall_ns")?,
-        };
+        let entry =
+            ScaleBenchEntry {
+                shared,
+                fabric,
+                cmps: f.int("cmps")?,
+                cores_per_cmp: f.int("cores_per_cmp")?,
+                cores: f.int("cores")?,
+                events: f.int("events")?,
+                runtime_ps: f.int("runtime_ps")?,
+                elapsed_ns: f.int("elapsed_ns")?,
+                events_per_sec: f.rate("events_per_sec")?,
+                ns_per_event: f.rate("ns_per_event")?,
+                profiled_wall_ns: f.opt_int("profiled_wall_ns")?,
+                repeats: match (
+                    f.opt_int("reps")?,
+                    f.opt_int("elapsed_q1_ns")?,
+                    f.opt_int("elapsed_q3_ns")?,
+                ) {
+                    (None, None, None) => None,
+                    (Some(reps), Some(q1_ns), Some(q3_ns)) => Some(Repeats { reps, q1_ns, q3_ns }),
+                    _ => return Err(f.err(
+                        "`reps`, `elapsed_q1_ns` and `elapsed_q3_ns` come together or not at all",
+                    )),
+                },
+            };
         if entry.cores != entry.cmps * entry.cores_per_cmp {
             return Err(f.err(format!(
                 "cores ({}) != cmps ({}) × cores_per_cmp ({})",
@@ -165,6 +225,14 @@ impl Entry for ScaleBenchEntry {
         }
         if entry.profiled_wall_ns.is_some() && entry.shared.profile.is_empty() {
             return Err(f.err("`profiled_wall_ns` without a `profile`"));
+        }
+        if let Some(r) = entry.repeats {
+            if r.reps == 0 || !(r.q1_ns <= entry.elapsed_ns && entry.elapsed_ns <= r.q3_ns) {
+                return Err(f.err(format!(
+                    "`reps` ({}) must be >= 1 and `elapsed_q1_ns` <= `elapsed_ns` <= `elapsed_q3_ns` ({} <= {} <= {})",
+                    r.reps, r.q1_ns, entry.elapsed_ns, r.q3_ns
+                )));
+            }
         }
         Ok(entry)
     }
@@ -223,17 +291,41 @@ mod tests {
         let mut profiled = entry("pr11", "mesh", 8, 2);
         profiled.shared.profile.insert("handler.l1".into(), 400_000);
         profiled.profiled_wall_ns = Some(900_000_000);
+        let mut repeated = entry("pr27", "flat", 4, 4);
+        repeated.repeats = Some(Repeats {
+            reps: 5,
+            q1_ns: 790_000_000,
+            q3_ns: 830_000_000,
+        });
         let entries = vec![
             entry("pr10", "flat", 4, 4),
             entry("pr10", "mesh", 64, 16),
             entry("pr10", "ring", 16, 4),
             profiled,
+            repeated,
         ];
         let text = render(&entries);
         let parsed = parse_trajectory(&text).unwrap();
         assert_eq!(parsed, entries);
-        // An entry without the profiled run's wall time writes no field.
+        // An entry without the profiled run's wall time, or run once,
+        // writes no field for it.
         assert_eq!(text.matches("profiled_wall_ns").count(), 1, "{text}");
+        assert_eq!(text.matches("\"reps\"").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn repeats_take_the_median_and_quartiles() {
+        let ms = |v: &[u64]| {
+            v.iter()
+                .map(|&m| Duration::from_millis(m))
+                .collect::<Vec<_>>()
+        };
+        let (median, r) = Repeats::of(&ms(&[40, 10, 30, 20, 50]));
+        assert_eq!(median, Duration::from_millis(30));
+        assert_eq!((r.reps, r.q1_ns, r.q3_ns), (5, 20_000_000, 40_000_000));
+        let (median, r) = Repeats::of(&ms(&[7]));
+        assert_eq!(median, Duration::from_millis(7));
+        assert_eq!((r.q1_ns, r.q3_ns), (7_000_000, 7_000_000));
     }
 
     #[test]
@@ -275,6 +367,20 @@ mod tests {
         orphan.profiled_wall_ns = Some(5);
         let err = parse_trajectory(&render(&[orphan])).unwrap_err();
         assert!(err.contains("without a `profile`"), "{err}");
+        // Repeats carry the median between their quartiles, all three
+        // fields or none.
+        let mut outside = entry("a", "mesh", 8, 2);
+        outside.repeats = Some(Repeats {
+            reps: 3,
+            q1_ns: 1,
+            q3_ns: 2,
+        });
+        let err = parse_trajectory(&render(&[outside])).unwrap_err();
+        assert!(err.contains("elapsed_q1_ns"), "{err}");
+        let text = render(&[entry("a", "mesh", 8, 2)])
+            .replace("\"elapsed_ns\"", "\"reps\":2,\"elapsed_ns\"");
+        let err = parse_trajectory(&text).unwrap_err();
+        assert!(err.contains("together"), "{err}");
     }
 
     #[test]

@@ -25,11 +25,14 @@
 //! The chip-to-chip tier is a pluggable [`Fabric`]: the flat bus above
 //! (Table 3, one direct serialized link per ordered chip pair), a ring,
 //! or a 2D mesh with dimension-order routing. Multi-hop fabrics charge
-//! inter-CMP bytes and acquire a serialized link *per hop* ([`next_hop`]
-//! / [`inter_path`] / [`inter_hops`] expose the pure routing functions),
-//! so per-link FIFO contention emerges naturally from the same occupancy
-//! model the flat bus uses. The flat fabric is the degenerate one-hop
-//! case and reproduces the pre-fabric arithmetic bit-identically.
+//! inter-CMP bytes and acquire a serialized link *per hop*, so per-link
+//! FIFO contention emerges naturally from the same occupancy model the
+//! flat bus uses. The flat fabric is the degenerate one-hop case and
+//! reproduces the pre-fabric arithmetic bit-identically. The network
+//! walks each route from per-chip state (a mesh chip's column and row),
+//! choosing a leg's direction and output port once; [`next_hop`] /
+//! [`inter_path`] / [`inter_hops`] are the pure routing functions that
+//! define the paths, and the walk is tested against them.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -347,6 +350,72 @@ pub fn inter_hops(fabric: Fabric, cmps: u16, from: u16, to: u16) -> u32 {
     }
 }
 
+/// One inter-CMP route, walked hop by hop: yields the `next_free` index
+/// ([`Network::inter_link`]) of each directed link the route crosses, in
+/// path order. A hop is an add, a compare and a multiply-add; it never
+/// divides and never calls [`next_hop`]. Built by [`Network::walk`].
+#[derive(Clone, Debug)]
+struct Walk {
+    /// The chip the next hop leaves.
+    cur: u16,
+    /// Chip count: a step that leaves `0..cmps` wraps (a ring's ends).
+    cmps: u16,
+    /// Output ports per chip, as in [`Network::inter_link`].
+    ports: usize,
+    /// The legs left, the current one first: a mesh's X leg then its Y
+    /// leg; one leg on a ring or the flat bus. A leg of no hops is done.
+    legs: [Leg; 2],
+}
+
+/// A run of hops in one direction: one mesh dimension, a ring's arc, or
+/// the flat bus's direct link.
+#[derive(Clone, Copy, Debug, Default)]
+struct Leg {
+    /// Hops left.
+    hops: u16,
+    /// What each hop adds to the chip id (wrapping, so `u16::MAX` is −1).
+    step: u16,
+    /// What a step that leaves `0..cmps` adds on top: `−cmps` or `cmps`
+    /// on a ring, unused on the other fabrics.
+    wrap: u16,
+    /// The output port every hop of the leg leaves by.
+    port: u16,
+}
+
+impl Leg {
+    /// The chip one `step` from `at`.
+    fn advance(at: u16, step: u16, wrap: u16, cmps: u16) -> u16 {
+        let next = at.wrapping_add(step);
+        if next < cmps {
+            next
+        } else {
+            next.wrapping_add(wrap)
+        }
+    }
+}
+
+impl Walk {
+    /// Links left to cross: what the route charges to the inter-CMP tier.
+    fn hops(&self) -> u32 {
+        u32::from(self.legs[0].hops) + u32::from(self.legs[1].hops)
+    }
+}
+
+impl Iterator for Walk {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.legs[0].hops == 0 {
+            self.legs = [self.legs[1], Leg::default()];
+        }
+        let leg = &mut self.legs[0];
+        leg.hops = leg.hops.checked_sub(1)?;
+        let link = usize::from(self.cur) * self.ports + usize::from(leg.port);
+        self.cur = Leg::advance(self.cur, leg.step, leg.wrap, self.cmps);
+        Some(link)
+    }
+}
+
 /// Live fault-injection state: the plan, its private RNG stream, shared
 /// counters, and the per-directed-pair FIFO clamp used so that jitter on
 /// serialized links delays but never reorders.
@@ -387,6 +456,9 @@ pub struct Network {
     /// Inter-CMP output ports per chip: every other chip on the flat
     /// fabric (indexed by destination), 2 on a ring, 4 on a mesh.
     ports: usize,
+    /// Each chip's `(column, row)` on a mesh, indexed by chip (empty on
+    /// the other fabrics): what [`Network::walk`] routes from.
+    mesh_xy: Vec<(u16, u16)>,
     traffic: TrafficHandle,
     faults: Option<Box<FaultState>>,
     trace: Option<TraceHandle>,
@@ -416,6 +488,10 @@ impl Network {
             mem_gbps: cfg.mem_gbps,
             next_free: vec![Time::ZERO; cmps * (ports + 2)],
             ports,
+            mesh_xy: match cfg.fabric {
+                Fabric::Mesh { cols } => (0..cfg.cmps).map(|c| (c % cols, c / cols)).collect(),
+                Fabric::Flat | Fabric::Ring => Vec::new(),
+            },
             traffic: Rc::new(RefCell::new(Traffic::new())),
             faults: None,
             trace: None,
@@ -516,19 +592,75 @@ impl Network {
         start + ser
     }
 
-    /// Walks the inter-CMP fabric `from → to`, acquiring every hop's
-    /// serialized link in path order (per-hop FIFO contention) and paying
-    /// the link latency per hop. On the flat fabric this is a single
-    /// `occupy` on the direct link — exactly the pre-fabric arithmetic.
-    fn traverse_inter(&mut self, from: u16, to: u16, at: Time, ser: Dur) -> Time {
-        let mut t = at;
-        let mut cur = from;
-        while cur != to {
-            let nxt = next_hop(self.fabric, self.cmps, cur, to);
-            t = self.occupy(self.inter_link(cur, nxt), t, ser) + self.inter_latency;
-            cur = nxt;
+    /// The route `from → to` ([`inter_path`]'s path), as a [`Walk`] built
+    /// from per-chip state: the mesh's X leg then its Y leg, a ring's
+    /// shorter arc (clockwise on a tie), or the flat bus's one direct
+    /// link. Each leg's direction and output port are chosen here, once;
+    /// its port comes from [`Network::inter_link`].
+    fn walk(&self, from: u16, to: u16) -> Walk {
+        let mut walk = Walk {
+            cur: from,
+            cmps: self.cmps,
+            ports: self.ports,
+            legs: [Leg::default(); 2],
+        };
+        if from == to {
+            return walk;
         }
-        t
+        let n = self.cmps;
+        match self.fabric {
+            Fabric::Flat => walk.legs[0] = self.leg(from, to.wrapping_sub(from), 1, 0),
+            Fabric::Ring => {
+                // `to - from` modulo `n`; the wrapped sum is below `n`.
+                let fwd = to
+                    .wrapping_sub(from)
+                    .wrapping_add(if to < from { n } else { 0 });
+                walk.legs[0] = if fwd <= n - fwd {
+                    self.leg(from, 1, fwd, n.wrapping_neg())
+                } else {
+                    self.leg(from, u16::MAX, n - fwd, n)
+                };
+            }
+            Fabric::Mesh { cols } => {
+                let ((fx, fy), (tx, ty)) = (
+                    self.mesh_xy[usize::from(from)],
+                    self.mesh_xy[usize::from(to)],
+                );
+                let mut legs = walk.legs.iter_mut();
+                if fx != tx {
+                    let step = if fx < tx { 1 } else { u16::MAX };
+                    *legs.next().expect("two legs") = self.leg(from, step, fx.abs_diff(tx), 0);
+                }
+                if fy != ty {
+                    // The Y leg starts in the destination's column.
+                    let corner = from.wrapping_sub(fx).wrapping_add(tx);
+                    let step = if fy < ty { cols } else { cols.wrapping_neg() };
+                    *legs.next().expect("two legs") = self.leg(corner, step, fy.abs_diff(ty), 0);
+                }
+            }
+        }
+        walk
+    }
+
+    /// A leg of `hops` hops from chip `at`, each moving the chip id by
+    /// `step` (wrapping by `wrap` past either end of a ring).
+    fn leg(&self, at: u16, step: u16, hops: u16, wrap: u16) -> Leg {
+        let port = self.inter_link(at, Leg::advance(at, step, wrap, self.cmps))
+            - usize::from(at) * self.ports;
+        Leg {
+            hops,
+            step,
+            wrap,
+            port: port as u16,
+        }
+    }
+
+    /// Acquires every serialized link of `walk` in path order (per-hop
+    /// FIFO contention), paying the link latency per hop. On the flat
+    /// fabric this is a single `occupy` on the direct link — exactly the
+    /// pre-fabric arithmetic.
+    fn traverse_inter(&mut self, walk: Walk, at: Time, ser: Dur) -> Time {
+        walk.fold(at, |t, link| self.occupy(link, t, ser) + self.inter_latency)
     }
 
     /// Delivery with fault injection, for messages whose route has active
@@ -650,16 +782,16 @@ impl<M: NetMsg> Transport<M> for Network {
                 now + self.intra_latency + Dur::from_bytes_at_gbps(size, self.intra_gbps)
             }
             Route::Inter { src_cmp, dst_cmp } => {
+                let walk = self.walk(src_cmp, dst_cmp);
                 if size > 0 {
                     // On-chip segments at both ends, plus every global
                     // link crossed (one on the flat fabric).
-                    let hops = inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp);
                     traffic.charge(Tier::Intra, class, size, 2);
-                    traffic.charge(Tier::Inter, class, size, hops);
+                    traffic.charge(Tier::Inter, class, size, walk.hops());
                 }
                 drop(traffic);
                 let ser = Dur::from_bytes_at_gbps(size, self.inter_gbps);
-                self.traverse_inter(src_cmp, dst_cmp, now, ser)
+                self.traverse_inter(walk, now, ser)
             }
             Route::MemLink { cmp, to_mem } => {
                 if size > 0 {
@@ -676,24 +808,24 @@ impl<M: NetMsg> Transport<M> for Network {
                 dst_cmp,
                 to_mem,
             } => {
+                let walk = self.walk(src_cmp, dst_cmp);
                 if size > 0 {
-                    let hops = inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp);
                     traffic.charge(Tier::Intra, class, size, 1);
-                    traffic.charge(Tier::Inter, class, size, hops);
+                    traffic.charge(Tier::Inter, class, size, walk.hops());
                     traffic.charge(Tier::Mem, class, size, 1);
                 }
                 drop(traffic);
                 let ser_inter = Dur::from_bytes_at_gbps(size, self.inter_gbps);
                 let mem_cmp = if to_mem { dst_cmp } else { src_cmp };
-                let after_inter = self.traverse_inter(src_cmp, dst_cmp, now, ser_inter);
+                let after_inter = self.traverse_inter(walk, now, ser_inter);
                 let ser_mem = Dur::from_bytes_at_gbps(size, self.mem_gbps);
                 let out = self.occupy(self.mem_link(mem_cmp, to_mem), after_inter, ser_mem);
                 out + self.offchip_latency
             }
             Route::MemToMem { src_cmp, dst_cmp } => {
+                let walk = self.walk(src_cmp, dst_cmp);
                 if size > 0 {
-                    let hops = inter_hops(self.fabric, self.cmps, src_cmp, dst_cmp);
-                    traffic.charge(Tier::Inter, class, size, hops);
+                    traffic.charge(Tier::Inter, class, size, walk.hops());
                     traffic.charge(Tier::Mem, class, size, 2);
                 }
                 drop(traffic);
@@ -701,7 +833,7 @@ impl<M: NetMsg> Transport<M> for Network {
                 let ser_inter = Dur::from_bytes_at_gbps(size, self.inter_gbps);
                 let t1 =
                     self.occupy(self.mem_link(src_cmp, false), now, ser_mem) + self.offchip_latency;
-                let t2 = self.traverse_inter(src_cmp, dst_cmp, t1, ser_inter);
+                let t2 = self.traverse_inter(walk, t1, ser_inter);
                 let t3 = self.occupy(self.mem_link(dst_cmp, true), t2, ser_mem);
                 t3 + self.offchip_latency
             }
@@ -1269,6 +1401,45 @@ mod tests {
         assert_eq!(inter_hops(f, 16, 0, 15), 6);
         // Same column: pure Y.
         assert_eq!(inter_path(f, 16, 1, 13), vec![5, 9, 13]);
+    }
+
+    /// The walk `traverse_inter` takes crosses, for every ordered chip
+    /// pair, exactly the links of the pure oracle — `inter_link` of each
+    /// hop of `inter_path`, in order — and `inter_hops` of them: on
+    /// square, oblong and one-column meshes, on rings with and without a
+    /// diametric tie, and on the flat bus.
+    #[test]
+    fn walks_cross_the_oracle_links_in_order() {
+        let fabrics = [
+            (64, Fabric::Mesh { cols: 8 }),
+            (8, Fabric::Mesh { cols: 4 }),
+            (8, Fabric::Mesh { cols: 1 }),
+            (8, Fabric::Mesh { cols: 8 }),
+            (2, Fabric::Ring),
+            (8, Fabric::Ring),
+            (16, Fabric::Ring),
+            (4, Fabric::Flat),
+        ];
+        for (cmps, fabric) in fabrics {
+            let n = Network::new(&fabric_cfg(cmps, fabric));
+            for from in 0..cmps {
+                for to in 0..cmps {
+                    let mut cur = from;
+                    let want: Vec<usize> = inter_path(fabric, cmps, from, to)
+                        .into_iter()
+                        .map(|next| {
+                            let link = n.inter_link(cur, next);
+                            cur = next;
+                            link
+                        })
+                        .collect();
+                    let walk = n.walk(from, to);
+                    assert_eq!(walk.hops(), inter_hops(fabric, cmps, from, to));
+                    let got: Vec<usize> = walk.collect();
+                    assert_eq!(got, want, "{fabric:?} on {cmps} chips: {from} -> {to}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! number makes tie-breaking FIFO among events scheduled for the same
 //! picosecond, which in turn makes whole simulations reproducible.
 //!
-//! The binary heap holds small `(time, seq, slot)` *heads*; the events
-//! themselves live in a slab. A slab entry is either one event or a
-//! *fan-out*: one message bound for many destinations (a broadcast),
-//! its payload stored once next to a 16-byte `(arrival, seq offset,
-//! dst)` record per pending copy. A fan-out's head carries the key of
-//! its earliest pending copy, and popping that copy re-keys the head in
-//! place, so the heap holds one entry per in-flight broadcast while the
-//! copies still leave in ascending per-copy `(time, seq)` order.
+//! A 4-ary min-heap holds small `(time, seq, slot)` *heads*, ordered by
+//! one `u128` key (`time << 64 | seq`); the events themselves live in a
+//! slab. A slab entry is either one event or a *fan-out*: one message
+//! bound for many destinations (a broadcast), its payload stored once
+//! next to a 16-byte `(arrival, seq offset, dst)` record per pending
+//! copy. A fan-out's head carries the key of its earliest pending copy,
+//! and popping that copy re-keys the head in place, so the heap holds
+//! one entry per in-flight broadcast while the copies still leave in
+//! ascending per-copy `(time, seq)` order. When the next copy arrives at
+//! the same time as the one just popped, the re-keyed head stays at the
+//! root without a sift: the fan owns every seq in `[base, base + n)`, so
+//! no other pending key lies between the two copies'.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
 
 use crate::kernel::NodeId;
 use crate::time::Time;
@@ -67,19 +69,78 @@ struct Head {
     slot: u32,
 }
 
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Head {
+    /// The `(time, seq)` order as one integer. Seqs are unique, so no two
+    /// heads tie and the slot never decides.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(self.time.as_ps()) << 64 | u128::from(self.seq)
     }
 }
 
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap but we want earliest-first.
-        // Seqs are unique, so the slot never decides.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+/// Children per heap node: half the depth of a binary heap, and a node's
+/// children sit side by side in memory.
+const ARITY: usize = 4;
+
+/// Moves the head at `pos` up to its place among its ancestors.
+fn sift_up(heads: &mut [Head], mut pos: usize) {
+    let moving = heads[pos];
+    let key = moving.key();
+    while pos > 0 {
+        let parent = (pos - 1) / ARITY;
+        if heads[parent].key() < key {
+            break;
+        }
+        heads[pos] = heads[parent];
+        pos = parent;
+    }
+    heads[pos] = moving;
+}
+
+/// The least of the children of the node whose first child is `first`
+/// (at least one child exists), and its key. A full node's four are
+/// compared as a tournament of two independent pairs, by selects
+/// rather than branches: which child wins is data the branch predictor
+/// cannot learn.
+#[inline]
+fn least_child(heads: &[Head], first: usize) -> (usize, u128) {
+    let kids = &heads[first..heads.len().min(first + ARITY)];
+    if let [a, b, c, d] = kids {
+        let (ka, kb, kc, kd) = (a.key(), b.key(), c.key(), d.key());
+        let (ab, ab_key) = (usize::from(kb < ka), ka.min(kb));
+        let (cd, cd_key) = (2 + usize::from(kd < kc), kc.min(kd));
+        let best = if cd_key < ab_key { cd } else { ab };
+        (first + best, ab_key.min(cd_key))
+    } else {
+        let mut best = (0, kids[0].key());
+        for (i, kid) in kids.iter().enumerate().skip(1) {
+            if kid.key() < best.1 {
+                best = (i, kid.key());
+            }
+        }
+        (first + best.0, best.1)
     }
 }
+
+/// Moves the head at `pos` down to its place among its descendants.
+fn sift_down(heads: &mut [Head], mut pos: usize) {
+    let moving = heads[pos];
+    let key = moving.key();
+    while ARITY * pos + 1 < heads.len() {
+        let (kid, kid_key) = least_child(heads, ARITY * pos + 1);
+        if key < kid_key {
+            break;
+        }
+        heads[pos] = heads[kid];
+        pos = kid;
+    }
+    heads[pos] = moving;
+}
+
+/// Emptied fan-out copy buffers are kept for reuse up to this capacity:
+/// a chip-wide broadcast fits, and a machine-wide one on a large system
+/// is freed rather than held for the rest of the run.
+const SPARE_COPIES: usize = 64;
 
 /// One pending copy of a fan-out; its seq is the fan's `base + off`.
 #[derive(Debug, Clone, Copy)]
@@ -126,9 +187,14 @@ enum Entry<M> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<M> {
-    heads: BinaryHeap<Head>,
+    /// A 4-ary min-heap by [`Head::key`]: the children of `i` are
+    /// `ARITY * i + 1 ..= ARITY * i + ARITY`.
+    heads: Vec<Head>,
     slab: Vec<Entry<M>>,
     free: Vec<u32>,
+    /// Emptied copy buffers of finished fan-outs, each of capacity at
+    /// most [`SPARE_COPIES`], for [`push_fan`](Self::push_fan) to reuse.
+    spare: Vec<Vec<FanCopy>>,
     /// Pending events, counting every pending copy of a fan-out.
     len: usize,
     next_seq: u64,
@@ -144,9 +210,10 @@ impl<M> EventQueue<M> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<M> {
         EventQueue {
-            heads: BinaryHeap::new(),
+            heads: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
+            spare: Vec::new(),
             len: 0,
             next_seq: 0,
         }
@@ -158,7 +225,7 @@ impl<M> EventQueue<M> {
         self.next_seq += 1;
         self.len += 1;
         let slot = self.insert(Entry::One { dst, kind });
-        self.heads.push(Head { time, seq, slot });
+        self.push_head(Head { time, seq, slot });
     }
 
     /// Schedules one copy of `msg` from `src` per `(arrival, dst)` in
@@ -175,14 +242,12 @@ impl<M> EventQueue<M> {
         let (base, n) = (self.next_seq, arrivals.len());
         // Built back to front: arrivals that come roughly in send order
         // are then already close to the descending order kept.
-        let mut copies: Vec<FanCopy> = (0..n)
-            .rev()
-            .map(|i| FanCopy {
-                time: arrivals[i].0,
-                off: i as u32,
-                dst: arrivals[i].1,
-            })
-            .collect();
+        let mut copies = self.spare.pop().unwrap_or_default();
+        copies.extend((0..n).rev().map(|i| FanCopy {
+            time: arrivals[i].0,
+            off: i as u32,
+            dst: arrivals[i].1,
+        }));
         copies.sort_unstable_by_key(|c| Reverse((c.time, c.off)));
         let first = copies[n - 1];
         self.next_seq += n as u64;
@@ -193,11 +258,37 @@ impl<M> EventQueue<M> {
             base,
             copies,
         });
-        self.heads.push(Head {
+        self.push_head(Head {
             time: first.time,
             seq: base + u64::from(first.off),
             slot,
         });
+    }
+
+    fn push_head(&mut self, head: Head) {
+        let pos = self.heads.len();
+        self.heads.push(head);
+        sift_up(&mut self.heads, pos);
+    }
+
+    /// Removes the root head. The hole it leaves moves down along the
+    /// least children to a leaf, and the last head fills it from there,
+    /// sifting up: the last head is a leaf's, so it seldom rises far,
+    /// and the way down skips comparing it at every level.
+    fn pop_head(&mut self) {
+        let last = self.heads.pop().expect("a head to remove");
+        if self.heads.is_empty() {
+            return;
+        }
+        let heads = &mut self.heads[..];
+        let mut hole = 0;
+        while ARITY * hole + 1 < heads.len() {
+            let (kid, _) = least_child(heads, ARITY * hole + 1);
+            heads[hole] = heads[kid];
+            hole = kid;
+        }
+        heads[hole] = last;
+        sift_up(heads, hole);
     }
 
     fn insert(&mut self, entry: Entry<M>) -> u32 {
@@ -215,7 +306,7 @@ impl<M> EventQueue<M> {
 
     /// Delivery time of the earliest pending event.
     pub fn next_time(&self) -> Option<Time> {
-        self.heads.peek().map(|h| h.time)
+        self.heads.first().map(|h| h.time)
     }
 
     /// Number of pending events (every pending copy of a fan-out counts).
@@ -239,8 +330,7 @@ impl<M> EventQueue<M> {
 impl<M: Clone> EventQueue<M> {
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        let mut head = self.heads.peek_mut()?;
-        let Head { time, seq, slot } = *head;
+        let Head { time, seq, slot } = *self.heads.first()?;
         self.len -= 1;
         let (dst, kind) = match &mut self.slab[slot as usize] {
             Entry::Fan {
@@ -251,9 +341,16 @@ impl<M: Clone> EventQueue<M> {
             } if copies.len() > 1 => {
                 let copy = copies.pop().expect("more than one copy pending");
                 let next = copies[copies.len() - 1];
-                // Re-key in place: dropping `head` sifts it down.
-                head.time = next.time;
-                head.seq = *base + u64::from(next.off);
+                // Re-key the root in place. At the same time it stays the
+                // minimum with no sift: a key between the popped copy's
+                // and the next copy's would need a seq between theirs,
+                // and the fan owns all of those.
+                let root = &mut self.heads[0];
+                root.seq = *base + u64::from(next.off);
+                if next.time != time {
+                    root.time = next.time;
+                    sift_down(&mut self.heads, 0);
+                }
                 (
                     copy.dst,
                     EventKind::Msg {
@@ -263,13 +360,23 @@ impl<M: Clone> EventQueue<M> {
                 )
             }
             _ => {
-                PeekMut::pop(head);
+                self.pop_head();
                 self.free.push(slot);
                 match std::mem::replace(&mut self.slab[slot as usize], Entry::Vacant) {
                     Entry::One { dst, kind } => (dst, kind),
                     Entry::Fan {
-                        src, msg, copies, ..
-                    } => (copies[0].dst, EventKind::Msg { src, msg }),
+                        src,
+                        msg,
+                        mut copies,
+                        ..
+                    } => {
+                        let dst = copies[0].dst;
+                        if copies.capacity() <= SPARE_COPIES {
+                            copies.clear();
+                            self.spare.push(copies);
+                        }
+                        (dst, EventKind::Msg { src, msg })
+                    }
                     Entry::Vacant => unreachable!("a head points at a live slot"),
                 }
             }
@@ -337,6 +444,88 @@ mod tests {
 
     fn wake(tag: u64) -> EventKind<u8> {
         EventKind::Wake { tag }
+    }
+
+    impl<M> EventQueue<M> {
+        /// Panics unless every head's key exceeds its parent's.
+        fn assert_heap(&self) {
+            for (i, h) in self.heads.iter().enumerate().skip(1) {
+                let parent = &self.heads[(i - 1) / ARITY];
+                assert!(parent.key() < h.key(), "head {i} sorts before its parent");
+            }
+        }
+
+        /// The slot of the one pending fan-out.
+        fn fan_slot(&self) -> u32 {
+            let slot = self
+                .slab
+                .iter()
+                .position(|e| matches!(e, Entry::Fan { .. }));
+            slot.expect("a pending fan-out") as u32
+        }
+    }
+
+    #[test]
+    fn tied_fan_copies_keep_the_root_and_the_order() {
+        let ns = Time::from_ns;
+        let mut q: EventQueue<u8> = EventQueue::new();
+        let mut want = Vec::new();
+        // Filler from 5 to 24 ns, two of it at 12 ns: seqs 0..40.
+        for i in 0..40 {
+            let t = ns(5 + (i * 7) % 20);
+            q.push(t, NodeId(1), wake(i));
+            q.assert_heap();
+            want.push((t, i));
+        }
+        // One event at the fan's time with a lower seq (40), then eight
+        // copies, six at 12 ns and two at 13 ns (seqs 41..=48).
+        q.push(ns(12), NodeId(2), wake(100));
+        q.assert_heap();
+        let arrivals: Vec<(Time, NodeId)> = (0..8)
+            .map(|i| (ns(12 + u64::from(i % 4 == 3)), NodeId(10 + i)))
+            .collect();
+        q.push_fan(NodeId(0), 7, &arrivals);
+        q.assert_heap();
+        let fan = q.fan_slot();
+        // The event pushed mid-fan at 12 ns below takes seq 49.
+        want.push((ns(12), 40));
+        want.extend(arrivals.iter().zip(41..).map(|(&(t, _), seq)| (t, seq)));
+        want.push((ns(12), 49));
+        want.sort();
+        let mut got = Vec::new();
+        while let Some(e) = q.pop() {
+            q.assert_heap();
+            got.push((e.time, e.seq));
+            if e.seq == 41 {
+                q.push(ns(12), NodeId(3), wake(200));
+                q.assert_heap();
+            }
+            // The next copy is also at 12 ns: the fan keeps the root.
+            if [41, 42, 43, 45, 46].contains(&e.seq) {
+                assert_eq!(q.heads[0].slot, fan, "after seq {}", e.seq);
+            }
+        }
+        assert_eq!(got, want);
+        let at = |seq| got.iter().position(|e| e.1 == seq).unwrap();
+        assert_eq!(at(40) + 1, at(41), "the lower seq pops before the copies");
+        assert_eq!(at(47) + 1, at(49), "the mid-fan push pops after them");
+    }
+
+    #[test]
+    fn finished_fan_buffers_are_reused_up_to_the_cap() {
+        let ns = Time::from_ns;
+        let mut q: EventQueue<u8> = EventQueue::new();
+        let fan = |n: u32| -> Vec<(Time, NodeId)> { (0..n).map(|i| (ns(1), NodeId(i))).collect() };
+        q.push_fan(NodeId(0), 1, &fan(16));
+        while q.pop().is_some() {}
+        assert_eq!(q.spare.len(), 1, "the emptied buffer is kept");
+        q.push_fan(NodeId(0), 2, &fan(3));
+        assert!(q.spare.is_empty(), "and taken by the next fan-out");
+        while q.pop().is_some() {}
+        // A fan-out past the cap frees its buffer at its last copy.
+        q.push_fan(NodeId(0), 3, &fan(SPARE_COPIES as u32 + 1));
+        while q.pop().is_some() {}
+        assert!(q.spare.is_empty(), "a buffer grown past the cap is freed");
     }
 
     #[test]
@@ -448,7 +637,7 @@ mod tests {
         q.push_fan(NodeId(0), 2, &[(ns(1), NodeId(7))]);
         assert_eq!((q.len(), q.next_seq()), (1, 7));
         assert!(matches!(
-            q.slab[q.heads.peek().unwrap().slot as usize],
+            q.slab[q.heads[0].slot as usize],
             Entry::One { .. }
         ));
     }

@@ -1,5 +1,6 @@
-//! Kernel scheduling throughput, events/sec, recorded into the committed
-//! trajectory file `BENCH_kernel.json` (see `tokencmp_bench::kernel`).
+//! Host micro-benchmarks of the simulator's hot structures, recorded
+//! into the committed trajectory file `BENCH_kernel.json` (see
+//! `tokencmp_bench::kernel`).
 //!
 //! `churn/d<depth>` is the classic hold-model microbench on a bare
 //! `EventQueue`: prefill to a steady-state depth, then pop the earliest
@@ -8,23 +9,45 @@
 //! visible. `fan/d<depth>` holds the same depth in broadcasts: fan-outs
 //! of 16 copies arriving four to a tick, and the pop of a fan-out's last
 //! copy re-broadcasts it from that time, so pops re-key fan heads (most
-//! of them at a tied time) the way a protocol's broadcasts do. The
-//! file's historical `table3/<protocol>` rows still load,
-//! but new runs no longer measure them; the scalability bench records
-//! per-layer profiles of full protocol runs in `BENCH_scale.json`.
+//! of them at a tied time) the way a protocol's broadcasts do.
+//!
+//! The `cache/*` and `book/*` rows time the cache array and the
+//! persistent-request book, and count operations as their events:
+//! * `cache/insert_get` — one insert and one `get_mut` of the same block
+//!   on a full 512 × 4 `SetAssoc`, cycling over twice its capacity in
+//!   random blocks, so almost every insert evicts its set's LRU line.
+//! * `cache/probe_miss` — one `contains` of an absent block on the same
+//!   full array, a broadcast's common case: all four tags of the set
+//!   are read and none matches.
+//! * `book/p16`, `book/p1024` — one `PersistentBook` activate, resolve
+//!   (`active_for`) or deactivate at one node: rounds of `live`
+//!   activations over four blocks, a resolve of each block, and the
+//!   deactivations, with 16 of 16 processors live (the Table 3 system)
+//!   and 64 of 1,024 (one locking core per chip of the 64 × 16 mesh).
+//!
+//! The file's historical `table3/<protocol>` rows still load, but new
+//! runs no longer measure them; the scalability bench records per-layer
+//! profiles of full protocol runs in `BENCH_scale.json`.
 //!
 //! Modes (`tokencmp_bench::trajectory::Invocation`):
-//! * default — three depths of each; merges results into `BENCH_kernel.json`
-//!   under the `TOKENCMP_BENCH_RUN` label (default `dev`).
+//! * default — three depths of each queue row and every cache and book
+//!   row, about 2,000,000 events or operations each, best of 3; merges
+//!   results into `BENCH_kernel.json` under the `TOKENCMP_BENCH_RUN`
+//!   label (default `dev`).
 //! * `TOKENCMP_BENCH_SMOKE=1` — CI-sized iteration counts, results
 //!   merged into `target/sweep/BENCH_kernel.smoke.json` so CI never
 //!   dirties the committed trajectory.
 //! * `--validate [path]` — no measurement: schema-validate the file
 //!   (default: the committed trajectory).
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use tokencmp::sim::{EventKind, EventQueue, NodeId, Time};
+use tokencmp::cache::SetAssoc;
+use tokencmp::core::{PersistentBook, ReqKind};
+use tokencmp::proto::{CmpId, Layout, ProcId};
+use tokencmp::sim::{EventKind, EventQueue, NodeId, Rng, Time};
+use tokencmp::Block;
 use tokencmp_bench::banner;
 use tokencmp_bench::kernel::KernelBenchEntry;
 use tokencmp_bench::trajectory::Invocation;
@@ -111,8 +134,94 @@ fn fan_rep(depth: u64, pops: u64) -> (u64, Duration) {
     (pops, start.elapsed())
 }
 
+/// Sets and ways of the `cache/*` rows' array, and the number of random
+/// blocks each row cycles through (a power of two, so the next block is
+/// a mask away).
+const CACHE_SETS: u64 = 512;
+const CACHE_WAYS: u64 = 4;
+const CACHE_BLOCKS: u64 = 4096;
+
+/// A `CACHE_SETS × CACHE_WAYS` array with every way holding one of the
+/// blocks `0..sets × ways`.
+fn full_array() -> SetAssoc<u32> {
+    let mut arr = SetAssoc::new(CACHE_SETS as usize, CACHE_WAYS as usize, 0);
+    for n in 0..CACHE_SETS * CACHE_WAYS {
+        arr.insert(Block(n), n as u32);
+    }
+    arr
+}
+
+/// `CACHE_BLOCKS` random blocks at or above `floor`.
+fn random_blocks(seed: u64, floor: u64) -> Vec<Block> {
+    let mut rng = Rng::new(seed);
+    (0..CACHE_BLOCKS)
+        .map(|_| Block(floor + rng.below(1 << 20)))
+        .collect()
+}
+
+/// One `cache/insert_get` rep: `ops` insert-then-`get_mut` pairs on a
+/// full array built before the timer starts.
+fn insert_get_rep(ops: u64) -> (u64, Duration) {
+    let mut arr = full_array();
+    let blocks = random_blocks(9, 0);
+    let start = Instant::now();
+    for i in 0..ops {
+        let blk = blocks[(i & (CACHE_BLOCKS - 1)) as usize];
+        arr.insert(blk, i as u32);
+        black_box(arr.get_mut(blk));
+    }
+    (ops, start.elapsed())
+}
+
+/// One `cache/probe_miss` rep: `ops` probes of blocks the full array
+/// does not hold.
+fn probe_miss_rep(ops: u64) -> (u64, Duration) {
+    let arr = full_array();
+    let absent = random_blocks(11, CACHE_SETS * CACHE_WAYS);
+    let start = Instant::now();
+    let mut hits = 0;
+    for i in 0..ops {
+        hits += u64::from(black_box(&arr).contains(absent[(i & (CACHE_BLOCKS - 1)) as usize]));
+    }
+    let elapsed = start.elapsed();
+    assert_eq!(hits, 0, "a probe of an absent block hit");
+    (ops, elapsed)
+}
+
+/// The `book/*` rows: name, chips, cores (and L2 banks) per chip, and
+/// live processors, spread evenly over the system's processor ids.
+const BOOKS: [(&str, u16, u16, u16); 2] = [("book/p16", 4, 4, 16), ("book/p1024", 64, 16, 64)];
+
+/// One `book/*` rep on a fresh book: rounds of `live` activations over
+/// four blocks, one resolve per block, and `live` deactivations, all at
+/// chip 0's memory controller, until at least `ops` operations are done.
+/// Each round issues the processors' next epoch.
+fn book_rep(layout: Layout, live: u16, ops: u64) -> (u64, Duration) {
+    let node = layout.mem(CmpId(0));
+    let stride = layout.procs() as u16 / live;
+    let mut book = PersistentBook::new(&layout);
+    let per_round = 2 * u64::from(live) + 4;
+    let rounds = ops.div_ceil(per_round);
+    let start = Instant::now();
+    for epoch in 1..=rounds {
+        for i in 0..live {
+            let p = i * stride;
+            let requester = NodeId(20 + u32::from(p));
+            let blk = Block(u64::from(i % 4));
+            book.activate(node, ProcId(p), blk, requester, ReqKind::Write, epoch);
+        }
+        for blk in 0..4 {
+            black_box(book.active_for(node, Block(blk)));
+        }
+        for i in 0..live {
+            book.deactivate(node, ProcId(i * stride), epoch);
+        }
+    }
+    (rounds * per_round, start.elapsed())
+}
+
 /// Best-of-`reps` measurement of one rep kind (min wall time wins: the
-/// least queue-external noise on a shared host).
+/// least noise from outside the timed code on a shared host).
 fn best_of(
     run: &str,
     bench: String,
@@ -147,7 +256,7 @@ fn main() {
     let inv = Invocation::<KernelBenchEntry>::start();
     banner(
         "kernel_throughput",
-        "kernel events/sec trajectory (infrastructure, not a paper figure)",
+        "host ns per event or operation: queue, cache array, persistent book (infrastructure, not a paper figure)",
     );
     let (depths, pops, reps): (&[u64], u64, u32) = if inv.smoke {
         (&[512, 32_768], 100_000, 1)
@@ -164,7 +273,19 @@ fn main() {
             fan_rep(depth, pops)
         })
     });
-    let fresh: Vec<_> = churn.chain(fan).collect();
+    let mut fresh: Vec<_> = churn.chain(fan).collect();
+    fresh.push(best_of(&inv.run, "cache/insert_get".into(), reps, || {
+        insert_get_rep(pops)
+    }));
+    fresh.push(best_of(&inv.run, "cache/probe_miss".into(), reps, || {
+        probe_miss_rep(pops)
+    }));
+    fresh.extend(BOOKS.map(|(bench, cmps, cores, live)| {
+        let layout = Layout::new(cmps, cores, cores);
+        best_of(&inv.run, bench.into(), reps, || {
+            book_rep(layout, live, pops)
+        })
+    }));
     print_table(&fresh);
     inv.record(fresh);
 }

@@ -1,4 +1,4 @@
-//! The kernel events/sec trajectory (`BENCH_kernel.json`): its entry
+//! The host micro-benchmark trajectory (`BENCH_kernel.json`): its entry
 //! type and field checks. The file format, shared with the scale and
 //! model-checker trajectories, is [`crate::trajectory`]'s.
 //!
@@ -15,7 +15,11 @@
 //! it isolates the event queue. From run `pr27` on, `fan/d<depth>` rows
 //! hold the same depth in fan-outs (broadcasts of 16 copies, four to an
 //! arrival tick, each re-sent when its last copy pops), so the queue's
-//! fan-out path is measured too. Runs up to `pr15` also carry
+//! fan-out path is measured too. From run `pr28` on, `cache/*` and
+//! `book/*` rows time the cache array and the persistent-request book
+//! (`cache/insert_get`, `cache/probe_miss`, `book/p16`, `book/p1024`);
+//! their `events` count operations, so `ns_per_event` reads as ns per
+//! operation. Runs up to `pr15` also carry
 //! `table3/<protocol>` rows: single best-of-3 full protocol runs on the
 //! paper's Table 3 system, with a `profile`. Those rows still load, but
 //! new runs no longer measure them: they moved by ±20% between
@@ -27,7 +31,9 @@
 //! on. New rows are always `heap`, the kernel's heap of event heads (a
 //! binary heap up to run `pr15`, a 4-ary heap from `pr27` on); `wheel`
 //! rows are historical, measured on the calendar timing wheel the
-//! kernel carried until it was retired (DESIGN.md §14).
+//! kernel carried until it was retired (DESIGN.md §14). The `cache/*`
+//! and `book/*` rows use no event queue and carry `heap` like every new
+//! row.
 
 use std::time::Duration;
 
@@ -50,10 +56,11 @@ pub struct KernelBenchEntry {
     pub shared: Shared,
     /// Event-queue backend name, one of [`BACKENDS`].
     pub backend: String,
-    /// Bench name (`churn/d4096`, `fan/d4096`, or a historical
-    /// `table3/token-dst1`).
+    /// Bench name (`churn/d4096`, `fan/d4096`, `cache/probe_miss`,
+    /// `book/p16`, or a historical `table3/token-dst1`).
     pub bench: String,
-    /// Events processed during the timed section.
+    /// Events (operations, in `cache/*` and `book/*` rows) processed
+    /// during the timed section.
     pub events: u64,
     /// Wall time of the timed section.
     pub elapsed_ns: u64,

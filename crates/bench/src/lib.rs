@@ -275,11 +275,10 @@ impl BenchResults {
     }
 
     /// Folds the group's per-seed counter snapshots into one registry
-    /// via [`Stats::merge`] — counters summed across seeds, gauges
-    /// last-write-wins in seed order. Use this when a figure annotation
-    /// wants totals over the whole replication (e.g. aggregate
-    /// persistent-request counts) rather than [`last`](Self::last)'s
-    /// single-run view.
+    /// via [`Stats::merge`], summing each counter across seeds. Use this
+    /// when a figure annotation wants totals over the whole replication
+    /// (e.g. aggregate persistent-request counts) rather than
+    /// [`last`](Self::last)'s single-run view.
     pub fn merged_counters(&self, g: GroupId) -> Stats {
         let mut folded = Stats::new();
         for p in self.group(g) {

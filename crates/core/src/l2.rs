@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tokencmp_cache::{InsertOutcome, SetAssoc};
-use tokencmp_proto::{Block, CmpId, IdMap, Layout, SystemConfig, Unit};
+use tokencmp_proto::{Block, CmpId, IdMap, SystemConfig, Unit};
 use tokencmp_sim::{Component, Ctx, Dur, NodeId};
 use tokencmp_trace::TraceHandle;
 
@@ -50,7 +50,8 @@ pub struct TokenL2 {
     lines: SetAssoc<TokenLine>,
     variant: Variant,
     /// Approximate directory of local L1 sharers (dst1-filt only):
-    /// bit `i` set means local L1 `i` (in [`Layout::l1s_on`] order) may
+    /// bit `i` set means local L1 `i` (in
+    /// [`Layout::l1s_on`](tokencmp_proto::Layout::l1s_on) order) may
     /// hold tokens.
     filter: Option<IdMap<Block, u64>>,
     /// Run statistics.
@@ -104,7 +105,7 @@ impl TokenL2 {
         let Some(f) = &mut self.filter else {
             return;
         };
-        if let Some(idx) = local_l1_index(&self.holder.layout, self.cmp, l1) {
+        if let Some(idx) = self.holder.layout.l1_index(self.cmp, l1) {
             *f.entry(block).or_insert(0) |= 1u64 << idx;
         }
     }
@@ -113,7 +114,7 @@ impl TokenL2 {
         let Some(f) = &mut self.filter else {
             return;
         };
-        let Some(idx) = local_l1_index(&self.holder.layout, self.cmp, l1) else {
+        let Some(idx) = self.holder.layout.l1_index(self.cmp, l1) else {
             return;
         };
         if let Some(mask) = f.get_mut(&block) {
@@ -303,17 +304,6 @@ impl TokenL2 {
         });
         ctx.send_all_after(delay, mem.into_iter().chain(wanted), req);
     }
-}
-
-/// The position of `node` among chip `cmp`'s L1 caches, in
-/// [`Layout::l1s_on`] order, or `None` if it is not one of them.
-fn local_l1_index(layout: &Layout, cmp: CmpId, node: NodeId) -> Option<u32> {
-    let (proc, first) = match layout.unit(node) {
-        Unit::L1D(p) => (p, 0),
-        Unit::L1I(p) => (p, layout.procs_per_cmp),
-        _ => return None,
-    };
-    (layout.cmp_of_proc(proc) == cmp).then(|| u32::from(first + layout.core_of_proc(proc)))
 }
 
 impl Component<TokenMsg> for TokenL2 {

@@ -615,6 +615,22 @@ fn l2_grants_exclusive_on_read_when_holding_everything() {
     );
 }
 
+/// The dst1-filt sharer filter is a `u64` per block: 33 cores give a
+/// chip 66 L1s, so the bank refuses to build.
+#[test]
+#[should_panic(expected = "sharer-filter mask holds at most 64 local L1s")]
+fn filtered_l2_refuses_more_local_l1s_than_its_filter_holds() {
+    let cfg = Rc::new(SystemConfig {
+        procs_per_cmp: 33,
+        ..SystemConfig::small_test()
+    });
+    let _ = build(
+        &cfg,
+        Unit::L2Bank(tokencmp_proto::CmpId(0), 0),
+        Variant::Dst1Filt,
+    );
+}
+
 // ---- memory ---------------------------------------------------------------------
 
 #[test]

@@ -137,21 +137,20 @@ struct Entry {
     stamp: u64,
 }
 
-/// Bit index of a local L1 within the chip's L1 list.
-fn bit_of(l1s: &[NodeId], l1: NodeId) -> u16 {
-    let idx = l1s
-        .iter()
-        .position(|&n| n == l1)
-        .expect("message from a foreign L1");
+/// The sharer-mask bit of local L1 `l1` of chip `cmp`: bit `i` is the
+/// chip's L1 `i` in [`Layout::l1s_on`] order.
+fn bit_of(layout: &Layout, cmp: CmpId, l1: NodeId) -> u16 {
+    let idx = layout.l1_index(cmp, l1).expect("message from a foreign L1");
     1 << idx
 }
 
-/// The local L1 nodes selected by a sharer mask.
-fn nodes_of(l1s: &[NodeId], mask: u16) -> Vec<NodeId> {
-    l1s.iter()
+/// The local L1 nodes of chip `cmp` selected by a sharer mask.
+fn nodes_of(layout: &Layout, cmp: CmpId, mask: u16) -> Vec<NodeId> {
+    layout
+        .l1s_on(cmp)
         .enumerate()
         .filter(|&(i, _)| mask & (1 << i) != 0)
-        .map(|(_, &n)| n)
+        .map(|(_, n)| n)
         .collect()
 }
 
@@ -161,7 +160,6 @@ pub struct DirL2 {
     layout: Layout,
     me: NodeId,
     cmp: CmpId,
-    local_l1s: Vec<NodeId>,
     entries: IdMap<Block, Entry>,
     /// Per-set resident blocks, for capacity management.
     sets: IdMap<u64, Vec<Block>>,
@@ -174,8 +172,11 @@ impl DirL2 {
     /// Creates an L2 bank controller for chip `cmp`, bank `bank`.
     pub fn new(cfg: Rc<SystemConfig>, me: NodeId, cmp: CmpId, _bank: u16) -> DirL2 {
         let layout = cfg.layout();
+        assert!(
+            2 * u32::from(cfg.procs_per_cmp) <= u16::BITS,
+            "sharer mask holds at most 16 local L1s"
+        );
         DirL2 {
-            local_l1s: layout.l1s_on(cmp).collect(),
             layout,
             me,
             cmp,
@@ -362,7 +363,7 @@ impl DirL2 {
                     e.owner_l1 = Some(requester);
                     L1Grant::E
                 } else {
-                    e.sharers |= bit_of(&self.local_l1s, requester);
+                    e.sharers |= bit_of(&self.layout, self.cmp, requester);
                     L1Grant::S
                 };
                 e.busy = Some(Txn::AwaitUnblock);
@@ -379,11 +380,11 @@ impl DirL2 {
             // On-chip satisfiable write: the chip is exclusive.
             (ReqKind::Write, Some((ChipRights::E, owner))) => {
                 self.stats.local_satisfied += 1;
-                let req_bit = bit_of(&self.local_l1s, requester);
+                let req_bit = bit_of(&self.layout, self.cmp, requester);
                 let e = self.entries.get_mut(&block).unwrap();
                 let inv_mask = e.sharers & !req_bit;
                 e.sharers &= req_bit; // keep only the requester (upgraded below)
-                let targets = nodes_of(&self.local_l1s, inv_mask);
+                let targets = nodes_of(&self.layout, self.cmp, inv_mask);
                 let e = self.entries.get_mut(&block).unwrap();
                 e.busy = Some(Txn::Local(LocalTxn {
                     requester,
@@ -470,10 +471,10 @@ impl DirL2 {
             ReqKind::Read => {
                 // The previous owner (if any) downgraded to a sharer.
                 if let Some(o) = e.owner_l1.take() {
-                    e.sharers |= bit_of(&self.local_l1s, o);
+                    e.sharers |= bit_of(&self.layout, self.cmp, o);
                 }
                 let e = self.entries.get_mut(&block).unwrap();
-                e.sharers |= bit_of(&self.local_l1s, requester);
+                e.sharers |= bit_of(&self.layout, self.cmp, requester);
                 L1Grant::S
             }
         };
@@ -554,7 +555,7 @@ impl DirL2 {
         e.rights = rights;
         e.dirty = data_dirty && chip_grant == ChipGrant::M;
         // Invalidate stale local sharers on a write (upgrade path).
-        let req_bit = bit_of(&self.local_l1s, requester);
+        let req_bit = bit_of(&self.layout, self.cmp, requester);
         let e = self.entries.get_mut(&block).unwrap();
         let inv_mask = if kind == ReqKind::Write {
             e.sharers & !req_bit
@@ -562,7 +563,7 @@ impl DirL2 {
             0
         };
         e.sharers &= !inv_mask;
-        let targets = nodes_of(&self.local_l1s, inv_mask);
+        let targets = nodes_of(&self.layout, self.cmp, inv_mask);
         let e = self.entries.get_mut(&block).unwrap();
         if targets.is_empty() {
             self.grant_after_remote(block, requester, kind, grant, source, ctx);
@@ -596,7 +597,7 @@ impl DirL2 {
                 e.sharers = 0;
             }
             _ => {
-                e.sharers |= bit_of(&self.local_l1s, requester);
+                e.sharers |= bit_of(&self.layout, self.cmp, requester);
                 let e = self.entries.get_mut(&block).unwrap();
                 e.owner_l1 = None;
             }
@@ -647,7 +648,7 @@ impl DirL2 {
                         kind == ReqKind::Write || (e.dirty && self.cfg.migratory_sharing);
                     let inv_mask = if relinquish { e.sharers } else { 0 };
                     e.sharers &= !inv_mask;
-                    let targets = nodes_of(&self.local_l1s, inv_mask);
+                    let targets = nodes_of(&self.layout, self.cmp, inv_mask);
                     let e = self.entries.get_mut(&block).unwrap();
                     e.busy = Some(Txn::ServeFwd(ServeTxn {
                         requester: remote,
@@ -685,7 +686,7 @@ impl DirL2 {
                     e.sharers = 0;
                     e.rights = ChipRights::S; // rights effectively gone; entry kept for the txn
                     e.dirty = false;
-                    let targets = nodes_of(&self.local_l1s, inv_mask);
+                    let targets = nodes_of(&self.layout, self.cmp, inv_mask);
                     for t in &targets {
                         ctx.send_after(self.cfg.l2_latency, *t, DirMsg::InvL1 { block });
                     }
@@ -834,7 +835,7 @@ impl DirL2 {
         }
         let inv_mask = e.sharers;
         e.sharers = 0;
-        let targets = nodes_of(&self.local_l1s, inv_mask);
+        let targets = nodes_of(&self.layout, self.cmp, inv_mask);
         let e = self.entries.get_mut(&block).unwrap();
         match &mut e.busy {
             None => {
@@ -892,7 +893,7 @@ impl DirL2 {
         if relinquished {
             e.owner_l1 = None;
         } else if let Some(o) = e.owner_l1.take() {
-            e.sharers |= bit_of(&self.local_l1s, o);
+            e.sharers |= bit_of(&self.layout, self.cmp, o);
         }
         let e = self.entries.get_mut(&block).unwrap();
         e.dirty |= dirty;
@@ -1016,7 +1017,7 @@ impl DirL2 {
                 e.owner_l1 = None;
             }
             e.dirty |= dirty;
-            let bit = bit_of(&self.local_l1s, l1);
+            let bit = bit_of(&self.layout, self.cmp, l1);
             let e = self.entries.get_mut(&block).unwrap();
             e.sharers &= !bit;
         }
@@ -1036,7 +1037,7 @@ impl DirL2 {
         if e.rights == ChipRights::S && e.owner_l1.is_none() {
             // Clean shared chip copies drop silently; invalidate local
             // sharers without telling the home (stale masks are tolerated).
-            let targets = nodes_of(&self.local_l1s, e.sharers);
+            let targets = nodes_of(&self.layout, self.cmp, e.sharers);
             e.sharers = 0;
             if targets.is_empty() {
                 let q = self.remove_entry(block);
@@ -1054,7 +1055,7 @@ impl DirL2 {
         }
         self.stats.evictions += 1;
         let owner = e.owner_l1;
-        let targets = nodes_of(&self.local_l1s, e.sharers);
+        let targets = nodes_of(&self.layout, self.cmp, e.sharers);
         e.sharers = 0;
         let e = self.entries.get_mut(&block).unwrap();
         e.busy = Some(Txn::EvictLocal {

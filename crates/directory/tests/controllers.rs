@@ -443,6 +443,18 @@ fn l2_defers_conflicting_requests_until_unblock() {
     );
 }
 
+/// The sharer mask is a `u16`: 9 cores give a chip 18 L1s, so the bank
+/// refuses to build instead of aliasing L1s 16 and 17 onto bits 0 and 1.
+#[test]
+#[should_panic(expected = "sharer mask holds at most 16 local L1s")]
+fn l2_refuses_more_local_l1s_than_its_sharer_mask_holds() {
+    let cfg = Rc::new(SystemConfig {
+        procs_per_cmp: 9,
+        ..SystemConfig::small_test()
+    });
+    let _ = build(&cfg, Unit::L2Bank(CmpId(0), 0));
+}
+
 // ---- home -------------------------------------------------------------------------
 
 #[test]

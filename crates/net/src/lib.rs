@@ -77,6 +77,12 @@ impl Tier {
             Tier::Mem => TraceTier::Mem,
         }
     }
+
+    /// Short lowercase label (`"intra"`, `"inter"`, `"mem"`), the tier
+    /// segment of traffic, in-flight and trace keys.
+    pub fn label(self) -> &'static str {
+        self.trace().label()
+    }
 }
 
 /// Per-tier, per-[`MsgClass`] byte and message counts.
@@ -129,12 +135,7 @@ impl fmt::Debug for Traffic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("Traffic");
         for tier in Tier::ALL {
-            let name = match tier {
-                Tier::Intra => "intra",
-                Tier::Inter => "inter",
-                Tier::Mem => "mem",
-            };
-            s.field(name, &self.total_bytes(tier));
+            s.field(tier.label(), &self.total_bytes(tier));
         }
         s.finish()
     }
@@ -755,19 +756,11 @@ impl Network {
         self.faults = Some(state);
         Delivery::At(arrive)
     }
-}
 
-impl<M: NetMsg> Transport<M> for Network {
-    fn dispatch(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &M) -> Delivery {
-        if self.faults.is_none() {
-            // Pass-through: without fault state this is exactly the
-            // pre-fault-injection delivery path, RNG untouched.
-            return Delivery::At(self.deliver_at(now, src, dst, msg));
-        }
-        self.dispatch_faulty(now, src, dst, msg)
-    }
-
-    fn deliver_at(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &M) -> Time {
+    /// The time `msg`, sent from `src` at `now`, arrives at `dst`: charges
+    /// its traffic, occupies the serialized links it crosses and traces
+    /// its send. Both dispatch paths deliver through here.
+    fn deliver_at<M: NetMsg>(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &M) -> Time {
         let size = msg.size_bytes() as u64;
         let class = msg.class();
         let route = self.route(src, dst);
@@ -857,6 +850,17 @@ impl<M: NetMsg> Transport<M> for Network {
             );
         }
         at
+    }
+}
+
+impl<M: NetMsg> Transport<M> for Network {
+    fn dispatch(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &M) -> Delivery {
+        if self.faults.is_none() {
+            // Pass-through: without fault state this is exactly the
+            // pre-fault-injection delivery path, RNG untouched.
+            return Delivery::At(self.deliver_at(now, src, dst, msg));
+        }
+        self.dispatch_faulty(now, src, dst, msg)
     }
 }
 
@@ -1031,13 +1035,7 @@ mod tests {
         let cfg = fabric_cfg(64, Fabric::Mesh { cols: 8 });
         let l = cfg.layout();
         let mut n = Network::new(&cfg);
-        let _ = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(0)),
-            l.l1d(ProcId(63)),
-            &data(),
-        );
+        let _ = n.deliver_at(Time::ZERO, l.l1d(ProcId(0)), l.l1d(ProcId(63)), &data());
         let tr = n.traffic_handle();
         let tr = tr.borrow();
         assert_eq!(tr.msgs(Tier::Inter, MsgClass::ResponseData), 14);
@@ -1046,13 +1044,7 @@ mod tests {
         assert_eq!(tr.bytes(Tier::Intra, MsgClass::ResponseData), 2 * 72);
         // Memory to memory: both memory links, plus every global hop.
         drop(tr);
-        let _ = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.mem(CmpId(0)),
-            l.mem(CmpId(63)),
-            &ctrl(),
-        );
+        let _ = n.deliver_at(Time::ZERO, l.mem(CmpId(0)), l.mem(CmpId(63)), &ctrl());
         let tr = n.traffic_handle();
         assert_eq!(tr.borrow().msgs(Tier::Inter, MsgClass::Request), 14);
         assert_eq!(tr.borrow().bytes(Tier::Mem, MsgClass::Request), 16);
@@ -1062,8 +1054,7 @@ mod tests {
     #[test]
     fn proc_to_own_l1_is_free_and_instant() {
         let (mut n, l) = net();
-        let t = Transport::<TestMsg>::deliver_at(
-            &mut n,
+        let t = n.deliver_at(
             Time::from_ns(5),
             l.proc(ProcId(3)),
             l.l1d(ProcId(3)),
@@ -1076,13 +1067,7 @@ mod tests {
     #[test]
     fn intra_cmp_latency_and_traffic() {
         let (mut n, l) = net();
-        let t = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(0)),
-            l.l2(CmpId(0), 1),
-            &data(),
-        );
+        let t = n.deliver_at(Time::ZERO, l.l1d(ProcId(0)), l.l2(CmpId(0), 1), &data());
         // 2 ns latency + 72 B / 64 GB/s = 1.125 ns
         assert_eq!(t.as_ps(), 2_000 + 1_125);
         let tr = n.traffic_handle();
@@ -1093,8 +1078,7 @@ mod tests {
     #[test]
     fn inter_cmp_charges_both_chips_intra() {
         let (mut n, l) = net();
-        let t = Transport::<TestMsg>::deliver_at(
-            &mut n,
+        let t = n.deliver_at(
             Time::ZERO,
             l.l1d(ProcId(0)),  // chip 0
             l.l1d(ProcId(15)), // chip 3
@@ -1112,13 +1096,7 @@ mod tests {
     #[test]
     fn mem_link_same_chip() {
         let (mut n, l) = net();
-        let t = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l2(CmpId(2), 0),
-            l.mem(CmpId(2)),
-            &ctrl(),
-        );
+        let t = n.deliver_at(Time::ZERO, l.l2(CmpId(2), 0), l.mem(CmpId(2)), &ctrl());
         // 8 B / 16 GB/s = 0.5 ns + 20 ns off-chip
         assert_eq!(t.as_ps(), 500 + 20_000);
         let tr = n.traffic_handle();
@@ -1130,13 +1108,7 @@ mod tests {
     #[test]
     fn remote_mem_crosses_both_links() {
         let (mut n, l) = net();
-        let t = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l2(CmpId(0), 0),
-            l.mem(CmpId(1)),
-            &ctrl(),
-        );
+        let t = n.deliver_at(Time::ZERO, l.l2(CmpId(0), 0), l.mem(CmpId(1)), &ctrl());
         // inter: 0.5 ser + 20 lat; mem: 0.5 ser + 20 lat
         assert_eq!(t.as_ps(), 500 + 20_000 + 500 + 20_000);
         let tr = n.traffic_handle();
@@ -1150,8 +1122,8 @@ mod tests {
         let (mut n, l) = net();
         let src = l.l1d(ProcId(0));
         let dst = l.l1d(ProcId(15));
-        let t1 = Transport::<TestMsg>::deliver_at(&mut n, Time::ZERO, src, dst, &data());
-        let t2 = Transport::<TestMsg>::deliver_at(&mut n, Time::ZERO, src, dst, &data());
+        let t1 = n.deliver_at(Time::ZERO, src, dst, &data());
+        let t2 = n.deliver_at(Time::ZERO, src, dst, &data());
         // Second message waits for the first's 4.5 ns serialization.
         assert_eq!(t2.as_ps(), t1.as_ps() + 4_500);
     }
@@ -1161,8 +1133,8 @@ mod tests {
         let (mut n, l) = net();
         let a = l.l1d(ProcId(0));
         let b = l.l1d(ProcId(15));
-        let t1 = Transport::<TestMsg>::deliver_at(&mut n, Time::ZERO, a, b, &data());
-        let t2 = Transport::<TestMsg>::deliver_at(&mut n, Time::ZERO, b, a, &data());
+        let t1 = n.deliver_at(Time::ZERO, a, b, &data());
+        let t2 = n.deliver_at(Time::ZERO, b, a, &data());
         assert_eq!(t1, t2); // no shared occupancy
     }
 
@@ -1173,13 +1145,7 @@ mod tests {
             size: 0,
             class: MsgClass::Request,
         };
-        let _ = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(0)),
-            l.l1d(ProcId(15)),
-            &m,
-        );
+        let _ = n.deliver_at(Time::ZERO, l.l1d(ProcId(0)), l.l1d(ProcId(15)), &m);
         let tr = n.traffic_handle();
         for tier in Tier::ALL {
             assert_eq!(tr.borrow().total_bytes(tier), 0);
@@ -1215,7 +1181,7 @@ mod tests {
                     }
                 }
                 let m = TestMsg { size: sz, class: MsgClass::Request };
-                let t = Transport::<TestMsg>::deliver_at(&mut n, now, src, dst, &m);
+                let t = n.deliver_at(now, src, dst, &m);
                 proptest::prop_assert!(t >= now, "delivery precedes departure");
                 // Serialized links (cross-chip and memory) are FIFO; the
                 // latency-only intra links may legitimately reorder (the
@@ -1300,7 +1266,7 @@ mod tests {
         let mut last = Time::ZERO;
         for i in 0..200u64 {
             let now = Time::from_ps(i);
-            let base = Transport::<TestMsg>::deliver_at(&mut plain, now, src, dst, &ctrl());
+            let base = plain.deliver_at(now, src, dst, &ctrl());
             let Delivery::At(t) =
                 Transport::<TestMsg>::dispatch(&mut faulty, now, src, dst, &ctrl())
             else {
@@ -1328,7 +1294,7 @@ mod tests {
         let mut plain = Network::new(&cfg);
         // Intra route: always held by exactly `hold`.
         let (a, b) = (l.l1d(ProcId(0)), l.l2(CmpId(0), 1));
-        let base = Transport::<TestMsg>::deliver_at(&mut plain, Time::ZERO, a, b, &ctrl());
+        let base = plain.deliver_at(Time::ZERO, a, b, &ctrl());
         let Delivery::At(t) =
             Transport::<TestMsg>::dispatch(&mut faulty, Time::ZERO, a, b, &ctrl())
         else {
@@ -1337,7 +1303,7 @@ mod tests {
         assert_eq!(t, base + hold);
         // Inter route: the serialized (FIFO) tier is never held.
         let (a, b) = (l.l1d(ProcId(0)), l.l1d(ProcId(15)));
-        let base = Transport::<TestMsg>::deliver_at(&mut plain, Time::ZERO, a, b, &ctrl());
+        let base = plain.deliver_at(Time::ZERO, a, b, &ctrl());
         let Delivery::At(t) =
             Transport::<TestMsg>::dispatch(&mut faulty, Time::ZERO, a, b, &ctrl())
         else {
@@ -1450,13 +1416,7 @@ mod tests {
         assert_eq!(cfg.fabric, Fabric::Flat);
         let l = cfg.layout();
         let mut n = Network::new(&cfg);
-        let t = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(0)),
-            l.l1d(ProcId(15)),
-            &data(),
-        );
+        let t = n.deliver_at(Time::ZERO, l.l1d(ProcId(0)), l.l1d(ProcId(15)), &data());
         assert_eq!(t.as_ps(), 4_500 + 20_000);
     }
 
@@ -1466,13 +1426,7 @@ mod tests {
         let l = cfg.layout();
         let mut n = Network::new(&cfg);
         // Chip 0 → chip 4: four ring hops, each 4.5 ns ser + 20 ns lat.
-        let t = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(0)),
-            l.l1d(ProcId(4)),
-            &data(),
-        );
+        let t = n.deliver_at(Time::ZERO, l.l1d(ProcId(0)), l.l1d(ProcId(4)), &data());
         assert_eq!(t.as_ps(), 4 * (4_500 + 20_000));
         // Inter bytes are charged once per hop; intra once per end.
         let tr = n.traffic_handle();
@@ -1487,30 +1441,17 @@ mod tests {
         let cfg = fabric_cfg(4, Fabric::Mesh { cols: 4 });
         let l = cfg.layout();
         let mut n = Network::new(&cfg);
-        let t1 = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(0)),
-            l.l1d(ProcId(2)),
-            &data(),
-        );
+        let t1 = n.deliver_at(Time::ZERO, l.l1d(ProcId(0)), l.l1d(ProcId(2)), &data());
         // First: hops 0→1 (ser 4.5 @0, +20) then 1→2 (ser 4.5 @24.5, +20).
         assert_eq!(t1.as_ps(), 49_000);
         // The occupancy model is a no-backfill FIFO queue per directed
         // link: t1 advanced 1→2's next-free time to 29 ns, so a message
         // injected at chip 1 afterwards queues behind it even though it
         // asks at t=0.
-        let t2 = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(1)),
-            l.l1d(ProcId(2)),
-            &data(),
-        );
+        let t2 = n.deliver_at(Time::ZERO, l.l1d(ProcId(1)), l.l1d(ProcId(2)), &data());
         assert_eq!(t2.as_ps(), 29_000 + 4_500 + 20_000);
         // And the queue keeps extending: next arrival waits for t2's slot.
-        let t3 = Transport::<TestMsg>::deliver_at(
-            &mut n,
+        let t3 = n.deliver_at(
             Time::from_ps(25_000),
             l.l1d(ProcId(1)),
             l.l1d(ProcId(2)),
@@ -1522,13 +1463,7 @@ mod tests {
     #[test]
     fn breakdown_orders_by_class() {
         let (mut n, l) = net();
-        let _ = Transport::<TestMsg>::deliver_at(
-            &mut n,
-            Time::ZERO,
-            l.l1d(ProcId(0)),
-            l.l1d(ProcId(15)),
-            &data(),
-        );
+        let _ = n.deliver_at(Time::ZERO, l.l1d(ProcId(0)), l.l1d(ProcId(15)), &data());
         let tr = n.traffic_handle();
         let b = tr.borrow().breakdown(Tier::Inter);
         assert_eq!(b[MsgClass::ResponseData.index()], 72);

@@ -274,6 +274,18 @@ impl Layout {
         l1d.chain(l1i).map(NodeId)
     }
 
+    /// The position of `node` among chip `c`'s L1 caches, in
+    /// [`l1s_on`](Layout::l1s_on) order, or `None` if it is not one of
+    /// them.
+    pub fn l1_index(&self, c: CmpId, node: NodeId) -> Option<u32> {
+        let (proc, first) = match self.unit(node) {
+            Unit::L1D(p) => (p, 0),
+            Unit::L1I(p) => (p, self.procs_per_cmp),
+            _ => return None,
+        };
+        (self.cmp_of_proc(proc) == c).then(|| u32::from(first) + u32::from(self.core_of_proc(proc)))
+    }
+
     /// The L2 banks on a chip.
     pub fn l2s_on(&self, c: CmpId) -> impl Iterator<Item = NodeId> + Clone + 'static {
         let first = self.l2(c, 0).0;
@@ -365,6 +377,23 @@ mod tests {
         assert_eq!(l.l2s_on(c).count(), 4);
         for n in l.l1s_on(c) {
             assert_eq!(l.placement(n), Placement::OnChip(c));
+        }
+    }
+
+    #[test]
+    fn l1_index_is_the_position_in_l1s_on() {
+        for l in [l(), Layout::new(3, 2, 4), Layout::new(2, 9, 3)] {
+            for c in l.cmp_ids() {
+                for (i, n) in l.l1s_on(c).enumerate() {
+                    assert_eq!(l.l1_index(c, n), Some(i as u32), "{l:?}: {n:?}");
+                    let foreign = CmpId((c.0 + 1) % l.cmps);
+                    assert_eq!(l.l1_index(foreign, n), None, "{l:?}: {n:?}");
+                }
+                let others = l.procs_on(c).map(|p| l.proc(p));
+                for n in others.chain(l.l2s_on(c)).chain([l.mem(c)]) {
+                    assert_eq!(l.l1_index(c, n), None, "{l:?}: {n:?}");
+                }
+            }
         }
     }
 

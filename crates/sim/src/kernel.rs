@@ -47,17 +47,11 @@ pub enum Delivery {
 /// The interconnect crate provides the real implementation; tests can use
 /// [`InstantTransport`].
 pub trait Transport<M> {
-    /// Returns the time at which `msg`, sent from `src` at `now`, arrives at
-    /// `dst`. Implementations may mutate internal occupancy state and
-    /// traffic statistics.
-    fn deliver_at(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &M) -> Time;
-
-    /// Like [`deliver_at`](Transport::deliver_at), but may also decide to
-    /// lose the message entirely. The default implementation never drops,
-    /// so transports without fault injection behave exactly as before.
-    fn dispatch(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &M) -> Delivery {
-        Delivery::At(self.deliver_at(now, src, dst, msg))
-    }
+    /// Decides the fate of `msg`, sent from `src` at `now` to `dst`: the
+    /// time it arrives, or that the interconnect lost it (fault
+    /// injection). Implementations may mutate internal occupancy state
+    /// and traffic statistics.
+    fn dispatch(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &M) -> Delivery;
 }
 
 /// A [`Transport`] with a fixed latency and infinite bandwidth; for tests.
@@ -68,8 +62,8 @@ pub struct InstantTransport {
 }
 
 impl<M> Transport<M> for InstantTransport {
-    fn deliver_at(&mut self, now: Time, _src: NodeId, _dst: NodeId, _msg: &M) -> Time {
-        now + self.latency
+    fn dispatch(&mut self, now: Time, _src: NodeId, _dst: NodeId, _msg: &M) -> Delivery {
+        Delivery::At(now + self.latency)
     }
 }
 
@@ -166,7 +160,6 @@ pub struct Ctx<'a, M> {
     pub self_id: NodeId,
     queue: &'a mut EventQueue<M>,
     transport: &'a mut dyn Transport<M>,
-    stopped: &'a mut bool,
     last_progress: &'a mut Time,
     /// Scratch for the surviving copies of a [`send_all_after`](Ctx::send_all_after).
     fan_buf: &'a mut Vec<(Time, NodeId)>,
@@ -270,11 +263,6 @@ impl<M> Ctx<'_, M> {
         prof.borrow_mut().add_push(t0.elapsed().as_nanos() as u64);
     }
 
-    /// Requests that the kernel stop after the current event.
-    pub fn stop(&mut self) {
-        *self.stopped = true;
-    }
-
     /// Marks forward progress (e.g. a sequencer committing a memory
     /// operation), resetting the watchdog of [`Kernel::run_watched`].
     pub fn progress(&mut self) {
@@ -285,8 +273,6 @@ impl<M> Ctx<'_, M> {
 /// How a [`Kernel::run`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// A component called [`Ctx::stop`].
-    Stopped,
     /// The event queue drained.
     Idle,
     /// The event budget was exhausted — almost always a protocol livelock
@@ -309,7 +295,6 @@ pub struct Kernel<M, N> {
     queue: EventQueue<M>,
     nodes: N,
     transport: Box<dyn Transport<M>>,
-    stopped: bool,
     events_processed: u64,
     last_progress: Time,
     monitor: Option<MonitorSlot<M, N>>,
@@ -335,7 +320,6 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
             queue: EventQueue::new(),
             nodes,
             transport,
-            stopped: false,
             events_processed: 0,
             last_progress: Time::ZERO,
             monitor: None,
@@ -499,7 +483,6 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
             self_id: ev.dst,
             queue: &mut self.queue,
             transport: self.transport.as_mut(),
-            stopped: &mut self.stopped,
             last_progress: &mut self.last_progress,
             fan_buf: &mut self.fan_buf,
             profiler: prof.as_deref(),
@@ -517,8 +500,8 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
         true
     }
 
-    /// Runs until a stop request, an empty queue, `max_events`, or the
-    /// `horizon` time limit — whichever comes first.
+    /// Runs until an empty queue, `max_events`, or the `horizon` time
+    /// limit — whichever comes first.
     pub fn run(&mut self, max_events: u64, horizon: Time) -> RunOutcome {
         self.run_until(max_events, horizon, None)
     }
@@ -546,9 +529,6 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
         // has progressed yet (relevant when resuming a stepped kernel).
         self.last_progress = self.last_progress.max(self.time);
         let outcome = loop {
-            if self.stopped {
-                break RunOutcome::Stopped;
-            }
             if self.events_processed >= budget_end {
                 break RunOutcome::EventLimit;
             }
@@ -579,7 +559,7 @@ impl<M: Clone + 'static, N: NodeSet<M>> Kernel<M, N> {
         outcome
     }
 
-    /// Runs until the queue drains or a component stops the kernel.
+    /// Runs until the queue drains.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run(u64::MAX, Time::MAX)
     }
@@ -620,11 +600,7 @@ mod tests {
                 }
             }
         }
-        fn on_wake(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
-            if tag == 99 {
-                ctx.stop();
-            }
-        }
+        fn on_wake(&mut self, _: u64, _: &mut Ctx<'_, u64>) {}
     }
 
     #[test]
@@ -652,15 +628,6 @@ mod tests {
         );
         // 6 messages * 3 ns each.
         assert_eq!(k.now(), Time::from_ns(18));
-    }
-
-    #[test]
-    fn stop_request_halts_run() {
-        let (mut k, a) = single(Echo::default());
-        k.wake(a, Dur::from_ns(1), 99);
-        k.wake(a, Dur::from_ns(2), 99);
-        assert_eq!(k.run_to_completion(), RunOutcome::Stopped);
-        assert_eq!(k.now(), Time::from_ns(1));
     }
 
     #[test]
@@ -761,9 +728,6 @@ mod tests {
     fn dropping_transport_loses_messages_but_not_wakes() {
         struct BlackHole;
         impl Transport<u64> for BlackHole {
-            fn deliver_at(&mut self, now: Time, _: NodeId, _: NodeId, _: &u64) -> Time {
-                now
-            }
             fn dispatch(&mut self, _: Time, _: NodeId, _: NodeId, _: &u64) -> Delivery {
                 Delivery::Dropped
             }
@@ -925,9 +889,6 @@ mod tests {
     }
 
     impl Transport<u64> for Scripted {
-        fn deliver_at(&mut self, now: Time, _: NodeId, _: NodeId, _: &u64) -> Time {
-            now
-        }
         fn dispatch(&mut self, now: Time, src: NodeId, dst: NodeId, msg: &u64) -> Delivery {
             self.calls += 1;
             match (self.calls * 7 + msg + u64::from(src.0 + dst.0)) % 5 {

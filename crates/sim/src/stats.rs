@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A string-keyed registry of counters and gauges.
+/// A string-keyed registry of counters.
 ///
 /// Hot paths should keep local counters in component fields and fold them in
 /// at the end of a run; `Stats` is intended for low-frequency events and
@@ -24,7 +24,6 @@ use std::fmt;
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
 }
 
 impl Stats {
@@ -52,24 +51,9 @@ impl Stats {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Sets a floating-point gauge.
-    pub fn set_gauge(&mut self, key: &str, v: f64) {
-        self.gauges.insert(key.to_owned(), v);
-    }
-
-    /// Reads a gauge, if set.
-    pub fn gauge(&self, key: &str) -> Option<f64> {
-        self.gauges.get(key).copied()
-    }
-
     /// Iterates counters in sorted key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Iterates gauges in sorted key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Sums all counters whose key starts with `prefix`.
@@ -81,17 +65,13 @@ impl Stats {
             .sum()
     }
 
-    /// Folds `other` into `self`: counters are summed, gauges are
-    /// last-write-wins (`other`'s value replaces an existing gauge).
+    /// Folds `other` into `self`: counters are summed.
     ///
     /// This is the end-of-run aggregation primitive: components keep local
     /// stats, the harness merges them into one registry.
     pub fn merge(&mut self, other: &Stats) {
         for (k, v) in other.counters() {
             self.add(k, v);
-        }
-        for (k, v) in other.gauges() {
-            self.set_gauge(k, v);
         }
     }
 }
@@ -100,9 +80,6 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, v) in &self.counters {
             writeln!(f, "{k} = {v}")?;
-        }
-        for (k, v) in &self.gauges {
-            writeln!(f, "{k} = {v:.4}")?;
         }
         Ok(())
     }
@@ -302,14 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_round_trip() {
-        let mut s = Stats::new();
-        s.set_gauge("speedup", 1.5);
-        assert_eq!(s.gauge("speedup"), Some(1.5));
-        assert_eq!(s.gauge("x"), None);
-    }
-
-    #[test]
     fn histogram_basic_moments() {
         let mut h = Histogram::new();
         for v in [1, 2, 3, 4] {
@@ -332,22 +301,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_counters_and_overwrites_gauges() {
+    fn stats_merge_sums_counters() {
         let mut a = Stats::new();
         a.add("x", 3);
         a.add("only_a", 1);
-        a.set_gauge("g", 1.0);
-        a.set_gauge("only_a_gauge", 7.0);
         let mut b = Stats::new();
         b.add("x", 4);
         b.add("only_b", 2);
-        b.set_gauge("g", 2.5);
         a.merge(&b);
         assert_eq!(a.counter("x"), 7);
         assert_eq!(a.counter("only_a"), 1);
         assert_eq!(a.counter("only_b"), 2);
-        assert_eq!(a.gauge("g"), Some(2.5)); // last write wins
-        assert_eq!(a.gauge("only_a_gauge"), Some(7.0));
         // b is untouched
         assert_eq!(b.counter("x"), 4);
     }
@@ -366,11 +330,9 @@ mod tests {
     fn merge_into_empty_copies_everything() {
         let mut src = Stats::new();
         src.add("c", 4);
-        src.set_gauge("g", 2.5);
         let mut dst = Stats::new();
         dst.merge(&src);
         assert_eq!(dst.counter("c"), 4);
-        assert_eq!(dst.gauge("g"), Some(2.5));
         assert_eq!(
             dst.counters().collect::<Vec<_>>(),
             src.counters().collect::<Vec<_>>()
@@ -383,12 +345,10 @@ mod tests {
         a.add("token.persistent", 3);
         let mut b = Stats::new();
         b.add("dir.forward", 8);
-        b.set_gauge("dir.occupancy", 0.5);
         a.merge(&b);
         assert_eq!(a.counters().count(), 2);
         assert_eq!(a.counter("token.persistent"), 3);
         assert_eq!(a.counter("dir.forward"), 8);
-        assert_eq!(a.gauge("dir.occupancy"), Some(0.5));
     }
 
     #[test]

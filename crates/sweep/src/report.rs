@@ -55,14 +55,6 @@ pub struct PointRecord {
     pub series: Option<TimeSeries>,
 }
 
-fn tier_name(tier: Tier) -> &'static str {
-    match tier {
-        Tier::Intra => "intra",
-        Tier::Inter => "inter",
-        Tier::Mem => "mem",
-    }
-}
-
 impl PointRecord {
     /// Flattens a completed sweep point.
     pub fn from_point(p: &PointResult) -> PointRecord {
@@ -70,7 +62,7 @@ impl PointRecord {
         let mut traffic_msgs = BTreeMap::new();
         for tier in Tier::ALL {
             for class in MsgClass::ALL {
-                let key = format!("{}/{}", tier_name(tier), class.label());
+                let key = format!("{}/{}", tier.label(), class.label());
                 let bytes = p.result.traffic.bytes(tier, class);
                 let msgs = p.result.traffic.msgs(tier, class);
                 if bytes > 0 {
@@ -141,7 +133,7 @@ impl PointRecord {
 
     /// Total traffic bytes on one tier.
     pub fn tier_bytes(&self, tier: Tier) -> u64 {
-        let prefix = format!("{}/", tier_name(tier));
+        let prefix = format!("{}/", tier.label());
         self.traffic_bytes
             .iter()
             .filter(|(k, _)| k.starts_with(&prefix))

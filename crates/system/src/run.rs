@@ -187,7 +187,7 @@ pub struct RunResult {
     /// A human-readable snapshot of the stuck system — per-processor
     /// pending operation, persistent-table state, in-flight message
     /// census — populated whenever the run did *not* end cleanly
-    /// (anything but [`RunOutcome::Idle`] / [`RunOutcome::Stopped`]).
+    /// (anything but [`RunOutcome::Idle`]).
     pub diagnostic: Option<String>,
     /// The sampled time series, when [`RunOptions::with_sampling`]
     /// enabled the sim-time sampler.
@@ -402,7 +402,7 @@ fn run<S: System>(
 /// cleanly: kernel progress state, each processor's pending operation,
 /// and a census of in-flight messages by class.
 fn diagnose<S: System>(kernel: &Kernel<S::Msg, S>, outcome: RunOutcome) -> Option<String> {
-    if matches!(outcome, RunOutcome::Idle | RunOutcome::Stopped) {
+    if outcome == RunOutcome::Idle {
         return None;
     }
     let mut s = String::new();

@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tokencmp_net::{tier_between, FaultHandle, Tier};
+use tokencmp_net::{tier_between, FaultHandle};
 use tokencmp_proto::{Layout, NetMsg};
 use tokencmp_sim::{Dur, EventKind, Kernel, KernelMonitor, NodeSet, Time};
 use tokencmp_trace::timeseries::keys;
@@ -47,15 +47,6 @@ impl Default for TelemetryOptions {
     }
 }
 
-/// The tier segment of an `inflight.<tier>.<class>` key.
-fn tier_key(t: Tier) -> &'static str {
-    match t {
-        Tier::Intra => "intra",
-        Tier::Inter => "inter",
-        Tier::Mem => "mem",
-    }
-}
-
 /// Gauges every protocol shares: event-queue depth and the census
 /// of in-flight events — wakeups, and messages classified per tier ×
 /// class with the same tier mapping fault injection and the traffic
@@ -77,7 +68,7 @@ fn base_gauges<M: NetMsg + Clone + 'static, N: NodeSet<M>>(
             EventKind::Wake { .. } => wakes += 1,
             EventKind::Msg { src, msg } => {
                 let tier = match layout.map(|l| tier_between(l, *src, ev.dst)) {
-                    Some(Some(t)) => tier_key(t),
+                    Some(Some(t)) => t.label(),
                     _ => "local",
                 };
                 *combos.entry((tier, msg.class().key())).or_insert(0) += 1;

@@ -1360,6 +1360,60 @@ mod tests {
         });
     }
 
+    /// The footprint of every label shape `successors` emits, on two
+    /// caches (nodes 0 and 1, memory node 2), plus an out-of-range
+    /// destination and a label no rule emits.
+    #[test]
+    fn action_meta_reads_every_label_shape() {
+        const TB: u64 = 1 << 16; // token budget
+        const CTL: u64 = 1 << 17; // control budget
+        const REC: u64 = 1 << 18; // recreation in progress
+        const ARB: u64 = 1 << 19; // arbiter queue and current request
+        const SPEC: u64 = 1 << 20; // spec variables
+        const MEM: u64 = 1 << 2;
+        let rw = ActionMeta::rw;
+        let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::Arbiter));
+        let s = m.initial().remove(0);
+        let table = [
+            ("send-all 0->1", rw(0b01 | TB, 0b01 | TB)),
+            ("send-1 1->2 data=true", rw(0b10 | TB, 0b10 | TB)),
+            ("mem-grant ->1", rw(MEM | TB, MEM | TB)),
+            ("writeback 1->mem", rw(0b10 | TB, 0b10 | TB)),
+            ("deliver-stale ->0", rw(0b01 | MEM | TB, MEM | TB)),
+            ("deliver-tokens ->2", rw(MEM | TB, MEM | TB)),
+            ("deliver-inval ->1", rw(0b10 | MEM | CTL, 0b10 | MEM | CTL)),
+            (
+                "deliver-ack s1",
+                ActionMeta {
+                    reads: CTL | REC,
+                    writes: CTL | REC,
+                    class: Some(0),
+                },
+            ),
+            ("deliver-activate p0->1", rw(0b10 | CTL, 0b10 | CTL)),
+            ("deliver-deactivate p1->0", rw(0b01 | CTL, 0b01 | CTL)),
+            ("arb-request p1", rw(ARB | MEM | CTL, ARB | MEM | CTL)),
+            ("deliver-arb-activate p0->2", rw(MEM | CTL, MEM | CTL)),
+            ("arb-done p0", ActionMeta::OPAQUE),
+            ("deliver-arb-deactivate p1->0", rw(0b01 | CTL, 0b01 | CTL)),
+            ("lose ->1", rw(MEM | TB | REC, TB | REC)),
+            ("recreate-start", rw(MEM | REC | CTL, MEM | REC | CTL)),
+            ("recreate-done", rw(MEM | REC | TB, MEM | REC)),
+            ("write c1 v1", rw(0b10 | SPEC, 0b10 | SPEC)),
+            ("issue c0 Read", rw(0b01 | CTL, 0b01 | CTL)),
+            ("forward 2->p0", rw(MEM | TB, MEM | TB)),
+            ("complete c1 Write", rw(0b10 | CTL | SPEC, 0b10 | CTL | SPEC)),
+            // A destination past the last node names no node: every
+            // resource.
+            ("deliver-tokens ->3", rw(u64::MAX, u64::MAX)),
+            ("deliver-activate p0->3", rw(u64::MAX, u64::MAX)),
+            ("no-such-rule 0->1", ActionMeta::OPAQUE),
+        ];
+        for (label, want) in table {
+            assert_eq!(m.action_meta(&s, label), want, "{label}");
+        }
+    }
+
     /// Mutation test: breaking conservation (a node that duplicates its
     /// tokens on send) must be caught. We simulate by checking that the
     /// invariant rejects a corrupted state.

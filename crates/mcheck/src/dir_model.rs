@@ -875,8 +875,8 @@ impl Model for DirModel {
     /// quiescence predicate are index-blind. See DESIGN.md §17.
     fn canonicalize(&self, s: &DState) -> DState {
         let mut best = s.clone();
-        for perm in permutations(self.p.caches).into_iter().skip(1) {
-            let t = self.permute(s, &perm);
+        for perm in &permutations(self.p.caches)[1..] {
+            let t = self.permute(s, perm);
             if t < best {
                 best = t;
             }

@@ -21,9 +21,13 @@
 //!
 //! * **Hashed state store.** States are deduplicated by 128-bit
 //!   fingerprint ([`fingerprint`]: the state's hash bytes recorded once,
-//!   then one SipHash-1-3 pass in its 128-bit output mode) in one map,
-//!   retaining 16 bytes per state instead of a full clone. At n = 10⁷
-//!   states the collision probability is about n²/2¹²⁹ ≈ 10⁻²⁵ (see
+//!   each slice length and enum discriminant in a one-byte code when it
+//!   is below 0xFF, then one SipHash-1-3 pass in its 128-bit output
+//!   mode) in one map, retaining 16 bytes per state instead of a full
+//!   clone. The code is self-delimiting, so distinct states keep
+//!   distinct byte streams; the differential suite checks both the hash
+//!   and the streams' distinctness on every reachable model state. At
+//!   n = 10⁷ states the collision probability is about n²/2¹²⁹ ≈ 10⁻²⁵ (see
 //!   DESIGN.md §17). `CheckOptions::collision_audit` additionally
 //!   retains full states on a 1/16 fingerprint stripe and asserts that
 //!   every dedup hit on the stripe compares equal.
@@ -37,7 +41,8 @@
 //!
 //! * **Batch-local dedup.** A worker remembers the fingerprint of every
 //!   fresh successor it has emitted in its batch, and records a repeat
-//!   as a back-reference to the first occurrence: no state copy, no
+//!   (a successor the frozen store lacks, which is probed first) as a
+//!   back-reference to the first occurrence: no state copy, no
 //!   label and no second `invariant` call. The merge resolves it to the
 //!   id it gave the first occurrence, which is the id the store lookup
 //!   would have returned, since the merge reaches the first occurrence
@@ -67,11 +72,13 @@ use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use tokencmp_pool::{default_threads, par_map_threads};
 
 use crate::checker::{ActionMeta, CheckOptions, Model, Violation};
+use crate::token_model::MAX_CACHES;
 
 thread_local! {
     /// The byte stream of the value being fingerprinted, reused across
@@ -94,8 +101,32 @@ impl Hasher for ByteSink<'_> {
         self.0.push(i);
     }
 
+    /// Slice lengths go through here, in the compact code.
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        write_compact(self.0, i as u64);
+    }
+
+    /// Enum discriminants go through here, in the compact code.
+    #[inline]
+    fn write_isize(&mut self, i: isize) {
+        write_compact(self.0, i as u64);
+    }
+
     fn finish(&self) -> u64 {
         unreachable!("ByteSink records bytes; it is never finished")
+    }
+}
+
+/// Appends `x` in the fingerprint stream's compact code: one byte when
+/// it is below 0xFF, otherwise 0xFF and its eight little-endian bytes.
+#[inline]
+fn write_compact(bytes: &mut Vec<u8>, x: u64) {
+    if x < 0xFF {
+        bytes.push(x as u8);
+    } else {
+        bytes.push(0xFF);
+        bytes.extend_from_slice(&x.to_le_bytes());
     }
 }
 
@@ -181,12 +212,25 @@ impl Sip13 {
 
 /// 128-bit state fingerprint: SipHash-1-3 in its 128-bit output mode
 /// (the construction behind rustc's 128-bit fingerprints) over the bytes
-/// `s.hash()` writes. The value is walked once into a reusable
-/// per-thread byte buffer and hashed in one pass; SipHash is a streaming
-/// hash, so the result equals streaming `s.hash()` into a SipHash-1-3-128
-/// hasher (the oracle in `tests/mcheck_parallel.rs` checks this on every
-/// reachable model state). The keys are fixed, so fingerprints are
-/// stable within a build, which is all the store needs (they are never
+/// `s.hash()` writes, in a compact code. The value is walked once into a
+/// reusable per-thread byte buffer and hashed in one pass.
+///
+/// The code: every `write_usize` and `write_isize` call (slice lengths
+/// and enum discriminants, almost always small) becomes one byte when
+/// its value is below 0xFF, and otherwise 0xFF followed by the value's
+/// eight little-endian bytes; every other write keeps its bytes. Each
+/// such value is self-delimiting: its first byte says whether eight more
+/// follow. The type fixes the sequence of writes a walk makes, given the
+/// values of the lengths and discriminants already read, so the stream
+/// can be decoded back into the value, and distinct values of one type
+/// give distinct streams.
+///
+/// SipHash is a streaming hash, so the result equals streaming the same
+/// code into a SipHash-1-3-128 hasher; the oracle in
+/// `tests/mcheck_parallel.rs` checks this on every reachable model state
+/// and its canonical form, and that the reachable states' streams are
+/// pairwise distinct. The keys are fixed, so fingerprints are stable
+/// within a build, which is all the store needs (they are never
 /// persisted).
 pub fn fingerprint<S: Hash>(s: &S) -> u128 {
     FP_BYTES.with_borrow_mut(|bytes| {
@@ -197,10 +241,14 @@ pub fn fingerprint<S: Hash>(s: &S) -> u128 {
 }
 
 /// All permutations of `0..n` in lexicographic order (identity first) —
-/// the helper the protocol models use to canonicalize over node
-/// identity. Intended for the tiny downscaled configurations the
-/// verification study runs (n ≤ 4).
-pub fn permutations(n: usize) -> Vec<Vec<usize>> {
+/// the table the protocol models canonicalize over node identity with.
+/// Each table is built once, on its first use.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds [`MAX_CACHES`], the most caches either model
+/// holds.
+pub fn permutations(n: usize) -> &'static [Vec<usize>] {
     fn rec(rest: &mut Vec<usize>, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
         if rest.is_empty() {
             out.push(cur.clone());
@@ -214,9 +262,36 @@ pub fn permutations(n: usize) -> Vec<Vec<usize>> {
             rest.insert(i, v);
         }
     }
-    let mut out = Vec::new();
-    rec(&mut (0..n).collect(), &mut Vec::new(), &mut out);
-    out
+    static TABLES: [OnceLock<Vec<Vec<usize>>>; MAX_CACHES + 1] =
+        [const { OnceLock::new() }; MAX_CACHES + 1];
+    assert!(
+        n <= MAX_CACHES,
+        "permutation tables cover at most {MAX_CACHES} caches, got {n}"
+    );
+    TABLES[n].get_or_init(|| {
+        let mut out = Vec::new();
+        rec(&mut (0..n).collect(), &mut Vec::new(), &mut out);
+        out
+    })
+}
+
+/// A label's kind: its first word, as
+/// `label.split_whitespace().next().unwrap_or("")` gives it. An ASCII
+/// label is cut at its first whitespace byte (the six ASCII characters
+/// `char::is_whitespace` accepts) with no char decoding; a label that
+/// starts with whitespace, or meets a non-ASCII byte before its first
+/// whitespace, takes `split_whitespace`.
+fn kind_of(label: &str) -> &str {
+    let bytes = label.as_bytes();
+    let end = bytes
+        .iter()
+        .position(|&b| !b.is_ascii() || matches!(b, b'\t'..=b'\r' | b' '))
+        .unwrap_or(bytes.len());
+    if end > 0 && bytes.get(end).is_none_or(u8::is_ascii) {
+        &label[..end]
+    } else {
+        label.split_whitespace().next().unwrap_or("")
+    }
 }
 
 /// Hashes a fingerprint key by passing its high half through:
@@ -399,7 +474,7 @@ impl<M: Model> Worker<'_, M> {
             exp.deadlock = Some(format!("{s:?}"));
         }
         for (label, _) in &succs {
-            let head = label.split_whitespace().next().unwrap_or("");
+            let head = kind_of(label);
             if !self.kinds.contains(head) && !exp.new_kinds.iter().any(|k| k == head) {
                 exp.new_kinds.push(head.to_string());
             }
@@ -484,18 +559,22 @@ impl<M: Model> Worker<'_, M> {
         self.succs = succs;
     }
 
-    /// Records one taken successor: a back-reference if this batch has
-    /// already emitted it as fresh, its id if the frozen store holds it
-    /// (unless the audit must compare it), and otherwise a fresh
-    /// successor with its invariant verdict.
+    /// Records one taken successor: its id if the frozen store holds it
+    /// (unless the audit must compare it), a back-reference if this
+    /// batch has already emitted it as fresh, and otherwise a fresh
+    /// successor with its invariant verdict. The store is probed first:
+    /// it settles more successors, and `emitted` never holds a
+    /// fingerprint the store holds, so the order changes no record.
     fn settle(&mut self, label: String, state: M::State, fp: u128) {
         let out = &mut self.out;
-        if let Some(&first) = self.emitted.get(&fp) {
-            out.recs.push(OPEN);
-            out.refs.push(first);
-            return;
-        }
         let known = self.store.get(&fp).copied();
+        if known.is_none() {
+            if let Some(&first) = self.emitted.get(&fp) {
+                out.recs.push(OPEN);
+                out.refs.push(first);
+                return;
+            }
+        }
         let audit = self.opts.collision_audit && on_audit_stripe(fp);
         match known {
             Some(t_id) if !audit => out.recs.push(t_id),
@@ -916,6 +995,82 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// The bytes `fingerprint` hashes for `s`.
+    fn stream<S: Hash>(s: &S) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        s.hash(&mut ByteSink(&mut bytes));
+        bytes
+    }
+
+    /// Lengths and discriminants below 0xFF take one byte; from 0xFF up,
+    /// and for every negative `isize`, 0xFF and eight little-endian
+    /// bytes. `fingerprint` hashes exactly that stream.
+    #[test]
+    fn compact_code_escapes_values_from_0xff_up() {
+        let escaped = |x: u64| [&[0xFF][..], &x.to_le_bytes()].concat();
+        for (len, head) in [
+            (254usize, vec![254]),
+            (255, escaped(255)),
+            (256, escaped(256)),
+        ] {
+            let v = vec![7u8; len];
+            assert_eq!(stream(&v), [head, v.clone()].concat(), "length {len}");
+            assert_eq!(
+                fingerprint(&v),
+                Sip13::absorb(&stream(&v), true).finish128()
+            );
+        }
+        assert_eq!(stream(&usize::MAX), escaped(u64::MAX));
+        assert_eq!(stream(&0usize), [0]);
+        assert_eq!(stream(&-2isize), escaped(-2i64 as u64));
+        assert_eq!(stream(&isize::MIN), escaped(1 << 63));
+        // Discriminants: `None` is 0, `Some` is 1 followed by its value.
+        assert_eq!(stream(&(None::<u8>, Some(9u8))), [0, 1, 9]);
+        // Other integer writes keep their width.
+        assert_eq!(stream(&1u32), 1u32.to_le_bytes());
+    }
+
+    /// The explorer's kind cut agrees with `split_whitespace` on labels
+    /// that exercise each branch.
+    #[test]
+    fn kind_cut_matches_split_whitespace() {
+        for label in [
+            "",
+            " deliver-ack s1",
+            "recreate-start",
+            "send-1 0->1 data=true",
+            "issue\tc0",
+            "write\u{0B}c1",
+            "lose\u{A0}->1",
+            "écrire c1",
+            "\u{A0}",
+            "\t\n",
+        ] {
+            assert_eq!(
+                kind_of(label),
+                label.split_whitespace().next().unwrap_or(""),
+                "{label:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn permutation_tables_are_built_once() {
+        assert_eq!(permutations(0), [Vec::<usize>::new()]);
+        assert_eq!(
+            permutations(3),
+            [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+        );
+        assert_eq!(permutations(4).len(), 24);
+        assert!(std::ptr::eq(permutations(2), permutations(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation tables cover at most 4 caches, got 5")]
+    fn permutations_past_the_cache_limit_fail_closed() {
+        let _ = permutations(5);
     }
 
     #[test]

@@ -1060,8 +1060,8 @@ impl Model for TokenModel {
             return s.clone();
         }
         let mut best = s.clone();
-        for perm in permutations(self.p.caches).into_iter().skip(1) {
-            let t = self.permute(s, &perm);
+        for perm in &permutations(self.p.caches)[1..] {
+            let t = self.permute(s, perm);
             if t < best {
                 best = t;
             }
@@ -1086,61 +1086,43 @@ impl Model for TokenModel {
         const ARB: u64 = 1 << 19;
         const SPEC: u64 = 1 << 20;
         let mem = 1u64 << self.mem();
-        let mut words = label.split_whitespace();
-        let kind = words.next().unwrap_or("");
-        let arg = words.next().unwrap_or("");
-        // `{i}->…` / `c{i}` / `p{i}` / `->{dst}` index parsers.
-        let src = || arg.split("->").next().and_then(|w| w.parse::<u64>().ok());
-        let tagged = || {
-            arg.strip_prefix(['c', 'p'])
-                .and_then(|w| w.parse::<u64>().ok())
+        // `kind arg …`, where `arg` is `{i}->{j}`, `->{j}`, `c{i}` or
+        // `p{i}`: one cut at the first space and one at the arrow.
+        let (kind, rest) = label.split_once(' ').unwrap_or((label, ""));
+        let arg = rest.split_once(' ').map_or(rest, |(arg, _)| arg);
+        let (before, after) = match arg.split_once('-') {
+            Some((before, after)) => (before, after.strip_prefix('>')),
+            None => (arg, None),
         };
-        let dst = || {
-            arg.split("->")
-                .nth(1)
-                .and_then(|w| w.parse::<u64>().ok())
-                .filter(|&d| d < self.n_nodes() as u64)
-        };
+        let index = |w: &str| w.parse::<u64>().ok();
+        // A node's bit, or every resource when the index is missing.
         let node = |i: Option<u64>| i.map_or(u64::MAX, |i| 1 << i);
+        let src = || node(index(before));
+        let dst = || node(after.and_then(index).filter(|&d| d < self.n_nodes() as u64));
+        let tagged = || node(arg.strip_prefix(['c', 'p']).and_then(index));
+        let both = |bits: u64| ActionMeta::rw(bits, bits);
         match kind {
-            "send-all" | "send-1" => {
-                ActionMeta::rw(node(src()) | TOKEN_BUDGET, node(src()) | TOKEN_BUDGET)
-            }
-            "mem-grant" => ActionMeta::rw(mem | TOKEN_BUDGET, mem | TOKEN_BUDGET),
-            "writeback" | "forward" => {
-                ActionMeta::rw(node(src()) | TOKEN_BUDGET, node(src()) | TOKEN_BUDGET)
-            }
-            "deliver-tokens" => {
-                ActionMeta::rw(node(dst()) | TOKEN_BUDGET, node(dst()) | TOKEN_BUDGET)
-            }
-            "deliver-stale" => ActionMeta::rw(node(dst()) | mem | TOKEN_BUDGET, mem | TOKEN_BUDGET),
-            "deliver-inval" => ActionMeta::rw(
-                node(dst()) | mem | CTL_BUDGET,
-                node(dst()) | mem | CTL_BUDGET,
-            ),
+            "send-all" | "send-1" | "writeback" | "forward" => both(src() | TOKEN_BUDGET),
+            "mem-grant" => both(mem | TOKEN_BUDGET),
+            "deliver-tokens" => both(dst() | TOKEN_BUDGET),
+            "deliver-stale" => ActionMeta::rw(dst() | mem | TOKEN_BUDGET, mem | TOKEN_BUDGET),
+            "deliver-inval" => both(dst() | mem | CTL_BUDGET),
             "deliver-ack" => ActionMeta {
                 reads: CTL_BUDGET | RECREATING,
                 writes: CTL_BUDGET | RECREATING,
                 class: Some(0),
             },
             "lose" => ActionMeta::rw(mem | TOKEN_BUDGET | RECREATING, TOKEN_BUDGET | RECREATING),
-            "recreate-start" => {
-                ActionMeta::rw(mem | RECREATING | CTL_BUDGET, mem | RECREATING | CTL_BUDGET)
-            }
+            "recreate-start" => both(mem | RECREATING | CTL_BUDGET),
             "recreate-done" => ActionMeta::rw(mem | RECREATING | TOKEN_BUDGET, mem | RECREATING),
-            "write" => ActionMeta::rw(node(tagged()) | SPEC, node(tagged()) | SPEC),
-            "issue" => ActionMeta::rw(node(tagged()) | CTL_BUDGET, node(tagged()) | CTL_BUDGET),
-            "complete" => ActionMeta::rw(
-                node(tagged()) | CTL_BUDGET | SPEC,
-                node(tagged()) | CTL_BUDGET | SPEC,
-            ),
+            "write" => both(tagged() | SPEC),
+            "issue" => both(tagged() | CTL_BUDGET),
+            "complete" => both(tagged() | CTL_BUDGET | SPEC),
             "deliver-activate"
             | "deliver-deactivate"
             | "deliver-arb-activate"
-            | "deliver-arb-deactivate" => {
-                ActionMeta::rw(node(dst()) | CTL_BUDGET, node(dst()) | CTL_BUDGET)
-            }
-            "arb-request" => ActionMeta::rw(ARB | mem | CTL_BUDGET, ARB | mem | CTL_BUDGET),
+            | "deliver-arb-deactivate" => both(dst() | CTL_BUDGET),
+            "arb-request" => both(ARB | mem | CTL_BUDGET),
             // `arb-done` edits the queue, every table, and filters the
             // net wholesale — opaque.
             _ => ActionMeta::OPAQUE,

@@ -20,7 +20,9 @@
 //! The reference also checks, on every state it visits, that the
 //! explorer's fingerprint (one walk into a buffer, then one hash pass)
 //! equals a separately written SipHash-1-3-128 that streams the state's
-//! hash bytes one at a time.
+//! hash bytes one at a time, in the explorer's compact code for lengths
+//! and discriminants, and it counts the distinct byte streams of the
+//! states it visits.
 
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
@@ -45,11 +47,47 @@ struct Reference {
     transitions: u64,
     depth: usize,
     kinds: BTreeSet<String>,
+    /// Distinct compact byte streams among the visited states.
+    streams: usize,
+}
+
+/// The code the explorer's fingerprint gives every `write_usize` and
+/// `write_isize` call (slice lengths and enum discriminants): one byte
+/// below 0xFF, otherwise 0xFF and the value's eight little-endian bytes.
+fn write_compact<H: Hasher>(h: &mut H, x: u64) {
+    if x < 0xFF {
+        h.write(&[x as u8]);
+    } else {
+        h.write(&[0xFF]);
+        h.write(&x.to_le_bytes());
+    }
+}
+
+/// The byte stream the oracle hashes for `s`.
+fn compact_stream<S: Hash>(s: &S) -> Vec<u8> {
+    struct Recorder(Vec<u8>);
+    impl Hasher for Recorder {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+        fn write_usize(&mut self, i: usize) {
+            write_compact(self, i as u64);
+        }
+        fn write_isize(&mut self, i: isize) {
+            write_compact(self, i as u64);
+        }
+        fn finish(&self) -> u64 {
+            unreachable!("the recorder is read through its bytes")
+        }
+    }
+    let mut r = Recorder(Vec::new());
+    s.hash(&mut r);
+    r.0
 }
 
 /// The fingerprint oracle: SipHash-1-3 in its 128-bit output mode,
 /// written separately from the explorer's, absorbing the bytes `s.hash()`
-/// writes one at a time, with no buffer.
+/// writes one at a time, with no buffer, in the compact code.
 fn streaming_fingerprint<S: Hash>(s: &S) -> u128 {
     let mut h = StreamingSip128 {
         v: [
@@ -128,6 +166,14 @@ impl Hasher for StreamingSip128 {
         }
     }
 
+    fn write_usize(&mut self, i: usize) {
+        write_compact(self, i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        write_compact(self, i as u64);
+    }
+
     fn finish(&self) -> u64 {
         unreachable!("the oracle is read through finish128")
     }
@@ -152,6 +198,7 @@ fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
     // the state being expanded.
     let mut found: Vec<Found<M::State>> = Vec::new();
     let mut seen: HashSet<M::State> = HashSet::new();
+    let mut streams: HashSet<Vec<u8>> = HashSet::new();
     let trace_to = |found: &[Found<M::State>], mut i: usize| {
         let mut trace = Vec::new();
         while let Some((p, label)) = &found[i].parent {
@@ -185,6 +232,7 @@ fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
         transitions: 0,
         depth: 0,
         kinds: BTreeSet::new(),
+        streams: 0,
     };
     let mut succs = Vec::new();
     let mut head = 0;
@@ -197,6 +245,7 @@ fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
                 "fingerprint of {t:?}"
             );
         }
+        streams.insert(compact_stream(&s));
         model.successors(&s, &mut succs);
         if succs.is_empty() && !model.is_quiescent(&s) {
             let message = "deadlock: non-quiescent state with no successors".into();
@@ -225,6 +274,7 @@ fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
         head += 1;
     }
     r.states = found.len();
+    r.streams = streams.len();
     Ok(r)
 }
 
@@ -640,6 +690,25 @@ fn fingerprint_equals_the_streaming_oracle_on_every_reachable_state() {
     assert_eq!(reference(&m).unwrap().states, 94_270, "token/recovery");
     let d = DirModel::new(DirModelParams::small());
     assert_eq!(reference(&d).unwrap().states, 104_600, "dir");
+}
+
+/// The compact code is injective on every reachable state of the five
+/// reference configurations: as many distinct byte streams as states.
+#[test]
+fn reachable_states_have_pairwise_distinct_compact_streams() {
+    for mode in [
+        SubstrateMode::SafetyOnly,
+        SubstrateMode::Distributed,
+        SubstrateMode::Arbiter,
+    ] {
+        let r = reference(&TokenModel::new(TokenModelParams::small(mode))).unwrap();
+        assert_eq!(r.streams, r.states, "token/{mode:?}");
+    }
+    let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
+    let r = reference(&m).unwrap();
+    assert_eq!(r.streams, r.states, "token/recovery");
+    let r = reference(&DirModel::new(DirModelParams::small())).unwrap();
+    assert_eq!(r.streams, r.states, "dir");
 }
 
 /// The `mcheck-recovery` benchmark workload's search: one worker,

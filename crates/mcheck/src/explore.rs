@@ -246,8 +246,7 @@ pub fn fingerprint<S: Hash>(s: &S) -> u128 {
 ///
 /// # Panics
 ///
-/// Panics if `n` exceeds [`MAX_CACHES`], the most caches either model
-/// holds.
+/// Panics if `n` exceeds 4, the most caches either model holds.
 pub fn permutations(n: usize) -> &'static [Vec<usize>] {
     fn rec(rest: &mut Vec<usize>, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
         if rest.is_empty() {
@@ -1061,7 +1060,14 @@ pub(crate) mod tests {
         assert_eq!(permutations(0), [Vec::<usize>::new()]);
         assert_eq!(
             permutations(3),
-            [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+            [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0]
+            ]
         );
         assert_eq!(permutations(4).len(), 24);
         assert!(std::ptr::eq(permutations(2), permutations(2)));

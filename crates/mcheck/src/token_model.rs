@@ -1384,7 +1384,10 @@ mod tests {
             ("write c1 v1", rw(0b10 | SPEC, 0b10 | SPEC)),
             ("issue c0 Read", rw(0b01 | CTL, 0b01 | CTL)),
             ("forward 2->p0", rw(MEM | TB, MEM | TB)),
-            ("complete c1 Write", rw(0b10 | CTL | SPEC, 0b10 | CTL | SPEC)),
+            (
+                "complete c1 Write",
+                rw(0b10 | CTL | SPEC, 0b10 | CTL | SPEC),
+            ),
             // A destination past the last node names no node: every
             // resource.
             ("deliver-tokens ->3", rw(u64::MAX, u64::MAX)),

@@ -274,25 +274,6 @@ pub fn permutations(n: usize) -> &'static [Vec<usize>] {
     })
 }
 
-/// A label's kind: its first word, as
-/// `label.split_whitespace().next().unwrap_or("")` gives it. An ASCII
-/// label is cut at its first whitespace byte (the six ASCII characters
-/// `char::is_whitespace` accepts) with no char decoding; a label that
-/// starts with whitespace, or meets a non-ASCII byte before its first
-/// whitespace, takes `split_whitespace`.
-fn kind_of(label: &str) -> &str {
-    let bytes = label.as_bytes();
-    let end = bytes
-        .iter()
-        .position(|&b| !b.is_ascii() || matches!(b, b'\t'..=b'\r' | b' '))
-        .unwrap_or(bytes.len());
-    if end > 0 && bytes.get(end).is_none_or(u8::is_ascii) {
-        &label[..end]
-    } else {
-        label.split_whitespace().next().unwrap_or("")
-    }
-}
-
 /// Hashes a fingerprint key by passing its high half through:
 /// fingerprints are uniform hash output already. (The high half, because
 /// the audit stripe selects keys by their low nibble.)
@@ -473,7 +454,7 @@ impl<M: Model> Worker<'_, M> {
             exp.deadlock = Some(format!("{s:?}"));
         }
         for (label, _) in &succs {
-            let head = kind_of(label);
+            let head = label.split_whitespace().next().unwrap_or("");
             if !self.kinds.contains(head) && !exp.new_kinds.iter().any(|k| k == head) {
                 exp.new_kinds.push(head.to_string());
             }
@@ -1029,30 +1010,6 @@ pub(crate) mod tests {
         assert_eq!(stream(&(None::<u8>, Some(9u8))), [0, 1, 9]);
         // Other integer writes keep their width.
         assert_eq!(stream(&1u32), 1u32.to_le_bytes());
-    }
-
-    /// The explorer's kind cut agrees with `split_whitespace` on labels
-    /// that exercise each branch.
-    #[test]
-    fn kind_cut_matches_split_whitespace() {
-        for label in [
-            "",
-            " deliver-ack s1",
-            "recreate-start",
-            "send-1 0->1 data=true",
-            "issue\tc0",
-            "write\u{0B}c1",
-            "lose\u{A0}->1",
-            "écrire c1",
-            "\u{A0}",
-            "\t\n",
-        ] {
-            assert_eq!(
-                kind_of(label),
-                label.split_whitespace().next().unwrap_or(""),
-                "{label:?}"
-            );
-        }
     }
 
     #[test]

@@ -676,6 +676,9 @@ fn lying_independence_misses_the_order_dependent_violation() {
 // keeps its exact shape.
 // ---------------------------------------------------------------------------
 
+/// On the five reference configurations: the reference search asserts
+/// the oracle on every state it visits, and the compact code is
+/// injective on them, as many distinct byte streams as states.
 #[test]
 fn fingerprint_equals_the_streaming_oracle_on_every_reachable_state() {
     for (mode, states) in [
@@ -683,31 +686,16 @@ fn fingerprint_equals_the_streaming_oracle_on_every_reachable_state() {
         (SubstrateMode::Distributed, 85_483),
         (SubstrateMode::Arbiter, 15_855),
     ] {
-        let m = TokenModel::new(TokenModelParams::small(mode));
-        assert_eq!(reference(&m).unwrap().states, states, "token/{mode:?}");
-    }
-    let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
-    assert_eq!(reference(&m).unwrap().states, 94_270, "token/recovery");
-    let d = DirModel::new(DirModelParams::small());
-    assert_eq!(reference(&d).unwrap().states, 104_600, "dir");
-}
-
-/// The compact code is injective on every reachable state of the five
-/// reference configurations: as many distinct byte streams as states.
-#[test]
-fn reachable_states_have_pairwise_distinct_compact_streams() {
-    for mode in [
-        SubstrateMode::SafetyOnly,
-        SubstrateMode::Distributed,
-        SubstrateMode::Arbiter,
-    ] {
         let r = reference(&TokenModel::new(TokenModelParams::small(mode))).unwrap();
+        assert_eq!(r.states, states, "token/{mode:?}");
         assert_eq!(r.streams, r.states, "token/{mode:?}");
     }
     let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
     let r = reference(&m).unwrap();
+    assert_eq!(r.states, 94_270, "token/recovery");
     assert_eq!(r.streams, r.states, "token/recovery");
     let r = reference(&DirModel::new(DirModelParams::small())).unwrap();
+    assert_eq!(r.states, 104_600, "dir");
     assert_eq!(r.streams, r.states, "dir");
 }
 

@@ -21,8 +21,7 @@
 //! explorer's fingerprint (one walk into a buffer, then one hash pass)
 //! equals a separately written SipHash-1-3-128 that streams the state's
 //! hash bytes one at a time, in the explorer's compact code for lengths
-//! and discriminants, and it counts the distinct byte streams of the
-//! states it visits.
+//! and discriminants.
 
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
@@ -42,13 +41,12 @@ const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// What a clean reference search found.
 #[derive(Debug)]
-struct Reference {
-    states: usize,
+struct Reference<S> {
+    /// Every state it visited, in BFS order.
+    visited: Vec<S>,
     transitions: u64,
     depth: usize,
     kinds: BTreeSet<String>,
-    /// Distinct compact byte streams among the visited states.
-    streams: usize,
 }
 
 /// The code the explorer's fingerprint gives every `write_usize` and
@@ -193,12 +191,11 @@ struct Found<S> {
 /// violation in BFS order, with its trace and state text. Asserts on
 /// every visited state that it and its canonical form fingerprint as the
 /// streaming oracle does.
-fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
+fn reference<M: Model>(model: &M) -> Result<Reference<M::State>, Box<Violation>> {
     // Every discovered state in BFS order; the queue is the part past
     // the state being expanded.
     let mut found: Vec<Found<M::State>> = Vec::new();
     let mut seen: HashSet<M::State> = HashSet::new();
-    let mut streams: HashSet<Vec<u8>> = HashSet::new();
     let trace_to = |found: &[Found<M::State>], mut i: usize| {
         let mut trace = Vec::new();
         while let Some((p, label)) = &found[i].parent {
@@ -228,11 +225,10 @@ fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
         }
     }
     let mut r = Reference {
-        states: 0,
+        visited: Vec::new(),
         transitions: 0,
         depth: 0,
         kinds: BTreeSet::new(),
-        streams: 0,
     };
     let mut succs = Vec::new();
     let mut head = 0;
@@ -245,7 +241,6 @@ fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
                 "fingerprint of {t:?}"
             );
         }
-        streams.insert(compact_stream(&s));
         model.successors(&s, &mut succs);
         if succs.is_empty() && !model.is_quiescent(&s) {
             let message = "deadlock: non-quiescent state with no successors".into();
@@ -273,8 +268,7 @@ fn reference<M: Model>(model: &M) -> Result<Reference, Box<Violation>> {
         }
         head += 1;
     }
-    r.states = found.len();
-    r.streams = streams.len();
+    r.visited = found.into_iter().map(|f| f.state).collect();
     Ok(r)
 }
 
@@ -297,7 +291,7 @@ where
             },
         )
         .unwrap_or_else(|v| panic!("{name}/{workers}w: parallel check must pass: {v}"));
-        assert_eq!(par.states, r.states, "{name}/{workers}w states");
+        assert_eq!(par.states, r.visited.len(), "{name}/{workers}w states");
         assert_eq!(
             par.transitions, r.transitions,
             "{name}/{workers}w transitions"
@@ -327,10 +321,10 @@ where
         )
         .unwrap_or_else(|v| panic!("{name}/{workers}w reduced check must pass: {v}"));
         assert!(
-            red.states <= r.states,
+            red.states <= r.visited.len(),
             "{name}/{workers}w: reduction may only shrink ({} > {})",
             red.states,
-            r.states
+            r.visited.len()
         );
         assert_eq!(
             red.kinds, r.kinds,
@@ -681,22 +675,23 @@ fn lying_independence_misses_the_order_dependent_violation() {
 /// injective on them, as many distinct byte streams as states.
 #[test]
 fn fingerprint_equals_the_streaming_oracle_on_every_reachable_state() {
+    fn check<M: Model>(model: &M, states: usize, name: &str) {
+        let r = reference(model).unwrap();
+        assert_eq!(r.visited.len(), states, "{name}");
+        let streams: HashSet<Vec<u8>> = r.visited.iter().map(compact_stream).collect();
+        assert_eq!(streams.len(), states, "{name}: distinct compact streams");
+    }
     for (mode, states) in [
         (SubstrateMode::SafetyOnly, 16_637),
         (SubstrateMode::Distributed, 85_483),
         (SubstrateMode::Arbiter, 15_855),
     ] {
-        let r = reference(&TokenModel::new(TokenModelParams::small(mode))).unwrap();
-        assert_eq!(r.states, states, "token/{mode:?}");
-        assert_eq!(r.streams, r.states, "token/{mode:?}");
+        let m = TokenModel::new(TokenModelParams::small(mode));
+        check(&m, states, &format!("token/{mode:?}"));
     }
     let m = TokenModel::new(TokenModelParams::small_recovery(SubstrateMode::SafetyOnly));
-    let r = reference(&m).unwrap();
-    assert_eq!(r.states, 94_270, "token/recovery");
-    assert_eq!(r.streams, r.states, "token/recovery");
-    let r = reference(&DirModel::new(DirModelParams::small())).unwrap();
-    assert_eq!(r.states, 104_600, "dir");
-    assert_eq!(r.streams, r.states, "dir");
+    check(&m, 94_270, "token/recovery");
+    check(&DirModel::new(DirModelParams::small()), 104_600, "dir");
 }
 
 /// The `mcheck-recovery` benchmark workload's search: one worker,

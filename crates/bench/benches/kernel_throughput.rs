@@ -10,6 +10,12 @@
 //! of 16 copies arriving four to a tick, and the pop of a fan-out's last
 //! copy re-broadcasts it from that time, so pops re-key fan heads (most
 //! of them at a tied time) the way a protocol's broadcasts do.
+//! `bcast/c3135` times machine-wide broadcasts: fan-outs of 3,135 copies
+//! (every other coherence node of the 64 × 16 mesh) whose arrivals form
+//! 131 ascending runs spread over 2^22 ps, four in flight, each re-sent
+//! when its last copy pops; it counts copies as events. Its fans take
+//! the queue's radix sort, while the `fan/d*` rows' 16-copy fans stay on
+//! the comparison sort, so they are its control between two binaries.
 //!
 //! The `cache/*` and `book/*` rows time the cache array and the
 //! persistent-request book, and count operations as their events:
@@ -93,28 +99,33 @@ const FAN_TIED: u64 = 4;
 /// message on the Table 3 links (4.5 ns serialization, 20 ns latency).
 const FAN_TICK_PS: u64 = 24_500;
 
-/// One fan-out churn rep: `depth / FAN_COPIES` broadcasts in flight; the
-/// pop of a broadcast's last copy sends it again from that time, its
-/// copies [`FAN_TIED`] to a tick from a random offset on. Returns events
-/// processed and the timed span.
-fn fan_rep(depth: u64, pops: u64) -> (u64, Duration) {
+/// Steps `lcg` and returns its high bits, the churn rows' random draw.
+fn draw(lcg: &mut u64) -> u64 {
+    *lcg = lcg
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *lcg >> 33
+}
+
+/// One broadcast churn rep: `fans` broadcasts of `copies` copies in
+/// flight; the pop of a broadcast's last copy sends it again from that
+/// time, with the arrivals `arrive(now, lcg, out)` writes into `out`.
+/// Returns events processed and the timed span.
+fn fan_churn(
+    fans: u64,
+    copies: u64,
+    pops: u64,
+    mut lcg: u64,
+    mut arrive: impl FnMut(u64, &mut u64, &mut Vec<(Time, NodeId)>),
+) -> (u64, Duration) {
     let mut q: EventQueue<u64> = EventQueue::new();
-    let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15 ^ depth ^ 0xFA40;
-    let mut arrivals: Vec<(Time, NodeId)> = Vec::with_capacity(FAN_COPIES as usize);
+    let mut arrivals: Vec<(Time, NodeId)> = Vec::with_capacity(copies as usize);
     let mut broadcast = |q: &mut EventQueue<u64>, id: u64, now: u64| {
-        lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let base = now + (lcg >> 33) % SPREAD_PS;
         arrivals.clear();
-        arrivals.extend((0..FAN_COPIES).map(|j| {
-            let t = Time::from_ps(base + j / FAN_TIED * FAN_TICK_PS);
-            (t, NodeId(j as u32))
-        }));
+        arrive(now, &mut lcg, &mut arrivals);
         q.push_fan(NodeId(0), id, &arrivals);
     };
-    let fans = depth / FAN_COPIES;
-    let mut left = vec![FAN_COPIES; fans as usize];
+    let mut left = vec![copies; fans as usize];
     for id in 0..fans {
         broadcast(&mut q, id, 0);
     }
@@ -124,14 +135,66 @@ fn fan_rep(depth: u64, pops: u64) -> (u64, Duration) {
         let EventKind::Msg { msg: id, .. } = ev.kind else {
             unreachable!("only broadcasts are queued")
         };
-        let copies = &mut left[id as usize];
-        *copies -= 1;
-        if *copies == 0 {
-            *copies = FAN_COPIES;
+        let pending = &mut left[id as usize];
+        *pending -= 1;
+        if *pending == 0 {
+            *pending = copies;
             broadcast(&mut q, id, ev.time.as_ps());
         }
     }
     (pops, start.elapsed())
+}
+
+/// One fan-out churn rep: `depth / FAN_COPIES` broadcasts in flight,
+/// each one's copies [`FAN_TIED`] to a tick from a random offset on.
+fn fan_rep(depth: u64, pops: u64) -> (u64, Duration) {
+    let seed = 0x9E37_79B9_7F4A_7C15 ^ depth ^ 0xFA40;
+    fan_churn(
+        depth / FAN_COPIES,
+        FAN_COPIES,
+        pops,
+        seed,
+        |now, lcg, out| {
+            let base = now + draw(lcg) % SPREAD_PS;
+            out.extend((0..FAN_COPIES).map(|j| {
+                let t = Time::from_ps(base + j / FAN_TIED * FAN_TICK_PS);
+                (t, NodeId(j as u32))
+            }));
+        },
+    )
+}
+
+/// Copies per `bcast/c3135` broadcast, copies per ascending run of its
+/// arrivals, the step between a run's arrivals, the span the runs'
+/// starts are drawn from, and broadcasts in flight.
+const BCAST_COPIES: u64 = 3_135;
+const BCAST_RUN: u64 = 24;
+const BCAST_STEP_PS: u64 = 2_000;
+const BCAST_SPAN_PS: u64 = 1 << 22;
+const BCAST_IN_FLIGHT: u64 = 4;
+
+/// One `bcast/c3135` rep: [`BCAST_IN_FLIGHT`] machine-wide broadcasts in
+/// flight, each run of [`BCAST_RUN`] arrivals starting at a random
+/// offset below the span.
+fn bcast_rep(pops: u64) -> (u64, Duration) {
+    let seed = 0x9E37_79B9_7F4A_7C15 ^ 0xB0CA;
+    let starts = BCAST_SPAN_PS - BCAST_RUN * BCAST_STEP_PS;
+    fan_churn(
+        BCAST_IN_FLIGHT,
+        BCAST_COPIES,
+        pops,
+        seed,
+        |now, lcg, out| {
+            let mut start = now;
+            out.extend((0..BCAST_COPIES).map(|j| {
+                if j % BCAST_RUN == 0 {
+                    start = now + draw(lcg) % starts;
+                }
+                let t = Time::from_ps(start + j % BCAST_RUN * BCAST_STEP_PS);
+                (t, NodeId(j as u32))
+            }));
+        },
+    )
 }
 
 /// Sets and ways of the `cache/*` rows' array, and the number of random
@@ -274,6 +337,9 @@ fn main() {
         })
     });
     let mut fresh: Vec<_> = churn.chain(fan).collect();
+    fresh.push(best_of(&inv.run, "bcast/c3135".into(), reps, || {
+        bcast_rep(pops)
+    }));
     fresh.push(best_of(&inv.run, "cache/insert_get".into(), reps, || {
         insert_get_rep(pops)
     }));

@@ -19,7 +19,9 @@
 //! `book/*` rows time the cache array and the persistent-request book
 //! (`cache/insert_get`, `cache/probe_miss`, `book/p16`, `book/p1024`);
 //! their `events` count operations, so `ns_per_event` reads as ns per
-//! operation. Runs up to `pr15` also carry
+//! operation. From run `pr31` on, a `bcast/c3135` row times
+//! machine-wide broadcasts (fan-outs of 3,135 copies, the queue's radix
+//! path) and counts copies as events. Runs up to `pr15` also carry
 //! `table3/<protocol>` rows: single best-of-3 full protocol runs on the
 //! paper's Table 3 system, with a `profile`. Those rows still load, but
 //! new runs no longer measure them: they moved by ±20% between
@@ -56,8 +58,9 @@ pub struct KernelBenchEntry {
     pub shared: Shared,
     /// Event-queue backend name, one of [`BACKENDS`].
     pub backend: String,
-    /// Bench name (`churn/d4096`, `fan/d4096`, `cache/probe_miss`,
-    /// `book/p16`, or a historical `table3/token-dst1`).
+    /// Bench name (`churn/d4096`, `fan/d4096`, `bcast/c3135`,
+    /// `cache/probe_miss`, `book/p16`, or a historical
+    /// `table3/token-dst1`).
     pub bench: String,
     /// Events (operations, in `cache/*` and `book/*` rows) processed
     /// during the timed section.

@@ -254,8 +254,13 @@ impl TokenL1 {
 
     /// Forwards tokens to the active persistent request for `block`, if
     /// any and if we hold tokens (deferring inside a response-delay
-    /// window).
+    /// window). A block we do not hold has nothing to forward, so the
+    /// shared book is read only for held blocks: on a large system most
+    /// nodes that see a persistent broadcast hold no copy.
     fn try_forward(&mut self, block: Block, ctx: &mut Ctx<'_, TokenMsg>) {
+        if !self.lines.contains(block) {
+            return;
+        }
         let Some(req) = self.holder.persistent.active_for(block) else {
             return;
         };
@@ -703,6 +708,14 @@ impl TokenL1 {
         if requester == self.holder.me {
             return;
         }
+        // Unlocked without the line, we have nothing to answer with. The
+        // lock is checked first: a locked L1 defers the request whether
+        // or not it holds the line, which may be back when the lock
+        // expires.
+        let locked = self.locked(block, ctx.now);
+        if !locked && !self.lines.contains(block) {
+            return;
+        }
         // Persistent requests have absolute priority: while one is active
         // for this block, tokens are reserved for its initiator (otherwise
         // transient readers could siphon tokens off an almost-complete
@@ -710,7 +723,7 @@ impl TokenL1 {
         if self.holder.persistent.active_for(block).is_some() {
             return;
         }
-        if self.locked(block, ctx.now) {
+        if locked {
             self.deferred.push(TokenMsg::Transient {
                 block,
                 requester,

@@ -138,7 +138,13 @@ impl TokenL2 {
         }
     }
 
+    /// Forwards tokens to the active persistent request for `block`, if
+    /// any and if we hold tokens; the shared book is read only for held
+    /// blocks.
     fn try_forward(&mut self, block: Block, ctx: &mut Ctx<'_, TokenMsg>) {
+        if !self.lines.contains(block) {
+            return;
+        }
         let Some(req) = self.holder.persistent.active_for(block) else {
             return;
         };
@@ -198,10 +204,12 @@ impl TokenL2 {
         self.stats.local_requests += 1;
         self.mark_sharer(block, requester);
         let mut fully_satisfied = false;
-        // Tokens are reserved while a persistent request is active.
+        // Tokens are reserved while a persistent request is active; the
+        // book is read only when the line is held (the probe marks it
+        // most-recently-used either way).
         let holder = &self.holder;
-        let reserved = holder.persistent.active_for(block).is_some();
-        if let Some(line) = self.lines.get_mut(block).filter(|_| !reserved) {
+        let unreserved = |_: &&mut TokenLine| holder.persistent.active_for(block).is_none();
+        if let Some(line) = self.lines.get_mut(block).filter(unreserved) {
             let had_all = line.tokens == holder.rules.total_tokens && line.owner;
             let grant = storage_grant(line, kind, &holder.rules, true);
             match kind {
@@ -269,8 +277,8 @@ impl TokenL2 {
         self.stats.external_requests += 1;
         let delay = self.holder.cfg.l2_latency;
         let holder = &self.holder;
-        let reserved = holder.persistent.active_for(block).is_some();
-        if let Some(line) = self.lines.get_mut(block).filter(|_| !reserved) {
+        let unreserved = |_: &&mut TokenLine| holder.persistent.active_for(block).is_none();
+        if let Some(line) = self.lines.get_mut(block).filter(unreserved) {
             if let Some(bundle) = transient_grant(line, kind, true, &holder.rules) {
                 holder.send_tokens(ctx, delay, requester, block, bundle, false);
                 self.drop_if_empty(block);

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use tokencmp_core::msg::{ReqKind, TokenBundle, TokenMsg};
 use tokencmp_core::{MemLine, PersistentBook, TokenL1, TokenL2, TokenMem, Variant};
 use tokencmp_proto::{AccessKind, Block, CpuReq, CpuResp, ProcId, SystemConfig, Unit};
-use tokencmp_sim::{Component, Ctx, Kernel, NodeId, Time};
+use tokencmp_sim::{Component, Ctx, Dur, Kernel, NodeId, Time};
 
 type Log = Rc<RefCell<Vec<(NodeId, NodeId, Time, TokenMsg)>>>;
 
@@ -432,6 +432,79 @@ fn l1_response_delay_defers_stealing_requests() {
         reply_time.since(completed_at),
         cfg.response_delay
     );
+}
+
+/// The lock guards a block, not a line: a request that arrives inside
+/// the response-delay window while the line is away is deferred, and
+/// answered at the lock's expiry by the line that came back meanwhile.
+/// An L1 that skipped the request for want of the line before checking
+/// the lock would drop it.
+#[test]
+fn l1_defers_a_request_that_arrives_locked_while_the_line_is_away() {
+    let cfg = cfg();
+    let layout = cfg.layout();
+    let p = ProcId(0);
+    let (mut k, log, l1) = build(&cfg, Unit::L1D(p), Variant::Dst1);
+    let block = Block(0x40);
+    let home = layout.mem(cfg.home_of(block));
+    let all = |serial| TokenMsg::Tokens {
+        block,
+        bundle: bundle(cfg.tokens_per_block, true, true, false),
+        serial,
+        writeback: false,
+    };
+    let cpu = |kind| TokenMsg::Cpu(CpuReq::Access { kind, block });
+    // A store completes with every token when they arrive (an injected
+    // message arrives at the kernel's clock, the last event's time): the
+    // block is locked for the response delay.
+    k.inject(layout.proc(p), l1, cpu(AccessKind::Store));
+    k.run(10_000, Time::from_ns(20));
+    let completed_at = k.now();
+    let inside = completed_at + Dur::from_ns(10);
+    k.inject(home, l1, all(0));
+    k.run(10_000, inside);
+    // A recreation empties the line, and the line drops out of the array.
+    k.inject(home, l1, TokenMsg::RecreateInval { block, serial: 1 });
+    k.run(10_000, inside);
+    assert!(k.nodes()[l1.index()].cache_lines().is_empty());
+    // A remote write request arrives while the line is away.
+    let remote = layout.l1d(ProcId(3));
+    let request = TokenMsg::Transient {
+        block,
+        requester: remote,
+        kind: ReqKind::Write,
+        external: true,
+        hint: None,
+    };
+    k.inject(remote, l1, request);
+    k.run(10_000, inside);
+    // A load brings the line back, still inside the window.
+    k.inject(layout.proc(p), l1, cpu(AccessKind::Load));
+    k.run(10_000, inside);
+    k.inject(home, l1, all(1));
+    k.run(10_000, inside);
+    assert!(k.now() < completed_at + cfg.response_delay);
+    assert_eq!(
+        k.nodes()[l1.index()].cache_lines(),
+        [(block, cfg.tokens_per_block, true)]
+    );
+    let tokens_to_remote = || -> Vec<(Time, u32)> {
+        let log = log.borrow();
+        let sent = log.iter().filter(|&&(me, ..)| me == remote);
+        sent.filter_map(|&(_, _, t, m)| match m {
+            TokenMsg::Tokens { bundle, .. } => Some((t, bundle.count)),
+            _ => None,
+        })
+        .collect()
+    };
+    assert!(tokens_to_remote().is_empty(), "the lock holds the line");
+    // At the lock's expiry the deferred request takes every token.
+    k.run(100_000, Time::from_ns(200));
+    let sent = tokens_to_remote();
+    assert_eq!(sent.len(), 1, "the deferred request is answered once");
+    let (at, count) = sent[0];
+    assert_eq!(count, cfg.tokens_per_block);
+    assert!(at.since(completed_at) >= cfg.response_delay);
 }
 
 #[test]

@@ -15,7 +15,10 @@
 //! ascending per-copy `(time, seq)` order. When the next copy arrives at
 //! the same time as the one just popped, the re-keyed head stays at the
 //! root without a sift: the fan owns every seq in `[base, base + n)`, so
-//! no other pending key lies between the two copies'.
+//! no other pending key lies between the two copies'. A fan-out's
+//! records are sorted once, when it is pushed: by a comparison sort, or,
+//! for a machine-wide broadcast, by a stable radix sort on arrival that
+//! yields the same order.
 
 use std::cmp::Reverse;
 
@@ -142,12 +145,70 @@ fn sift_down(heads: &mut [Head], mut pos: usize) {
 /// is freed rather than held for the rest of the run.
 const SPARE_COPIES: usize = 64;
 
+/// Fan-outs of at least this many copies are ordered by
+/// [`radix_order`], smaller ones by a comparison sort. Below it the
+/// radix sort's fixed cost, a 2,048-bucket count per digit, outweighs
+/// the comparisons it saves on arrivals that span two or three digits
+/// (DESIGN.md §14 records the crossover).
+const RADIX_MIN_COPIES: usize = 512;
+
+/// Bits per radix digit.
+const DIGIT_BITS: u32 = 11;
+
 /// One pending copy of a fan-out; its seq is the fan's `base + off`.
 #[derive(Debug, Clone, Copy)]
 struct FanCopy {
     time: Time,
     off: u32,
     dst: NodeId,
+}
+
+/// Digits needed to sort arrivals `span` ps apart: none when every copy
+/// arrives at once.
+fn radix_passes(span: u64) -> u32 {
+    (u64::BITS - span.leading_zeros()).div_ceil(DIGIT_BITS)
+}
+
+/// Orders `copies`, given in descending offset order, descending by
+/// `(time, off)`: the order a comparison sort on that key gives. An
+/// LSD radix sort on each copy's distance below the latest arrival,
+/// [`DIGIT_BITS`] bits a pass and as many passes as the span of
+/// arrivals needs ([`radix_passes`]), is stable, so copies that arrive
+/// together keep their descending offsets. The passes alternate between
+/// `copies` and `second`; the two may trade buffers, and `second`
+/// keeps the other for the next call.
+fn radix_order(copies: &mut Vec<FanCopy>, second: &mut Vec<FanCopy>) {
+    let (first, last) = copies.iter().fold((u64::MAX, 0), |(lo, hi), c| {
+        (lo.min(c.time.as_ps()), hi.max(c.time.as_ps()))
+    });
+    let passes = radix_passes(last - first);
+    if passes == 0 {
+        return;
+    }
+    let mask = (1 << DIGIT_BITS) - 1;
+    second.resize(copies.len(), copies[0]);
+    let (mut from, mut to) = (copies, second);
+    for pass in 0..passes {
+        let shift = pass * DIGIT_BITS;
+        let digit = |c: &FanCopy| ((last - c.time.as_ps()) >> shift) as usize & mask;
+        let mut next = [0u32; 1 << DIGIT_BITS];
+        for c in from.iter() {
+            next[digit(c)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        for c in from.iter() {
+            let at = &mut next[digit(c)];
+            to[*at as usize] = *c;
+            *at += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    if passes % 2 == 1 {
+        std::mem::swap(from, to);
+    }
 }
 
 #[derive(Debug)]
@@ -195,6 +256,11 @@ pub struct EventQueue<M> {
     /// Emptied copy buffers of finished fan-outs, each of capacity at
     /// most [`SPARE_COPIES`], for [`push_fan`](Self::push_fan) to reuse.
     spare: Vec<Vec<FanCopy>>,
+    /// The radix sort's second buffer, as large as the largest fan-out
+    /// it has ordered; empty until a fan-out of [`RADIX_MIN_COPIES`].
+    /// Kept across calls: one allocated and freed per fan-out raised
+    /// peak memory more than the buffer's size (DESIGN.md §14).
+    radix: Vec<FanCopy>,
     /// Pending events, counting every pending copy of a fan-out.
     len: usize,
     next_seq: u64,
@@ -214,6 +280,7 @@ impl<M> EventQueue<M> {
             slab: Vec::new(),
             free: Vec::new(),
             spare: Vec::new(),
+            radix: Vec::new(),
             len: 0,
             next_seq: 0,
         }
@@ -248,7 +315,11 @@ impl<M> EventQueue<M> {
             off: i as u32,
             dst: arrivals[i].1,
         }));
-        copies.sort_unstable_by_key(|c| Reverse((c.time, c.off)));
+        if n < RADIX_MIN_COPIES {
+            copies.sort_unstable_by_key(|c| Reverse((c.time, c.off)));
+        } else {
+            radix_order(&mut copies, &mut self.radix);
+        }
         let first = copies[n - 1];
         self.next_seq += n as u64;
         self.len += n;
@@ -509,6 +580,58 @@ mod tests {
         let at = |seq| got.iter().position(|e| e.1 == seq).unwrap();
         assert_eq!(at(40) + 1, at(41), "the lower seq pops before the copies");
         assert_eq!(at(47) + 1, at(49), "the mid-fan push pops after them");
+    }
+
+    /// `n` arrivals from `t0` spanning exactly `span` ps: ascending runs
+    /// of 24 copies, each run starting at a pseudo-random multiple of
+    /// `span / 64`, so copies of different runs tie.
+    fn runs(n: usize, t0: u64, span: u64) -> Vec<(Time, NodeId)> {
+        let step = span / 64;
+        let mut lcg = 0x9E37_79B9_7F4A_7C15u64 ^ span;
+        let mut run_start = 0;
+        (0..n)
+            .map(|i| {
+                if i % 24 == 0 {
+                    lcg = lcg
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    run_start = (lcg >> 33) % 41 * step;
+                }
+                let t = match i {
+                    0 => 0,
+                    _ if i == n - 1 => span,
+                    _ => run_start + (i % 24) as u64 * step,
+                };
+                (Time::from_ps(t0 + t), NodeId(i as u32))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fan_copies_leave_in_comparison_order_on_both_sort_paths() {
+        // Spans: every copy at once (no radix pass), one digit, then two,
+        // three and four digits.
+        let spans = [0, (1 << DIGIT_BITS) - 1, (1 << 22) - 1, 1 << 22, 1 << 40];
+        assert_eq!(spans.map(radix_passes), [0, 1, 2, 3, 4]);
+        for n in [RADIX_MIN_COPIES - 1, RADIX_MIN_COPIES, 3_135] {
+            for span in spans {
+                let arrivals = runs(n, 7_000, span);
+                let mut q: EventQueue<u8> = EventQueue::new();
+                q.push(Time::from_ps(7_000), NodeId(u32::MAX), wake(0));
+                q.push_fan(NodeId(0), 9, &arrivals);
+                let mut want: Vec<(Time, u64, NodeId)> = arrivals
+                    .iter()
+                    .zip(1..)
+                    .map(|(&(t, dst), seq)| (t, seq, dst))
+                    .collect();
+                want.push((Time::from_ps(7_000), 0, NodeId(u32::MAX)));
+                want.sort_by_key(|&(t, seq, _)| (t, seq));
+                let got: Vec<_> = std::iter::from_fn(|| q.pop())
+                    .map(|e| (e.time, e.seq, e.dst))
+                    .collect();
+                assert_eq!(got, want, "{n} copies over {span} ps");
+            }
+        }
     }
 
     #[test]
